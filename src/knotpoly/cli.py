@@ -114,8 +114,18 @@ def _run_pretzel(args):
     return knot.label(), payload, reports
 
 
+def _n_range(args):
+    """The --n-range pair, or None; an inverted range is a usage error."""
+    if args.n_range is None:
+        return None
+    lo, hi = args.n_range
+    if lo > hi:
+        raise ValueError(f"--n-range {lo} {hi} is empty")
+    return lo, hi
+
+
 def _run_qtorus(args):
-    window = tuple(args.n_range) if args.n_range else verify.QT_WINDOW
+    window = _n_range(args) or verify.QT_WINDOW
     reports = verify.unknot_reports(window)
     by_claim = {r.claim_id: r for r in reports}
     alpha = alpha_unknot()
@@ -142,8 +152,10 @@ def _run_trace(args):
 
 
 def _run_verify(args):
-    n_range = tuple(args.n_range) if args.n_range else None
-    p_max = args.p if args.p else verify.TWOBRIDGE_P_MAX
+    n_range = _n_range(args)
+    p_max = verify.TWOBRIDGE_P_MAX if args.p is None else args.p
+    if p_max < 3:
+        raise ValueError(f"--p must be at least 3, got {p_max}")
     if args.suite == "twobridge":
         reports = verify.suite_twobridge(p_max)
     elif args.suite == "pretzel":

@@ -1,15 +1,23 @@
 """Trace polynomials of words in a rank-2 free group.
 
 For matrices A, B in SL2 every word trace is a polynomial in
-x = tr(A), y = tr(B), z = tr(AB).  Left multiplication by a generator maps
-the module spanned by {1, A, B, AB} to itself, so a word is folded one
-letter at a time through a 4-tuple of coefficient polynomials; the trace
-is then 2*alpha + x*beta + y*gamma + z*delta.  The fold is linear in the
-word length.
+x = tr(A), y = tr(B), z = tr(AB).  Multiplication by a generator, on
+either side, maps the module spanned by {1, A, B, AB} to itself, so a word
+is folded one letter at a time through a 4-tuple of coefficient
+polynomials; the trace is then 2*alpha + x*beta + y*gamma + z*delta.
 
-Generators are indexed 0 ("a") and 1 ("b").  The rewrite table is not
-taken on faith: validate_rewrite_table and the numeric oracle check it
-against random SL2(C) matrix pairs.
+The fold is two-sided.  trace_poly_with folds a word from the right end
+with the left-multiplication table, one step per letter.
+nested_slice_traces grows one coefficient vector from the centre of a word
+outwards, one left and one right step per level, and so yields the traces
+of all the nested slices word[j:len-j] in one pass over the letters.  The
+right-multiplication table follows from Cayley-Hamilton, A^2 = xA - 1,
+B^2 = yB - 1, and the Fricke identity AB + BA = yA + xB + (z - xy).
+
+Generators are indexed 0 ("a") and 1 ("b").  The rewrite tables are not
+taken on faith: validate_rewrite_table and the numeric oracle check the
+left table against random SL2(C) matrix pairs, and the test suite checks
+both tables entry by entry the same way.
 """
 
 from __future__ import annotations
@@ -122,40 +130,112 @@ def word_to_string(word: FreeWord, names=("a", "b")) -> str:
 # -- symbolic fold --------------------------------------------------------
 
 
+def _mul_left(gen: int, exp: int, coeffs, px, py, pz, z_xy):
+    """Coefficients of g^exp * E on {1, A, B, AB}, for E given by coeffs."""
+    al, be, ga, de = coeffs
+    step = abs(exp)
+    if gen == GENERATOR_A and exp > 0:
+        for _ in range(step):
+            al, be, ga, de = -be, al + px * be, -de, ga + px * de
+    elif gen == GENERATOR_A:
+        for _ in range(step):
+            al, be, ga, de = px * al + be, -al, px * ga + de, -ga
+    elif exp > 0:
+        for _ in range(step):
+            al, be, ga, de = (z_xy * be - ga - px * de,
+                              py * be + de,
+                              al + px * be + py * ga + pz * de,
+                              -be)
+    else:
+        for _ in range(step):
+            al, be, ga, de = (py * al - z_xy * be + ga + px * de,
+                              -de,
+                              -al - px * be - pz * de,
+                              py * de + be)
+    return al, be, ga, de
+
+
+def _mul_right(gen: int, exp: int, coeffs, px, py, pz, z_xy):
+    """Coefficients of E * g^exp on {1, A, B, AB}, for E given by coeffs.
+
+    E*A and E*B come from A^2 = xA - 1, B^2 = yB - 1 and
+    BA = -AB + yA + xB + (z - xy); the inverse rows are xE - E*A and
+    yE - E*B written out.
+    """
+    al, be, ga, de = coeffs
+    step = abs(exp)
+    if gen == GENERATOR_A and exp > 0:
+        for _ in range(step):
+            al, be, ga, de = (z_xy * ga - be - py * de,
+                              al + px * be + py * ga + pz * de,
+                              px * ga + de,
+                              -ga)
+    elif gen == GENERATOR_A:
+        for _ in range(step):
+            al, be, ga, de = (px * al + be - z_xy * ga + py * de,
+                              -al - py * ga - pz * de,
+                              -de,
+                              ga + px * de)
+    elif exp > 0:
+        for _ in range(step):
+            al, be, ga, de = -ga, -de, al + py * ga, be + py * de
+    else:
+        for _ in range(step):
+            al, be, ga, de = py * al + ga, py * be + de, -al, -be
+    return al, be, ga, de
+
+
+def _identity(px):
+    """Coefficients of the empty word, in the ring of px."""
+    zero = px * 0
+    return px ** 0, zero, zero, zero
+
+
+def _trace_of(coeffs, px, py, pz):
+    al, be, ga, de = coeffs
+    return 2 * al + px * be + py * ga + pz * de
+
+
 def _fold(letters, px: MultiPoly, py: MultiPoly, pz: MultiPoly):
     """Coefficients (alpha, beta, gamma, delta) of the word on {1,A,B,AB}."""
-    zero = px * 0
-    one = px ** 0
-    al, be, ga, de = one, zero, zero, zero
+    coeffs = _identity(px)
     z_xy = pz - px * py
     for gen, exp in reversed(letters):
-        step = abs(exp)
-        if gen == GENERATOR_A and exp > 0:
-            for _ in range(step):
-                al, be, ga, de = -be, al + px * be, -de, ga + px * de
-        elif gen == GENERATOR_A:
-            for _ in range(step):
-                al, be, ga, de = px * al + be, -al, px * ga + de, -ga
-        elif exp > 0:
-            for _ in range(step):
-                al, be, ga, de = (z_xy * be - ga - px * de,
-                                  py * be + de,
-                                  al + px * be + py * ga + pz * de,
-                                  -be)
-        else:
-            for _ in range(step):
-                al, be, ga, de = (py * al - z_xy * be + ga + px * de,
-                                  -de,
-                                  -al - px * be - pz * de,
-                                  py * de + be)
-    return al, be, ga, de
+        coeffs = _mul_left(gen, exp, coeffs, px, py, pz, z_xy)
+    return coeffs
 
 
 def trace_poly_with(word: FreeWord, px: MultiPoly, py: MultiPoly,
                     pz: MultiPoly) -> MultiPoly:
     """Trace of the word with tr(A), tr(B), tr(AB) bound to given polynomials."""
-    al, be, ga, de = _fold(word.letters, px, py, pz)
-    return 2 * al + px * be + py * ga + pz * de
+    return _trace_of(_fold(word.letters, px, py, pz), px, py, pz)
+
+
+def nested_slice_traces(letters, px: MultiPoly, py: MultiPoly,
+                        pz: MultiPoly) -> tuple:
+    """Traces of the nested slices letters[j:len(letters)-j], outermost first.
+
+    One entry per nonempty slice, (len(letters) + 1) // 2 in all; an odd
+    word ends with its middle letter alone.  The coefficient vector starts
+    at the centre and each level multiplies letters[j] on the left and
+    letters[-1-j] on the right, so the whole list costs one fold step per
+    letter.  Slices of a reduced word are reduced.
+    """
+    n = len(letters)
+    z_xy = pz - px * py
+    coeffs = _identity(px)
+    traces = []
+    if n % 2:
+        gen, exp = letters[n // 2]
+        coeffs = _mul_left(gen, exp, coeffs, px, py, pz, z_xy)
+        traces.append(_trace_of(coeffs, px, py, pz))
+    for j in range(n // 2 - 1, -1, -1):
+        gen, exp = letters[n - 1 - j]
+        coeffs = _mul_right(gen, exp, coeffs, px, py, pz, z_xy)
+        gen, exp = letters[j]
+        coeffs = _mul_left(gen, exp, coeffs, px, py, pz, z_xy)
+        traces.append(_trace_of(coeffs, px, py, pz))
+    return tuple(reversed(traces))
 
 
 @lru_cache(maxsize=None)

@@ -25,7 +25,7 @@ from .exactpoly import (MultiPoly, is_squarefree_in, newton_polygon,
 from .report import (InternalInconsistencyError, STATUS_FAIL, STATUS_PASS,
                      VerificationReport, status_of)
 from .sl2trace import (FreeWord, GENERATOR_A, GENERATOR_B, chebyshev_s,
-                       trace_poly_with)
+                       nested_slice_traces)
 
 VARS_XZ = ("x", "z")
 VARS_XZCAP = ("X", "z")
@@ -33,6 +33,7 @@ VARS_XZCAP = ("X", "z")
 FACTOR_ORACLE_MAX_DEGREE = 24
 FACTOR_ORACLE_PRECISION = 60
 FACTOR_ORACLE_WINDOW = 1e-20
+MERIDIAN_CACHE_SIZE = 4
 
 
 class IrreducibilityCertificate(Enum):
@@ -93,12 +94,19 @@ def bridge_word(knot: TwoBridgeKnot) -> FreeWord:
     return FreeWord(letters)
 
 
-@lru_cache(maxsize=None)
-def _meridian_trace(letters) -> MultiPoly:
-    """Word trace with both generator traces bound to x; result in (x, z)."""
+@lru_cache(maxsize=MERIDIAN_CACHE_SIZE)
+def _meridian_trace(letters) -> tuple:
+    """Traces of the nested slices letters[j:len(letters)-j], outermost
+    first, with both generator traces bound to x; entries in (x, z).
+
+    Binding y to x makes each trace symmetric under swapping the
+    generators, so a slice's trace does not depend on which generator it
+    starts with.  The cache holds a few bridge words: every report of one
+    knot reads the same entry.
+    """
     x = MultiPoly.variable("x", VARS_XZ)
     z = MultiPoly.variable("z", VARS_XZ)
-    return trace_poly_with(FreeWord(letters), x, x, z)
+    return nested_slice_traces(letters, x, x, z)
 
 
 def character_polynomial(knot: TwoBridgeKnot) -> MultiPoly:
@@ -109,12 +117,9 @@ def character_polynomial(knot: TwoBridgeKnot) -> MultiPoly:
     result is checked to contain only even x-powers and to carry z-leading
     term z^d.
     """
-    letters = bridge_word(knot).letters
     d = knot.d
     total = MultiPoly.const(VARS_XZ, (-1) ** d)
-    for j in range(d):
-        sliced = letters[j:len(letters) - j]
-        term = _meridian_trace(sliced)
+    for j, term in enumerate(_meridian_trace(bridge_word(knot).letters)):
         total = total + term if j % 2 == 0 else total - term
     for exp in total.terms:
         if exp[0] % 2 != 0:
@@ -180,19 +185,18 @@ def leading_term_report(knot: TwoBridgeKnot) -> VerificationReport:
     a, b starting from a with exponents nu_j .. nu_(2d+1-j).  Its trace,
     with x^2 collapsed to X, must have total degree d+1-j and leading
     part z^(d+1-j-c_j) (z - X)^(c_j) where c_j counts sign changes
-    mu_k = nu_k nu_(k+1) = -1 over k in [j, d].
+    mu_k = nu_k nu_(k+1) = -1 over k in [j, d].  That word is the j-th
+    nested slice of the bridge word, up to swapping the generators.
     """
     eps = sign_sequence(knot)
     d = knot.d
     mu = [eps[k] * eps[k + 1] for k in range(d)]  # mu_j for j = 1..d
+    traces = _meridian_trace(bridge_word(knot).letters)
     per_j = []
     ok = True
     for j in range(1, d + 1):
         c_j = sum(1 for k in range(j - 1, d) if mu[k] == -1)
-        exponents = eps[j - 1:2 * d + 1 - j]
-        letters = tuple((GENERATOR_A if i % 2 == 0 else GENERATOR_B, e)
-                        for i, e in enumerate(exponents))
-        tr = _meridian_trace(letters)
+        tr = traces[j - 1]
         entry = {"j": j, "c_j": c_j}
         try:
             gamma = tr.substitute_square("x", "X")

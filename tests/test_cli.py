@@ -58,6 +58,29 @@ def test_verify_pretzel_suite_small_window(capsys):
     assert code == 0
 
 
+@pytest.mark.parametrize("p", ["0", "2", "-7"])
+def test_verify_rejects_p_below_three(capsys, p):
+    code, captured = run(capsys, "verify", "--suite", "twobridge", "--p", p)
+    assert code == 2
+    assert "error:" in captured.err
+    assert captured.out == ""
+
+
+def test_verify_rejects_inverted_n_range(capsys):
+    code, captured = run(capsys, "verify", "--suite", "pretzel",
+                         "--n-range", "5", "-5")
+    assert code == 2
+    assert "error:" in captured.err
+    assert captured.out == ""
+
+
+def test_qtorus_rejects_inverted_n_range(capsys):
+    code, captured = run(capsys, "qtorus", "--n-range", "20", "-20")
+    assert code == 2
+    assert "error:" in captured.err
+    assert captured.out == ""
+
+
 # -- payloads --------------------------------------------------------------
 
 def test_trace_plain_output(capsys):

@@ -8,12 +8,15 @@ from hypothesis import given, settings, strategies as st
 
 from knotpoly.exactpoly import MultiPoly
 from knotpoly.sl2trace import (DEFAULT_SEED, FreeWord, GENERATOR_A,
-                               GENERATOR_B, chebyshev_s, chebyshev_t,
-                               inverse_word, matrix_of_word,
+                               GENERATOR_B, DEFAULT_ORACLE_TOL,
+                               _mul_left, _mul_right, _num_mul, _num_pow,
+                               chebyshev_s, chebyshev_t, inverse_word,
+                               matrix_of_word, nested_slice_traces,
                                numeric_trace_oracle, random_reduced_word,
-                               reduce_word, reverse_word, rotate_word,
-                               trace_poly, validate_rewrite_table,
-                               word_from_string, word_to_string)
+                               random_sl2, reduce_word, reverse_word,
+                               rotate_word, trace_poly, trace_poly_with,
+                               validate_rewrite_table, word_from_string,
+                               word_to_string)
 
 X = MultiPoly.variable("x", ("x", "y", "z"))
 Y = MultiPoly.variable("y", ("x", "y", "z"))
@@ -25,10 +28,10 @@ def w(text):
 
 
 @st.composite
-def words(draw, max_len=8):
+def words(draw, max_len=8, exponents=(-2, -1, 1, 2)):
     n = draw(st.integers(0, max_len))
     letters = [(draw(st.sampled_from((GENERATOR_A, GENERATOR_B))),
-                draw(st.sampled_from((-2, -1, 1, 2))))
+                draw(st.sampled_from(exponents)))
                for _ in range(n)]
     return reduce_word(letters)
 
@@ -119,6 +122,48 @@ def test_trace_invariant_under_reversal(word):
 @given(words(), st.integers(-3, 3))
 def test_trace_invariant_under_rotation(word, k):
     assert trace_poly(rotate_word(word, k)) == trace_poly(word)
+
+
+# -- nested slices ---------------------------------------------------------
+
+@settings(max_examples=60, deadline=None)
+@given(words(max_len=12, exponents=(-3, -2, -1, 1, 2, 3)))
+def test_nested_slice_traces_match_per_slice_folds(word):
+    letters = word.letters
+    traces = nested_slice_traces(letters, X, Y, Z)
+    assert len(traces) == (len(letters) + 1) // 2
+    for j, tr in enumerate(traces):
+        sliced = FreeWord(letters[j:len(letters) - j])
+        assert tr == trace_poly_with(sliced, X, Y, Z)
+
+
+def _coeff_matrix(coeffs, ma, mb):
+    """alpha*1 + beta*A + gamma*B + delta*AB as a numeric 2x2 matrix."""
+    al, be, ga, de = coeffs
+    return tuple(al * i + be * a + ga * b + de * ab for i, a, b, ab
+                 in zip((1, 0, 0, 1), ma, mb, _num_mul(ma, mb)))
+
+
+def test_multiplication_tables_match_matrix_products():
+    # Each row of both tables, as an identity of matrices: the table's
+    # coefficients of E*g^k (g^k*E) against the product itself.
+    rng = random.Random(DEFAULT_SEED)
+    for _ in range(20):
+        ma, mb = random_sl2(rng), random_sl2(rng)
+        ab = _num_mul(ma, mb)
+        x, y, z = ma[0] + ma[3], mb[0] + mb[3], ab[0] + ab[3]
+        coeffs = tuple(complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
+                       for _ in range(4))
+        e = _coeff_matrix(coeffs, ma, mb)
+        for gen, base in ((GENERATOR_A, ma), (GENERATOR_B, mb)):
+            for exp in (1, -1, 2, -3):
+                g = _num_pow(base, exp)
+                for table, product in ((_mul_right, _num_mul(e, g)),
+                                       (_mul_left, _num_mul(g, e))):
+                    got = _coeff_matrix(
+                        table(gen, exp, coeffs, x, y, z, z - x * y), ma, mb)
+                    gap = max(abs(u - v) for u, v in zip(got, product))
+                    assert gap < DEFAULT_ORACLE_TOL, (table, gen, exp)
 
 
 # -- chebyshev families ----------------------------------------------------

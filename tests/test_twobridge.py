@@ -4,8 +4,11 @@ import pytest
 
 from knotpoly.exactpoly import MultiPoly, newton_polygon
 from knotpoly.report import InternalInconsistencyError
+from knotpoly.sl2trace import (FreeWord, GENERATOR_A, GENERATOR_B,
+                               nested_slice_traces, trace_poly_with)
 from knotpoly.twobridge import (IrreducibilityCertificate, TwoBridgeKnot,
-                                all_knots, bridge_word,
+                                VARS_XZ, _meridian_trace, all_knots,
+                                bridge_word,
                                 character_polynomial,
                                 character_polynomial_even,
                                 chebyshev_difference, factor_oracle,
@@ -76,6 +79,41 @@ def test_seven_three_character_polynomial():
         "-x^2*z^2 + 3*x^2*z + z^3 - 2*x^2 - z^2 - 2*z + 1"
     assert character_polynomial_even(k).to_text() == \
         "-X*z^2 + z^3 + 3*X*z - z^2 - 2*X - 2*z + 1"
+
+
+def test_bridge_word_slices_match_per_slice_folds():
+    # Differential check over the whole acceptance range: the inside-out
+    # fold against a fresh fold of every slice letters[j:2d-j].  Knots
+    # with equal p share many slices; each distinct one is folded once.
+    x = MultiPoly.variable("x", VARS_XZ)
+    z = MultiPoly.variable("z", VARS_XZ)
+    folded = {}
+    for k in all_knots(45):
+        letters = bridge_word(k).letters
+        traces = nested_slice_traces(letters, x, x, z)
+        assert len(traces) == k.d
+        for j, tr in enumerate(traces):
+            sliced = letters[j:2 * k.d - j]
+            if sliced not in folded:
+                folded[sliced] = trace_poly_with(FreeWord(sliced), x, x, z)
+            assert tr == folded[sliced], (k.label(), j)
+        assert _meridian_trace(letters) == traces
+
+
+def test_leading_term_slices_are_cached_nested_slices():
+    # leading_term_report reads its slice j as entry j-1.  Its word always
+    # starts with generator a; for even j the nested slice starts with b.
+    x = MultiPoly.variable("x", VARS_XZ)
+    z = MultiPoly.variable("z", VARS_XZ)
+    for k in all_knots(21):
+        eps = sign_sequence(k)
+        traces = _meridian_trace(bridge_word(k).letters)
+        for j in range(1, k.d + 1):
+            word = FreeWord(tuple(
+                (GENERATOR_A if i % 2 == 0 else GENERATOR_B, e)
+                for i, e in enumerate(eps[j - 1:2 * k.d + 1 - j])))
+            assert trace_poly_with(word, x, x, z) == traces[j - 1]
+    assert _meridian_trace.cache_info().maxsize is not None
 
 
 def test_even_form_substitutes_back():
