@@ -27,6 +27,9 @@ from .twobridge import (TwoBridgeKnot, character_polynomial,
 from . import verify
 
 RESULTANT_CLI_BOUND = 8
+# Input size caps: past them a query runs for minutes, so it is refused.
+TRACE_MAX_LETTERS = 120
+PRETZEL_N_MAX = 100
 
 
 def _parser() -> argparse.ArgumentParser:
@@ -91,8 +94,15 @@ def _run_twobridge(args):
     return knot.label(), payload, reports
 
 
+def _check_pretzel_n(n, flag):
+    if abs(n) > PRETZEL_N_MAX:
+        raise ValueError(f"{flag} {n} is out of range: |n| must be at most "
+                         f"{PRETZEL_N_MAX}")
+
+
 def _run_pretzel(args):
     n = args.n
+    _check_pretzel_n(n, "--n")
     knot = PretzelKnot(n)
     reports = [x0_report(n), seidenberg_report(n, tol=args.tol)]
     if abs(n) <= TRACE_WORD_BOUND:
@@ -143,6 +153,9 @@ def _run_qtorus(args):
 
 def _run_trace(args):
     word, names = word_from_string(args.word)
+    if len(word) > TRACE_MAX_LETTERS:
+        raise ValueError(f"--word has {len(word)} letters, more than "
+                         f"{TRACE_MAX_LETTERS}")
     names = tuple(names) + ("a", "b")[len(names):]
     payload = {
         "word": word_to_string(word, names),
@@ -153,6 +166,8 @@ def _run_trace(args):
 
 def _run_verify(args):
     n_range = _n_range(args)
+    for n in n_range or ():
+        _check_pretzel_n(n, "--n-range")
     p_max = verify.TWOBRIDGE_P_MAX if args.p is None else args.p
     if p_max < 3:
         raise ValueError(f"--p must be at least 3, got {p_max}")

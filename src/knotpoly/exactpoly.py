@@ -7,7 +7,7 @@ zero coefficients are never stored, so equality is plain dict comparison.
 Per-variable Laurent flags admit negative exponents.
 
 The module also provides rational functions (always reduced, denominator
-normalized), 2x2 matrices over any ring-like entries, primitive-PRS gcd,
+normalized, Laurent variables allowed), 2x2 matrices over any ring-like entries, primitive-PRS gcd,
 Sylvester/Bareiss resultants, Newton polygons via monotone chain, and a
 canonical text / JSON serialization.
 """
@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd as _int_gcd
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 Coeff = "int | Fraction"
 Exponent = "tuple[int, ...]"
@@ -856,8 +856,12 @@ def newton_polygon(p: MultiPoly) -> NewtonPolygon:
 class RationalFunction:
     """Reduced fraction of polynomials with a normalized denominator.
 
-    The denominator's graded-lex leading coefficient is scaled to 1, so the
+    The normal form divides out the gcd, shifts each Laurent variable so
+    that its least exponent in the denominator is 0, and scales the
+    denominator's graded-lex leading coefficient to 1, so the
     representation is canonical and structural equality is valid.
+    Arithmetic returns the type of its left operand, so subclasses that
+    add constraints in __init__ keep them.
     """
 
     __slots__ = ("num", "den")
@@ -865,20 +869,23 @@ class RationalFunction:
     def __init__(self, num: MultiPoly, den: MultiPoly):
         if not isinstance(num, MultiPoly) or not isinstance(den, MultiPoly):
             raise TypeError("numerator and denominator must be MultiPoly")
-        if num.vars != den.vars:
+        if num.vars != den.vars or num.laurent != den.laurent:
             raise AlignmentError(
                 f"variable mismatch: {num.vars} vs {den.vars}")
-        if any(num.laurent):
-            raise LaurentInputError("RationalFunction needs ordinary vars")
         if den.is_zero():
             raise ZeroDivisionError("zero denominator")
         if num.is_zero():
-            den = MultiPoly.const(num.vars, 1)
+            den = MultiPoly.const(num.vars, 1, num.laurent)
         else:
             g = poly_gcd(num, den)
             if not (g.is_constant() and g.constant_value() == 1):
                 num = exact_div(num, g)
                 den = exact_div(den, g)
+            for var, flag in zip(den.vars, den.laurent):
+                shift = den.min_degree_in(var) if flag else 0
+                if shift:
+                    num = num.mul_var_power(var, -shift)
+                    den = den.mul_var_power(var, -shift)
         lead = max(den.terms, key=_grlex_key)
         lc = Fraction(den.terms[lead])
         if lc != 1:
@@ -893,18 +900,17 @@ class RationalFunction:
 
     @classmethod
     def from_poly(cls, p: MultiPoly) -> "RationalFunction":
-        return cls(p, MultiPoly.const(p.vars, 1))
+        return cls(p, MultiPoly.const(p.vars, 1, p.laurent))
 
     def _coerce(self, other):
         if isinstance(other, RationalFunction):
             if other.num.vars != self.num.vars:
                 raise AlignmentError("variable mismatch")
             return other
-        if isinstance(other, MultiPoly):
-            return RationalFunction.from_poly(other)
         if isinstance(other, (int, Fraction)):
-            return RationalFunction.from_poly(
-                MultiPoly.const(self.num.vars, other))
+            other = MultiPoly.const(self.num.vars, other, self.num.laurent)
+        if isinstance(other, MultiPoly):
+            return type(self).from_poly(other)
         return None
 
     def is_zero(self) -> bool:
@@ -922,13 +928,13 @@ class RationalFunction:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return RationalFunction(self.num * other.den + other.num * self.den,
-                                self.den * other.den)
+        return type(self)(self.num * other.den + other.num * self.den,
+                          self.den * other.den)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return RationalFunction(-self.num, self.den)
+        return type(self)(-self.num, self.den)
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -943,7 +949,7 @@ class RationalFunction:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return RationalFunction(self.num * other.num, self.den * other.den)
+        return type(self)(self.num * other.num, self.den * other.den)
 
     __rmul__ = __mul__
 
@@ -953,7 +959,7 @@ class RationalFunction:
             return NotImplemented
         if other.is_zero():
             raise ZeroDivisionError("division by zero rational function")
-        return RationalFunction(self.num * other.den, self.den * other.num)
+        return type(self)(self.num * other.den, self.den * other.num)
 
     def __rtruediv__(self, other):
         other = self._coerce(other)
@@ -964,15 +970,14 @@ class RationalFunction:
     def reciprocal(self) -> "RationalFunction":
         if self.is_zero():
             raise ZeroDivisionError("reciprocal of zero")
-        return RationalFunction(self.den, self.num)
+        return type(self)(self.den, self.num)
 
     def __pow__(self, n: int):
         if not isinstance(n, int):
             return NotImplemented
         if n < 0:
             return self.reciprocal() ** (-n)
-        result = RationalFunction.from_poly(
-            MultiPoly.const(self.num.vars, 1))
+        result = self._coerce(1)
         for _ in range(n):
             result = result * self
         return result
@@ -983,7 +988,7 @@ class RationalFunction:
         return f"({self.num.to_text()}) / ({self.den.to_text()})"
 
     def __repr__(self):
-        return f"<RationalFunction {self.to_text()}>"
+        return f"<{type(self).__name__} {self.to_text()}>"
 
 
 # -- 2x2 matrices ---------------------------------------------------------

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Mapping
 
-from .exactpoly import MultiPoly, exact_div, poly_gcd
+from .exactpoly import MultiPoly, RationalFunction, exact_div
 from .report import VerificationReport, status_of
 
 VARS_TM = ("t", "M")
@@ -34,14 +34,10 @@ def tm_poly(terms: Mapping) -> MultiPoly:
     return MultiPoly(VARS_TM, terms, LAURENT_TM)
 
 
-def _tm_const(value) -> MultiPoly:
-    return MultiPoly.const(VARS_TM, value, LAURENT_TM)
-
-
 def _coerce_tm(value) -> MultiPoly:
     if isinstance(value, MultiPoly):
         return value.extend_to(VARS_TM, LAURENT_TM)
-    return _tm_const(value)
+    return MultiPoly.const(VARS_TM, value, LAURENT_TM)
 
 
 def _eval_t_minus_one(p: MultiPoly) -> MultiPoly:
@@ -209,11 +205,8 @@ def upsilon(k: int, l: int) -> QTElem:
 def epsilon_eval(p: QTElem) -> MultiPoly:
     """Specialize t = -1; the twist dies and the result is a commutative
     Laurent polynomial in (M, L)."""
-    terms: dict = {}
-    for j, a in p.terms.items():
-        for (et, em), c in a.terms.items():
-            key = (em, j)
-            terms[key] = terms.get(key, 0) + (c if et % 2 == 0 else -c)
+    terms = {(em, j): c for j, a in p.terms.items()
+             for (em,), c in _eval_t_minus_one(a).terms.items()}
     return MultiPoly(VARS_ML, terms, LAURENT_ML)
 
 
@@ -287,39 +280,25 @@ def annihilation_check(p: QTElem, f: DiscreteSeq,
 # -- sigma symmetry of a recurrence ---------------------------------------
 
 
-def _canonical_fraction(num: MultiPoly, den: MultiPoly):
-    """Reduce num/den and normalize so den is an integer-coprime ordinary
-    polynomial with positive leading coefficient and zero minimum degree."""
-    g = poly_gcd(num, den)
-    num = exact_div(num, g)
-    den = exact_div(den, g)
-    for var in den.vars:
-        shift = den.min_degree_in(var)
-        if shift:
-            den = den.mul_var_power(var, -shift)
-            num = num.mul_var_power(var, -shift)
-    lead = max(den.terms, key=lambda e: (sum(e), e))
-    scale = Fraction(den.terms[lead])
-    if scale != 1:
-        num = num * (Fraction(1) / scale)
-        den = den * (Fraction(1) / scale)
-    return num, den
-
-
 @dataclass(frozen=True)
 class SigmaFactor:
     """Result of the sigma-symmetry test: p = h * (L^d and sigma(p) in the
     stated ordering), with h in the fraction field of (t, M)."""
 
     ordering: str
-    num: MultiPoly
-    den: MultiPoly
+    h: RationalFunction
     m_only: bool
 
+    @property
+    def num(self) -> MultiPoly:
+        return self.h.num
+
+    @property
+    def den(self) -> MultiPoly:
+        return self.h.den
+
     def h_text(self) -> str:
-        if self.den == 1:
-            return self.num.to_text()
-        return f"({self.num.to_text()}) / ({self.den.to_text()})"
+        return self.h.to_text()
 
     def as_dict(self) -> dict:
         return {"ordering": self.ordering, "h": self.h_text(),
@@ -344,104 +323,33 @@ def sigma_symmetry_factor(p: QTElem):
         h_num = p.terms[0]
         h_den = s.terms[0]
         if all(p.terms[i] * h_den == s.terms[i] * h_num for i in p.terms):
-            num, den = _canonical_fraction(h_num, h_den)
+            h = RationalFunction(h_num, h_den)
             m_only = all(poly.degree_in("t") == 0
                          and poly.min_degree_in("t") == 0
-                         for poly in (num, den))
-            return SigmaFactor(ordering, num, den, m_only)
+                         for poly in (h.num, h.den))
+            return SigmaFactor(ordering, h, m_only)
     return None
 
 
 # -- the localization at t = -1 and weak division -------------------------
 
 
-class LocalizedScalar:
+class LocalizedScalar(RationalFunction):
     """Fraction f/g of Laurent polynomials in (t, M) with g(-1, M) != 0.
 
-    Stored reduced and canonically normalized, so equality is structural.
+    A RationalFunction over (t, M), so it is stored reduced and canonically
+    normalized and equality is structural; arithmetic keeps the type.
     """
 
-    __slots__ = ("num", "den")
+    __slots__ = ()
 
     def __init__(self, num, den=1):
-        num = _coerce_tm(num)
-        den = _coerce_tm(den)
-        if den.is_zero():
-            raise ZeroDivisionError("zero denominator")
-        if num.is_zero():
-            den = _tm_const(1)
-        else:
-            num, den = _canonical_fraction(num, den)
-        if _eval_t_minus_one(den).is_zero():
+        super().__init__(_coerce_tm(num), _coerce_tm(den))
+        if _eval_t_minus_one(self.den).is_zero():
             raise ValueError("denominator vanishes at t = -1")
-        self.num = num
-        self.den = den
-
-    def is_zero(self) -> bool:
-        return self.num.is_zero()
-
-    def _coerce(self, other):
-        if isinstance(other, LocalizedScalar):
-            return other
-        if isinstance(other, (int, Fraction, MultiPoly)):
-            return LocalizedScalar(other)
-        return None
-
-    def __eq__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return self.num == other.num and self.den == other.den
-
-    __hash__ = None
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return LocalizedScalar(self.num * other.den + other.num * self.den,
-                               self.den * other.den)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return LocalizedScalar(-self.num, self.den)
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return LocalizedScalar(self.num * other.num, self.den * other.den)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        if other.is_zero():
-            raise ZeroDivisionError("division by zero scalar")
-        return LocalizedScalar(self.num * other.den, self.den * other.num)
 
     def twist(self, k: int) -> "LocalizedScalar":
         return LocalizedScalar(_twist(self.num, k), _twist(self.den, k))
-
-    def to_text(self) -> str:
-        if self.den == 1:
-            return self.num.to_text()
-        return f"({self.num.to_text()}) / ({self.den.to_text()})"
-
-    def __repr__(self):
-        return f"<LocalizedScalar {self.to_text()}>"
 
 
 def height(value):

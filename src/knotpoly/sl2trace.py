@@ -32,7 +32,7 @@ from .exactpoly import Matrix2, MultiPoly
 VARS_XYZ = ("x", "y", "z")
 
 DEFAULT_SEED = 20231115
-DEFAULT_ORACLE_TOL = 1e-8
+ORACLE_TOL = 1e-8
 
 GENERATOR_A = 0
 GENERATOR_B = 1
@@ -341,25 +341,33 @@ def numeric_word_trace(word: FreeWord, ma, mb) -> complex:
     return out[0] + out[3]
 
 
+def trace_residual(word: FreeWord, trials: int, tol: float,
+                   rng: random.Random) -> float:
+    """Largest |tr(word) - trace_poly(word)(x, y, z)| over random SL2(C)
+    pairs (A, B), drawn A then B per trial; stops after the first trial
+    whose residual reaches tol, so the result is >= tol exactly when the
+    word fails."""
+    poly = trace_poly(word)
+    worst = 0.0
+    for _ in range(trials):
+        ma = random_sl2(rng)
+        mb = random_sl2(rng)
+        z = ma[0] * mb[0] + ma[1] * mb[2] + ma[2] * mb[1] + ma[3] * mb[3]
+        point = {"x": ma[0] + ma[3], "y": mb[0] + mb[3], "z": z}
+        gap = abs(numeric_word_trace(word, ma, mb) - poly.eval_complex(point))
+        worst = max(worst, gap)
+        if gap >= tol:
+            break
+    return worst
+
+
 def numeric_trace_oracle(word: FreeWord, trials: int = 20,
-                         tol: float = DEFAULT_ORACLE_TOL,
+                         tol: float = ORACLE_TOL,
                          rng: random.Random | None = None) -> bool:
     """Compare trace_poly against random-matrix numeric traces."""
     if rng is None:
         rng = random.Random(DEFAULT_SEED)
-    poly = trace_poly(word)
-    for _ in range(trials):
-        ma = random_sl2(rng)
-        mb = random_sl2(rng)
-        x = ma[0] + ma[3]
-        y = mb[0] + mb[3]
-        prod = _num_mul(ma, mb)
-        z = prod[0] + prod[3]
-        direct = numeric_word_trace(word, ma, mb)
-        via_poly = poly.eval_complex({"x": x, "y": y, "z": z})
-        if abs(direct - via_poly) >= tol:
-            return False
-    return True
+    return trace_residual(word, trials, tol, rng) < tol
 
 
 def random_reduced_word(rng: random.Random, max_len: int = 12) -> FreeWord:
@@ -371,7 +379,7 @@ def random_reduced_word(rng: random.Random, max_len: int = 12) -> FreeWord:
 
 def validate_rewrite_table(rng: random.Random | None = None,
                            words: int = 25,
-                           tol: float = DEFAULT_ORACLE_TOL) -> bool:
+                           tol: float = ORACLE_TOL) -> bool:
     """Spot-check the fold table against the numeric oracle."""
     if rng is None:
         rng = random.Random(DEFAULT_SEED)

@@ -7,9 +7,10 @@ eps_j = (-1)^floor(j*m/p).  The nonabelian character variety is cut out
 by an alternating sum of subword traces; with both meridian traces
 identified (x = tr a = tr b) the result lives in Z[x^2, z].
 
-Everything here is exact; the only floating-point ingredient is the
-high-precision factor oracle, whose output is still verified by exact
-integer division before being reported.
+Everything here is exact, with no floating point.  Irreducibility of the
+x = 0 slice S_d - S_(d-1) of b(p, 1) is read off its factorization into
+the Psi_q(-z), q | p, where Psi_q is the minimal polynomial of
+2cos(2 pi/q); the factors are built by exact division.
 """
 
 from __future__ import annotations
@@ -17,11 +18,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
-from itertools import combinations
 from math import gcd
 
-from .exactpoly import (MultiPoly, is_squarefree_in, newton_polygon,
-                        rational_normalize)
+from .exactpoly import MultiPoly, exact_div, newton_polygon
 from .report import (InternalInconsistencyError, STATUS_FAIL, STATUS_PASS,
                      VerificationReport, status_of)
 from .sl2trace import (FreeWord, GENERATOR_A, GENERATOR_B, chebyshev_s,
@@ -30,9 +29,6 @@ from .sl2trace import (FreeWord, GENERATOR_A, GENERATOR_B, chebyshev_s,
 VARS_XZ = ("x", "z")
 VARS_XZCAP = ("X", "z")
 
-FACTOR_ORACLE_MAX_DEGREE = 24
-FACTOR_ORACLE_PRECISION = 60
-FACTOR_ORACLE_WINDOW = 1e-20
 MERIDIAN_CACHE_SIZE = 4
 
 
@@ -233,18 +229,13 @@ def is_prime(n: int) -> bool:
 def irreducible_over_q(p: int) -> bool:
     """Irreducibility over Q of S_d - S_(d-1) for d = (p-1)/2.
 
-    The verdict is primality of p; for d <= 11 it is cross-checked against
-    the numeric factor oracle.
+    The verdict is primality of p, cross-checked against the exact
+    factorization.
     """
-    if p < 3 or p % 2 == 0:
-        raise ValueError(f"p must be odd and >= 3, got {p}")
-    d = (p - 1) // 2
     verdict = is_prime(p)
-    if d <= 11:
-        factors = factor_oracle(chebyshev_difference(d, "z"))
-        if (len(factors) == 1) != verdict:
-            raise InternalInconsistencyError(
-                f"primality of {p} disagrees with the factor oracle")
+    if (len(chebyshev_difference_factors(p)) == 1) != verdict:
+        raise InternalInconsistencyError(
+            f"primality of {p} disagrees with the factorization")
     return verdict
 
 
@@ -257,128 +248,43 @@ def irreducibility_certificate(knot: TwoBridgeKnot) -> IrreducibilityCertificate
     return IrreducibilityCertificate.UNKNOWN
 
 
-def _int_coeffs(f: MultiPoly) -> list:
-    """Ascending integer coefficient list of a monic univariate polynomial."""
-    if len(f.vars) != 1:
-        raise ValueError("factor oracle needs a univariate polynomial")
-    if f.is_zero():
-        raise ValueError("factor oracle needs a nonzero polynomial")
-    deg = f.degree_in(f.vars[0])
-    coeffs = [0] * (deg + 1)
-    for (e,), c in f.terms.items():
-        if e < 0:
-            raise ValueError("factor oracle needs ordinary exponents")
-        if not isinstance(c, int):
-            raise ValueError("factor oracle needs integer coefficients")
-        coeffs[e] = c
-    if coeffs[deg] != 1:
-        raise ValueError("factor oracle needs a monic polynomial")
-    return coeffs
+@lru_cache(maxsize=None)
+def _primitive_part(q: int) -> MultiPoly:
+    """Psi_q(-z) for odd q > 1, Psi_q the minimal polynomial of 2cos(2pi/q).
 
-
-def _poly_from_coeffs(coeffs, var) -> MultiPoly:
-    return MultiPoly((var,), {(i,): c for i, c in enumerate(coeffs)})
-
-
-def _divide_int_poly(num, den):
-    """Exact division of ascending int coefficient lists, or None."""
-    num = list(num)
-    dn = len(den) - 1
-    if len(num) - 1 < dn:
-        return None
-    quot = [0] * (len(num) - dn)
-    for k in range(len(num) - 1 - dn, -1, -1):
-        c = num[k + dn]
-        if c % den[dn] != 0:
-            return None
-        q = c // den[dn]
-        quot[k] = q
-        for i, dc in enumerate(den):
-            num[k + i] -= q * dc
-    if any(num):
-        return None
-    return quot
-
-
-def factor_oracle(f: MultiPoly, max_subset: int | None = None) -> list:
-    """Monic integer factorization by root clustering.
-
-    Roots are found to 60 decimal digits; subsets whose elementary
-    symmetric functions round to integers within 1e-20 propose factors,
-    which are only accepted after exact integer division.  Subset size is
-    searched in increasing order, so accepted factors are irreducible.
+    S_d - S_(d-1) with d = (q-1)/2 is the product of Psi_e(-z) over the
+    divisors e > 1 of q, so dividing out the smaller divisors' parts leaves
+    this one.
     """
-    import mpmath
+    f = chebyshev_difference((q - 1) // 2, "z")
+    for e in range(3, q, 2):
+        if q % e == 0:
+            f = exact_div(f, _primitive_part(e))
+    return f
 
-    coeffs = _int_coeffs(f)
-    var = f.vars[0]
-    deg = len(coeffs) - 1
-    if deg > FACTOR_ORACLE_MAX_DEGREE:
-        raise ValueError(f"degree {deg} exceeds {FACTOR_ORACLE_MAX_DEGREE}")
-    if deg == 0:
-        return []
-    desc = list(reversed(coeffs))
-    roots = None
-    with mpmath.workdps(FACTOR_ORACLE_PRECISION):
-        for extra in (0, 60, 180):
-            try:
-                roots = mpmath.polyroots([mpmath.mpf(c) for c in desc],
-                                         maxsteps=100 + 10 * deg,
-                                         extraprec=120 + extra)
-                break
-            except mpmath.libmp.libhyper.NoConvergence:
-                continue
-        if roots is None:
-            raise ArithmeticError("root finder failed to converge")
 
-        remaining = list(coeffs)
-        pool = list(roots)
-        factors = []
-        size = 1
-        while len(pool) > 0:
-            if size > len(pool) // 2 or \
-                    (max_subset is not None and size > max_subset):
-                factors.append(list(remaining))
-                break
-            found = False
-            for subset in combinations(range(len(pool)), size):
-                prod = [mpmath.mpc(1)]
-                for idx in subset:
-                    r = pool[idx]
-                    nxt = [mpmath.mpc(0)] * (len(prod) + 1)
-                    for i, c in enumerate(prod):
-                        nxt[i] -= c * r
-                        nxt[i + 1] += c
-                    prod = nxt
-                cand = []
-                good = True
-                for c in prod:
-                    n = mpmath.nint(c.real)
-                    if abs(c.real - n) > FACTOR_ORACLE_WINDOW or \
-                            abs(c.imag) > FACTOR_ORACLE_WINDOW:
-                        good = False
-                        break
-                    cand.append(int(n))
-                if not good:
-                    continue
-                quot = _divide_int_poly(remaining, cand)
-                if quot is None:
-                    continue
-                factors.append(cand)
-                remaining = quot
-                pool = [r for i, r in enumerate(pool) if i not in subset]
-                found = True
-                break
-            if not found:
-                size += 1
+def chebyshev_difference_factors(p: int) -> list:
+    """Irreducible factors over Q of S_d - S_(d-1) for d = (p-1)/2.
 
-    polys = [_poly_from_coeffs(c, var) for c in factors]
-    product = MultiPoly.const((var,), 1)
-    for q in polys:
-        product = product * q
-    if product != f:
-        raise InternalInconsistencyError("factor product mismatch")
-    return sorted(polys, key=lambda q: (q.degree_in(var), q.to_text()))
+    They are the Psi_q(-z) over the divisors q > 1 of p, irreducible by
+    Watkins-Zeitlin (Amer. Math. Monthly 1993), sorted by (degree, text).
+    Each is checked to be monic over Z of degree phi(q)/2.
+    """
+    if p < 3 or p % 2 == 0:
+        raise ValueError(f"p must be odd and >= 3, got {p}")
+    factors = []
+    for q in range(3, p + 1, 2):
+        if p % q:
+            continue
+        f = _primitive_part(q)
+        half_phi = sum(1 for k in range(1, q) if gcd(k, q) == 1) // 2
+        if (f.degree_in("z") != half_phi or f.coeff_in("z", half_phi) != 1
+                or not all(type(c) is int for c in f.terms.values())):
+            raise InternalInconsistencyError(
+                f"factor of S_d - S_(d-1) for q={q} is not monic over Z "
+                f"of degree {half_phi}")
+        factors.append(f)
+    return sorted(factors, key=lambda f: (f.degree_in("z"), f.to_text()))
 
 
 # -- aggregated per-knot reports -----------------------------------------

@@ -17,8 +17,8 @@ from .qtorus import (QTElem, VARS_ML, LAURENT_ML, alpha_unknot,
                      annihilation_check, epsilon_eval, JONES_UNKNOT_SEQ,
                      qt_mul, qt_sigma, sigma_symmetry_factor, tm_poly)
 from .report import VerificationReport, sort_reports, status_of
-from .sl2trace import (DEFAULT_SEED, numeric_word_trace, random_reduced_word,
-                       random_sl2, trace_poly, word_to_string)
+from .sl2trace import (DEFAULT_SEED, ORACLE_TOL, random_reduced_word,
+                       trace_residual, word_to_string)
 
 CLOSED_RANGE = (-6, 6)
 RESULTANT_RANGE = (-8, 8)
@@ -37,7 +37,6 @@ QT_WINDOW = (-20, 20)
 
 ORACLE_WORDS = 500
 ORACLE_TRIALS = 20
-ORACLE_TOL = 1e-8
 ORACLE_MAX_LEN = 12
 
 
@@ -110,11 +109,12 @@ def check_two_bridge(p_max: int = TWOBRIDGE_P_MAX,
 
 
 def check_irreducibility(p_max: int = IRREDUCIBILITY_P_MAX) -> list:
-    """Primality verdict for S_d - S_(d-1) against the factor oracle."""
+    """Primality verdict for S_d - S_(d-1) against its exact factorization
+    into the Psi_q(-z), q | p; one factor exactly when p is prime."""
     reports = []
     for p in range(3, p_max + 1, 2):
         d = (p - 1) // 2
-        factors = twobridge.factor_oracle(twobridge.chebyshev_difference(d))
+        factors = twobridge.chebyshev_difference_factors(p)
         prime = twobridge.is_prime(p)
         agree = (len(factors) == 1) == prime
         reports.append(VerificationReport(
@@ -203,21 +203,12 @@ def check_trace_oracle(words: int = ORACLE_WORDS,
     rng = random.Random(seed)
     worst = 0.0
     bad = []
-    for i in range(words):
+    for _ in range(words):
         word = random_reduced_word(rng, ORACLE_MAX_LEN)
-        poly = trace_poly(word)
-        for _ in range(trials):
-            ma = random_sl2(rng)
-            mb = random_sl2(rng)
-            prod_z = (ma[0] * mb[0] + ma[1] * mb[2]
-                      + ma[2] * mb[1] + ma[3] * mb[3])
-            point = {"x": ma[0] + ma[3], "y": mb[0] + mb[3], "z": prod_z}
-            gap = abs(numeric_word_trace(word, ma, mb)
-                      - poly.eval_complex(point))
-            worst = max(worst, gap)
-            if gap >= tol:
-                bad.append(word_to_string(word))
-                break
+        gap = trace_residual(word, trials, tol, rng)
+        worst = max(worst, gap)
+        if gap >= tol:
+            bad.append(word_to_string(word))
     return [VerificationReport(
         "trace-oracle", f"words={words} seed={seed}",
         status_of(not bad, numeric=True),

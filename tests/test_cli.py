@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from knotpoly.cli import main
+from knotpoly.cli import TRACE_MAX_LETTERS, main
 
 
 def run(capsys, *args):
@@ -79,6 +79,39 @@ def test_qtorus_rejects_inverted_n_range(capsys):
     assert code == 2
     assert "error:" in captured.err
     assert captured.out == ""
+
+
+def test_trace_rejects_oversized_word(capsys):
+    code, captured = run(capsys, "trace", "--word", "a^10000")
+    assert code == 2
+    assert "error:" in captured.err
+    assert captured.out == ""
+
+
+def test_pretzel_rejects_oversized_n(capsys):
+    code, captured = run(capsys, "pretzel", "--n", "5000")
+    assert code == 2
+    assert "error:" in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("lo, hi", [("-5000", "5"), ("-5", "5000")])
+def test_verify_rejects_oversized_n_range(capsys, lo, hi):
+    code, captured = run(capsys, "verify", "--suite", "pretzel",
+                         "--n-range", lo, hi)
+    assert code == 2
+    assert "error:" in captured.err
+    assert captured.out == ""
+
+
+def test_trace_accepts_word_at_the_cap(capsys):
+    half = TRACE_MAX_LETTERS // 2
+    code, captured = run(capsys, "trace", "--word", f"a^{half} b^-{half}")
+    assert code == 0
+    assert captured.err == ""
+    code, captured = run(capsys, "trace", "--word", f"a^{half + 1} b^-{half}")
+    assert code == 2
+    assert "error:" in captured.err
 
 
 # -- payloads --------------------------------------------------------------

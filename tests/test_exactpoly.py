@@ -314,10 +314,9 @@ def test_rational_function_arithmetic():
     assert q == RationalFunction(x, 2 * y)
 
 
-def test_rational_function_rejects_laurent():
+def test_rational_function_laurent_normal_form():
     t = MultiPoly.variable("t", ("t",), (True,))
-    with pytest.raises(LaurentInputError):
-        RationalFunction(t ** -1, t ** 0)
+    assert RationalFunction(t ** -1, t ** 0) == RationalFunction(t ** 0, t)
 
 
 def test_eval_complex():

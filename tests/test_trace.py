@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from knotpoly.exactpoly import MultiPoly
 from knotpoly.sl2trace import (DEFAULT_SEED, FreeWord, GENERATOR_A,
-                               GENERATOR_B, DEFAULT_ORACLE_TOL,
+                               GENERATOR_B, ORACLE_TOL,
                                _mul_left, _mul_right, _num_mul, _num_pow,
                                chebyshev_s, chebyshev_t, inverse_word,
                                matrix_of_word, nested_slice_traces,
@@ -163,7 +163,7 @@ def test_multiplication_tables_match_matrix_products():
                     got = _coeff_matrix(
                         table(gen, exp, coeffs, x, y, z, z - x * y), ma, mb)
                     gap = max(abs(u - v) for u, v in zip(got, product))
-                    assert gap < DEFAULT_ORACLE_TOL, (table, gen, exp)
+                    assert gap < ORACLE_TOL, (table, gen, exp)
 
 
 # -- chebyshev families ----------------------------------------------------

@@ -1,7 +1,14 @@
 """Character polynomials and certificates for the two-bridge family."""
 
+import os
+import subprocess
+import sys
+from math import gcd
+from pathlib import Path
+
 import pytest
 
+from knotpoly import twobridge
 from knotpoly.exactpoly import MultiPoly, newton_polygon
 from knotpoly.report import InternalInconsistencyError
 from knotpoly.sl2trace import (FreeWord, GENERATOR_A, GENERATOR_B,
@@ -11,7 +18,8 @@ from knotpoly.twobridge import (IrreducibilityCertificate, TwoBridgeKnot,
                                 bridge_word,
                                 character_polynomial,
                                 character_polynomial_even,
-                                chebyshev_difference, factor_oracle,
+                                chebyshev_difference,
+                                chebyshev_difference_factors,
                                 irreducibility_certificate,
                                 irreducible_over_q, is_prime,
                                 leading_term_report, newton_vertex_report,
@@ -187,26 +195,54 @@ def test_irreducible_over_q_verdicts():
 
 
 def test_factor_oracle_on_composite_difference():
-    factors = factor_oracle(chebyshev_difference(4))
+    factors = chebyshev_difference_factors(9)
     assert [f.to_text() for f in factors] == ["z - 1", "z^3 - 3*z - 1"]
 
 
-def test_factor_oracle_recovers_known_product():
-    z = MultiPoly.variable("z", ("z",))
-    product = (z ** 2 - 2) * (z ** 3 - 3 * z - 1)
-    factors = factor_oracle(product)
-    assert sorted(f.to_text() for f in factors) == \
-        sorted(["z^2 - 2", "z^3 - 3*z - 1"])
-    rebuilt = MultiPoly.const(("z",), 1)
-    for f in factors:
-        rebuilt = rebuilt * f
-    assert rebuilt == product
+@pytest.mark.parametrize("p, texts", [
+    (15, ["z - 1", "z^2 - z - 1", "z^4 + z^3 - 4*z^2 - 4*z + 1"]),
+    (21, ["z - 1", "z^3 - z^2 - 2*z + 1",
+          "z^6 + z^5 - 6*z^4 - 6*z^3 + 8*z^2 + 8*z + 1"]),
+    (45, ["z - 1", "z^2 - z - 1", "z^3 - 3*z - 1",
+          "z^4 + z^3 - 4*z^2 - 4*z + 1",
+          "z^12 - 12*z^10 + z^9 + 54*z^8 - 9*z^7 - 112*z^6 + 27*z^5"
+          " + 105*z^4 - 31*z^3 - 36*z^2 + 12*z + 1"]),
+])
+def test_exact_factorization_of_composite_differences(p, texts):
+    assert [f.to_text() for f in chebyshev_difference_factors(p)] == texts
 
 
-def test_factor_oracle_requires_monic_integer_input():
+def test_exact_factorization_below_one_hundred():
+    for p in range(3, 100, 2):
+        factors = chebyshev_difference_factors(p)
+        product = MultiPoly.const(("z",), 1)
+        for f in factors:
+            product = product * f
+        assert product == chebyshev_difference((p - 1) // 2), p
+        divisors = [q for q in range(3, p + 1, 2) if p % q == 0]
+        half_phis = sorted(sum(1 for k in range(1, q) if gcd(k, q) == 1) // 2
+                           for q in divisors)
+        assert sorted(f.degree_in("z") for f in factors) == half_phis, p
+        assert (len(factors) == 1) == is_prime(p), p
+
+
+def test_exact_factorization_rejects_a_wrong_factor(monkeypatch):
     z = MultiPoly.variable("z", ("z",))
-    with pytest.raises(ValueError):
-        factor_oracle(2 * z + 1)
+    monkeypatch.setattr(twobridge, "_primitive_part", lambda q: 2 * z - 1)
+    with pytest.raises(InternalInconsistencyError):
+        chebyshev_difference_factors(9)
+
+
+def test_irreducibility_check_runs_without_mpmath():
+    code = ("import sys; sys.modules['mpmath'] = None\n"
+            "from knotpoly import verify\n"
+            "reports = verify.check_irreducibility()\n"
+            "assert reports and all(r.passed for r in reports)\n")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    result = subprocess.run([sys.executable, "-c", code], env=env,
+                            capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
 
 
 def test_certificates():
