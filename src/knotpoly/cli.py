@@ -1,7 +1,10 @@
 """Command-line front end: per-knot reports, suites, canonical JSON.
 
 Exit codes follow the report statuses: 0 when every report passes, 1 when
-any fails, 2 on usage errors.  JSON output is a single document with
+any fails or when a command that checks claims produced no report, 2 on
+usage errors (including inputs past the size caps below), and 3 on an
+internal fault: an InternalInconsistencyError, or an ArithmeticError such
+as an inexact exact division.  JSON output is a single document with
 sorted keys and two-space indentation, so re-serializing a parsed
 document reproduces it byte for byte.
 """
@@ -18,7 +21,7 @@ from .pretzel import (PretzelKnot, TRACE_WORD_BOUND, WITNESS_BOUND,
                       pq_resultant, radical_slice_report, resultant_report,
                       seidenberg_report, witness_reports, x0_report, x0_slice)
 from .qtorus import alpha_unknot, epsilon_eval, sigma_symmetry_factor
-from .report import all_passed, sort_reports
+from .report import InternalInconsistencyError, all_passed, sort_reports
 from .sl2trace import (DEFAULT_SEED, trace_poly, word_from_string,
                        word_to_string)
 from .twobridge import (TwoBridgeKnot, character_polynomial,
@@ -30,6 +33,8 @@ RESULTANT_CLI_BOUND = 8
 # Input size caps: past them a query runs for minutes, so it is refused.
 TRACE_MAX_LETTERS = 120
 PRETZEL_N_MAX = 100
+TWOBRIDGE_P_MAX = 151
+VERIFY_P_MAX = 71
 
 
 def _parser() -> argparse.ArgumentParser:
@@ -81,6 +86,9 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def _run_twobridge(args):
+    if args.p > TWOBRIDGE_P_MAX:
+        raise ValueError(f"--p {args.p} is out of range: p must be at most "
+                         f"{TWOBRIDGE_P_MAX}")
     knot = TwoBridgeKnot(args.p, args.m)
     phi = character_polynomial(knot)
     gamma = character_polynomial_even(knot)
@@ -171,6 +179,9 @@ def _run_verify(args):
     p_max = verify.TWOBRIDGE_P_MAX if args.p is None else args.p
     if p_max < 3:
         raise ValueError(f"--p must be at least 3, got {p_max}")
+    if p_max > VERIFY_P_MAX:
+        raise ValueError(f"--p {p_max} is out of range: p must be at most "
+                         f"{VERIFY_P_MAX}")
     if args.suite == "twobridge":
         reports = verify.suite_twobridge(p_max)
     elif args.suite == "pretzel":
@@ -225,12 +236,19 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except (InternalInconsistencyError, ArithmeticError) as exc:
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
     if args.json:
         print(render_json(subject, payload, reports))
     elif args.command == "trace":
         print(payload["trace"])
     else:
         print(_render_table(subject, payload, reports))
+    if args.command == "trace":
+        return 0
+    if not reports:
+        print(f"{subject}: no claim was checked", file=sys.stderr)
     return 0 if all_passed(reports) else 1
 
 

@@ -10,12 +10,18 @@ The module also provides rational functions (always reduced, denominator
 normalized, Laurent variables allowed), 2x2 matrices over any ring-like entries, primitive-PRS gcd,
 Sylvester/Bareiss resultants, Newton polygons via monotone chain, and a
 canonical text / JSON serialization.
+
+Exact division, which the Bareiss resultant and the primitive-PRS gcd
+lean on, takes leading terms from a heap of the remainder's monomials and
+keeps quotient coefficients as ``int`` while they divide evenly, so the
+fraction-free elimination over integer polynomials builds no ``Fraction``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 from math import gcd as _int_gcd
 from typing import Mapping, Sequence
 
@@ -550,7 +556,17 @@ def _shift_all(p: MultiPoly, shifts):
 
 
 def exact_div(p: MultiPoly, q: MultiPoly) -> MultiPoly:
-    """Exact quotient p/q; raises InexactDivisionError on any remainder."""
+    """Exact quotient p/q; raises InexactDivisionError on any remainder.
+
+    Division by leading terms in graded-lex order, with the remainder's
+    monomials kept in a max-heap (Monagan & Pearce, CASC 2007), so each
+    step finds its leading term without scanning the remainder.  An entry
+    whose monomial has since cancelled out of the remainder is skipped.
+    A quotient coefficient is an ``int`` whenever the remainder's leading
+    coefficient is an integer multiple of q's, as it always is when the
+    Bareiss elimination runs over integer polynomials; otherwise it is a
+    ``Fraction``.
+    """
     if not isinstance(q, MultiPoly):
         q = MultiPoly.const(p.vars, q, p.laurent)
     if q.vars != p.vars:
@@ -568,23 +584,39 @@ def exact_div(p: MultiPoly, q: MultiPoly) -> MultiPoly:
 
     lead_q = max(q0.terms, key=_grlex_key)
     cq = q0.terms[lead_q]
+    cq_int = type(cq) is int
+    tail_q = [(e, c) for e, c in q0.terms.items() if e != lead_q]
     quot: dict = {}
     rem = dict(p0.terms)
+    # max-heap on the grlex key: (-total degree, negated exponents, exponent)
+    heap = [(-sum(e), tuple(-a for a in e), e) for e in rem]
+    heapify(heap)
     while rem:
-        lead_r = max(rem, key=_grlex_key)
+        lead_r = heappop(heap)[2]
+        cr = rem.pop(lead_r, None)
+        if cr is None:
+            continue
         diff = tuple(a - b for a, b in zip(lead_r, lead_q))
         if any(d < 0 for d in diff):
             raise InexactDivisionError(
                 f"{q.to_text()} does not divide {p.to_text()}")
-        c = Fraction(rem[lead_r]) / cq
-        quot[diff] = quot.get(diff, 0) + c
-        for eq, cc in q0.terms.items():
+        if cq_int and type(cr) is int and not cr % cq:
+            c = cr // cq
+        else:
+            c = Fraction(cr) / cq
+        quot[diff] = c
+        for eq, cc in tail_q:
             e = tuple(a + b for a, b in zip(diff, eq))
-            v = rem.get(e, 0) - c * cc
-            if v == 0:
-                rem.pop(e, None)
-            else:
+            v = rem.get(e)
+            if v is None:
+                rem[e] = -c * cc
+                heappush(heap, (-sum(e), tuple(-a for a in e), e))
+                continue
+            v -= c * cc
+            if v:
                 rem[e] = v
+            else:
+                del rem[e]
     out = {tuple(e + s for e, s in zip(exp, shift)): c
            for exp, c in quot.items()}
     return MultiPoly._make(p.vars, p.laurent, out)
@@ -876,7 +908,9 @@ class RationalFunction:
             raise ZeroDivisionError("zero denominator")
         if num.is_zero():
             den = MultiPoly.const(num.vars, 1, num.laurent)
-        else:
+        elif not den.is_constant():
+            # a constant denominator has a constant gcd with num and no
+            # Laurent shift, so only the scaling below applies to it
             g = poly_gcd(num, den)
             if not (g.is_constant() and g.constant_value() == 1):
                 num = exact_div(num, g)

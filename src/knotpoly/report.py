@@ -41,7 +41,9 @@ def sort_reports(reports) -> list:
 
 
 def all_passed(reports) -> bool:
-    return all(r.passed for r in reports)
+    """True when there is at least one report and every report passes."""
+    reports = list(reports)
+    return bool(reports) and all(r.passed for r in reports)
 
 
 def status_of(flag: bool, numeric: bool = False) -> str:

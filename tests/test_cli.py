@@ -4,7 +4,10 @@ import json
 
 import pytest
 
-from knotpoly.cli import TRACE_MAX_LETTERS, main
+from knotpoly import cli
+from knotpoly.cli import TRACE_MAX_LETTERS, TWOBRIDGE_P_MAX, VERIFY_P_MAX, main
+from knotpoly.exactpoly import InexactDivisionError
+from knotpoly.report import InternalInconsistencyError
 
 
 def run(capsys, *args):
@@ -112,6 +115,51 @@ def test_trace_accepts_word_at_the_cap(capsys):
     code, captured = run(capsys, "trace", "--word", f"a^{half + 1} b^-{half}")
     assert code == 2
     assert "error:" in captured.err
+
+
+def test_twobridge_rejects_p_over_the_cap(capsys):
+    code, captured = run(capsys, "twobridge", "--p", str(TWOBRIDGE_P_MAX + 2),
+                         "--m", "1")
+    assert code == 2
+    assert "error:" in captured.err
+    assert str(TWOBRIDGE_P_MAX) in captured.err
+    assert captured.out == ""
+
+
+def test_verify_rejects_p_over_the_cap(capsys):
+    code, captured = run(capsys, "verify", "--suite", "twobridge",
+                         "--p", str(VERIFY_P_MAX + 1))
+    assert code == 2
+    assert "error:" in captured.err
+    assert str(VERIFY_P_MAX) in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("exc", [
+    InternalInconsistencyError("slice factor lost"),
+    InexactDivisionError("x does not divide 1"),
+    ZeroDivisionError("division by the zero polynomial"),
+])
+def test_internal_fault_exits_three(capsys, monkeypatch, exc):
+    def broken(args):
+        raise exc
+    monkeypatch.setitem(cli._DISPATCH, "pretzel", broken)
+    code, captured = run(capsys, "pretzel", "--n", "1")
+    assert code == 3
+    assert captured.err.startswith("internal error:")
+    assert str(exc) in captured.err
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("as_json", [False, True])
+def test_run_with_no_reports_is_not_a_pass(capsys, monkeypatch, as_json):
+    monkeypatch.setitem(cli._DISPATCH, "verify",
+                        lambda args: ("suite:empty", {"suite": "empty"}, []))
+    args = ("verify", "--suite", "qtorus") + (("--json",) if as_json else ())
+    code, captured = run(capsys, *args)
+    assert code == 1
+    assert "no claim was checked" in captured.err
 
 
 # -- payloads --------------------------------------------------------------

@@ -24,11 +24,24 @@ def var(name, vars=XY):
 
 
 @st.composite
-def small_polys(draw, vars=XY, max_exp=3, max_terms=4):
+def small_polys(draw, vars=XY, max_exp=3, max_terms=4,
+                coeffs=st.integers(-9, 9)):
     terms = draw(st.dictionaries(
         st.tuples(*(st.integers(0, max_exp) for _ in vars)),
-        st.integers(-9, 9), max_size=max_terms))
+        coeffs, max_size=max_terms))
     return MultiPoly(vars, terms)
+
+
+TM = ("t", "M")
+TM_LAURENT = (True, False)
+
+
+@st.composite
+def laurent_polys(draw, coeffs=st.integers(-9, 9), max_terms=4):
+    terms = draw(st.dictionaries(
+        st.tuples(st.integers(-3, 3), st.integers(0, 2)),
+        coeffs, max_size=max_terms))
+    return MultiPoly(TM, terms, TM_LAURENT)
 
 
 # -- construction and canonical form --------------------------------------
@@ -173,8 +186,28 @@ def test_exact_div_recovers_cofactor():
 
 def test_exact_div_rejects_non_divisor():
     x, y = var("x"), var("y")
-    with pytest.raises(InexactDivisionError):
+    with pytest.raises(InexactDivisionError) as info:
         exact_div(x ** 2 + y, x + 1)
+    assert str(info.value) == "x + 1 does not divide x^2 + y"
+    with pytest.raises(InexactDivisionError) as info:
+        exact_div(2 * x * y + 1, x * y)
+    assert str(info.value) == "x*y does not divide 2*x*y + 1"
+
+
+def test_exact_div_integer_inputs_fractional_quotient():
+    x = var("x")
+    q = exact_div(x + 1, 2 * x + 2)
+    assert q == Fraction(1, 2)
+    assert q.terms == {(0, 0): Fraction(1, 2)}
+    q = exact_div(x ** 2 - 1, 3 * x + 3)
+    assert q.terms == {(1, 0): Fraction(1, 3), (0, 0): Fraction(-1, 3)}
+
+
+def test_exact_div_integer_quotient_stays_int():
+    x, y = var("x"), var("y")
+    q = exact_div(6 * x ** 2 * y - 6 * y ** 3, -3 * x - 3 * y)
+    assert q == -2 * x * y + 2 * y ** 2
+    assert all(type(c) is int for c in q.terms.values())
 
 
 def test_exact_div_laurent():
@@ -189,6 +222,29 @@ def test_exact_div_inverts_multiplication(a, b):
     if b.is_zero():
         return
     assert exact_div(a * b, b) == a
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_polys(coeffs=st.fractions(-9, 9, max_denominator=6)),
+       small_polys(coeffs=st.fractions(-9, 9, max_denominator=6)))
+def test_exact_div_inverts_multiplication_fractions(a, b):
+    if b.is_zero():
+        return
+    assert exact_div(a * b, b) == a
+    if not a.is_zero():
+        assert exact_div(a * b, a) == b
+
+
+@settings(max_examples=40, deadline=None)
+@given(laurent_polys(), laurent_polys(), laurent_polys(
+    coeffs=st.fractions(-4, 4, max_denominator=3)))
+def test_exact_div_inverts_multiplication_laurent(a, b, c):
+    # Only negative exponents are shifted away before dividing, so the
+    # divisor needs a term of t-degree <= 0 (exact_div(1, t) raises).
+    for num, den in ((a, b), (c, b), (a, c)):
+        if den.is_zero() or den.min_degree_in("t") > 0:
+            continue
+        assert exact_div(num * den, den) == num
 
 
 def test_poly_gcd_strips_multiplicity():
@@ -317,6 +373,27 @@ def test_rational_function_arithmetic():
 def test_rational_function_laurent_normal_form():
     t = MultiPoly.variable("t", ("t",), (True,))
     assert RationalFunction(t ** -1, t ** 0) == RationalFunction(t ** 0, t)
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_polys(), small_polys(max_terms=3),
+       st.fractions(-6, 6, max_denominator=4).filter(bool))
+def test_rational_function_constant_denominator(num, g, c):
+    if g.is_constant():
+        return
+    r = RationalFunction(num, MultiPoly.const(XY, c))
+    assert r == RationalFunction(num * g, g * c)
+    assert r.den == 1 and r.num == num * (1 / Fraction(c))
+
+
+def test_rational_function_constant_denominator_laurent():
+    t = MultiPoly.variable("t", TM, TM_LAURENT)
+    m = MultiPoly.variable("M", TM, TM_LAURENT)
+    num = t ** -2 * m - 3
+    g = t ** -1 + m * t
+    r = RationalFunction(num, t ** 0 * -4)
+    assert r == RationalFunction(num * g, g * -4)
+    assert r.den == 1 and r.num == num * Fraction(-1, 4)
 
 
 def test_eval_complex():
