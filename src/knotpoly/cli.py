@@ -35,6 +35,7 @@ TRACE_MAX_LETTERS = 120
 PRETZEL_N_MAX = 100
 TWOBRIDGE_P_MAX = 151
 VERIFY_P_MAX = 71
+QTORUS_N_MAX = 500
 
 
 def _parser() -> argparse.ArgumentParser:
@@ -144,6 +145,10 @@ def _n_range(args):
 
 def _run_qtorus(args):
     window = _n_range(args) or verify.QT_WINDOW
+    for n in window:
+        if abs(n) > QTORUS_N_MAX:
+            raise ValueError(f"--n-range {n} is out of range: |n| must be at "
+                             f"most {QTORUS_N_MAX}")
     reports = verify.unknot_reports(window)
     by_claim = {r.claim_id: r for r in reports}
     alpha = alpha_unknot()

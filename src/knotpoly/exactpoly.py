@@ -1,10 +1,22 @@
 """Exact sparse multivariate polynomial arithmetic over the rationals.
 
 A polynomial carries a fixed, ordered tuple of variable names and a sparse
-term map from exponent tuples to rational coefficients.  Coefficients are
-``int`` or ``fractions.Fraction`` (integral values are stored as ``int``);
-zero coefficients are never stored, so equality is plain dict comparison.
-Per-variable Laurent flags admit negative exponents.
+term map from exponent tuples to rational coefficients.  Every stored
+coefficient is canonical and nonzero: an ``int``, or a
+``fractions.Fraction`` that is not an integer.  Equality is therefore plain
+dict comparison, and ``+``, ``-`` and a product by one term build their
+result directly, canonicalizing only a value that is not an ``int`` and
+dropping zeros as they merge.  Per-variable Laurent flags admit negative
+exponents.
+
+A product of two polynomials with ``int`` coefficients and at least
+``_PACK_MIN_PRODUCTS`` term products is computed by Kronecker substitution
+(Harvey, J. Symb. Comput. 2009) when the dense box of its exponents has no
+more slots than there are term products: each operand is packed into one
+Python int, one slot of bytes per monomial of the box, and the two ints
+are multiplied once.  Other products, with ``Fraction`` coefficients or
+small or sparse operands, take the dict double loop.  The packing is
+private; the term map stays the only representation.
 
 The module also provides rational functions (always reduced, denominator
 normalized, Laurent variables allowed), 2x2 matrices over any ring-like entries, primitive-PRS gcd,
@@ -19,10 +31,14 @@ fraction-free elimination over integer polynomials builds no ``Fraction``.
 
 from __future__ import annotations
 
+import struct
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
-from math import gcd as _int_gcd
+from itertools import product
+from math import gcd as _int_gcd, prod
+from operator import add as _add, mul as _mul, neg as _neg, sub as _sub
 from typing import Mapping, Sequence
 
 Coeff = "int | Fraction"
@@ -72,6 +88,76 @@ def _grlex_key(exp):
     return (sum(exp), exp)
 
 
+# -- Kronecker-packed products of integer term maps -------------------------
+
+# Fewer term products than this go through the dict double loop, whose
+# cost per product is lower than the packed path's fixed cost.
+_PACK_MIN_PRODUCTS = 64
+# The packed path runs only when the dense exponent box of the product has
+# at most this many slots per term product, which bounds the unpack loop
+# and the memory by those of the dict loop.
+_PACK_MAX_BOX_PER_PRODUCT = 1
+# Slot widths (bytes) that memoryview can read as native unsigned ints.
+_SLOT_FORMATS = {struct.calcsize(f): f for f in "BHIQ"}
+_ORDER = sys.byteorder
+
+
+def _pack(terms, lo, hi, strides, width):
+    """One int holding every coefficient of terms, each in its own
+    width-byte slot at sum((e - lo) * strides); negative coefficients are
+    packed apart and subtracted."""
+    off = sum(map(_mul, lo, strides))
+    size = (sum(map(_mul, hi, strides)) - off + 1) * width
+    pos, neg = bytearray(size), bytearray(size)
+    for e, c in terms.items():
+        i = (sum(map(_mul, e, strides)) - off) * width
+        if c > 0:
+            pos[i:i + width] = c.to_bytes(width, _ORDER)
+        else:
+            neg[i:i + width] = (-c).to_bytes(width, _ORDER)
+    return int.from_bytes(pos, _ORDER) - int.from_bytes(neg, _ORDER)
+
+
+def _packed_product(a, b):
+    """Product of two int-coefficient term maps by Kronecker substitution
+    (one big-int multiplication), or None when the dense box is too large.
+
+    Exponents are shifted so that each variable starts at 0 in each
+    operand.  A product coefficient is bounded by max|a| * max|b| *
+    min(#a, #b), so a slot of that many bits plus a sign bit cannot carry;
+    adding half a slot to every slot makes each digit nonnegative, and a
+    slot that reads exactly half is a zero coefficient.
+    """
+    cols_a, cols_b = list(zip(*a)), list(zip(*b))
+    lo_a, hi_a = list(map(min, cols_a)), list(map(max, cols_a))
+    lo_b, hi_b = list(map(min, cols_b)), list(map(max, cols_b))
+    ranges = [range(la + lb, ha + hb + 1)
+              for la, ha, lb, hb in zip(lo_a, hi_a, lo_b, hi_b)]
+    box = prod(map(len, ranges))
+    if box > _PACK_MAX_BOX_PER_PRODUCT * len(a) * len(b):
+        return None
+    strides = [1] * len(ranges)
+    for i in range(len(ranges) - 1, 0, -1):
+        strides[i - 1] = strides[i] * len(ranges[i])
+    bound = max(map(abs, a.values())) * max(map(abs, b.values())) \
+        * min(len(a), len(b))
+    bits = bound.bit_length() + 1
+    width = next((w for w in _SLOT_FORMATS if 8 * w >= bits),
+                 (bits + 7) // 8)
+    half = 1 << (8 * width - 1)
+    bias = int.from_bytes(half.to_bytes(width, _ORDER) * box, _ORDER)
+    packed = _pack(a, lo_a, hi_a, strides, width) \
+        * _pack(b, lo_b, hi_b, strides, width)
+    raw = (packed + bias).to_bytes(box * width, _ORDER)
+    if width in _SLOT_FORMATS:
+        slots = memoryview(raw).cast(_SLOT_FORMATS[width])
+    else:
+        slots = (int.from_bytes(raw[i:i + width], _ORDER)
+                 for i in range(0, len(raw), width))
+    return {e: v - half for e, v in zip(product(*ranges), slots)
+            if v != half}
+
+
 class MultiPoly:
     """Sparse exact polynomial over an ordered variable tuple."""
 
@@ -107,11 +193,18 @@ class MultiPoly:
     @classmethod
     def _make(cls, vars, laurent, terms):
         """Fast internal constructor; trusts exponent validity."""
+        return cls._new(vars, laurent, {
+            e: c if type(c) is int else _canon_coeff(c)
+            for e, c in terms.items() if c})
+
+    @classmethod
+    def _new(cls, vars, laurent, terms):
+        """Internal constructor that also trusts terms to be canonical:
+        every coefficient a nonzero int or a non-integral Fraction."""
         obj = object.__new__(cls)
         obj.vars = vars
         obj.laurent = laurent
-        obj.terms = {e: cc for e, c in terms.items()
-                     if (cc := _canon_coeff(c)) != 0}
+        obj.terms = terms
         return obj
 
     @classmethod
@@ -203,7 +296,8 @@ class MultiPoly:
                     f"variable mismatch: {self.vars} vs {other.vars}")
             return other
         if isinstance(other, (int, Fraction)):
-            return MultiPoly.const(self.vars, other, self.laurent)
+            return MultiPoly._make(self.vars, self.laurent,
+                                   {(0,) * len(self.vars): other})
         return None
 
     def __eq__(self, other):
@@ -219,33 +313,21 @@ class MultiPoly:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            v = out.get(e)
-            if v is None:
-                out[e] = c
-            else:
-                out[e] = v + c
-        return MultiPoly._make(self.vars, self.laurent, out)
+        return MultiPoly._new(self.vars, self.laurent,
+                              _merge(self.terms, other.terms, False))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return MultiPoly._make(self.vars, self.laurent,
-                               {e: -c for e, c in self.terms.items()})
+        return MultiPoly._new(self.vars, self.laurent,
+                              {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            v = out.get(e)
-            if v is None:
-                out[e] = -c
-            else:
-                out[e] = v - c
-        return MultiPoly._make(self.vars, self.laurent, out)
+        return MultiPoly._new(self.vars, self.laurent,
+                              _merge(self.terms, other.terms, True))
 
     def __rsub__(self, other):
         other = self._coerce(other)
@@ -259,26 +341,35 @@ class MultiPoly:
             return NotImplemented
         a, b = self.terms, other.terms
         if not a or not b:
-            return MultiPoly.zero(self.vars, self.laurent)
+            return MultiPoly._new(self.vars, self.laurent, {})
         if len(a) > len(b):
             a, b = b, a
         if len(a) == 1:
             (ea, ca), = a.items()
-            if all(e == 0 for e in ea):
-                out = {e: ca * c for e, c in b.items()}
+            if any(ea):
+                out = {tuple(map(_add, ea, e)): ca * c for e, c in b.items()}
             else:
-                out = {tuple(x + y for x, y in zip(ea, e)): ca * c
-                       for e, c in b.items()}
-            return MultiPoly._make(self.vars, self.laurent, out)
+                out = {e: ca * c for e, c in b.items()}
+            # a product of nonzero values is nonzero, but int * Fraction
+            # or Fraction * Fraction may be integral
+            for e, c in out.items():
+                if type(c) is not int and c.denominator == 1:
+                    out[e] = c.numerator
+            return MultiPoly._new(self.vars, self.laurent, out)
+        if len(a) * len(b) >= _PACK_MIN_PRODUCTS \
+                and all(type(c) is int for c in a.values()) \
+                and all(type(c) is int for c in b.values()):
+            out = _packed_product(a, b)
+            if out is not None:
+                return MultiPoly._new(self.vars, self.laurent, out)
         out = {}
+        get = out.get
+        b = list(b.items())
         for ea, ca in a.items():
-            for eb, cb in b.items():
-                e = tuple(x + y for x, y in zip(ea, eb))
-                v = out.get(e)
-                if v is None:
-                    out[e] = ca * cb
-                else:
-                    out[e] = v + ca * cb
+            for eb, cb in b:
+                e = tuple(map(_add, ea, eb))
+                v = get(e)
+                out[e] = ca * cb if v is None else v + ca * cb
         return MultiPoly._make(self.vars, self.laurent, out)
 
     __rmul__ = __mul__
@@ -511,6 +602,25 @@ class MultiPoly:
         return f"<MultiPoly {self.to_text()}>"
 
 
+def _merge(a, b, negate):
+    """The canonical term map of a + b (a - b when negate)."""
+    out = dict(a)
+    get = out.get
+    for e, c in b.items():
+        v = get(e)
+        if v is None:
+            out[e] = -c if negate else c
+            continue
+        v = v - c if negate else v + c
+        if type(v) is not int and v.denominator == 1:
+            v = v.numerator
+        if v:
+            out[e] = v
+        else:
+            del out[e]
+    return out
+
+
 def _merge_vars(p: MultiPoly, q: MultiPoly):
     vars = list(p.vars)
     for v in q.vars:
@@ -565,7 +675,9 @@ def exact_div(p: MultiPoly, q: MultiPoly) -> MultiPoly:
     A quotient coefficient is an ``int`` whenever the remainder's leading
     coefficient is an integer multiple of q's, as it always is when the
     Bareiss elimination runs over integer polynomials; otherwise it is a
-    ``Fraction``.
+    ``Fraction``.  A Laurent variable is a unit, so q is first divided by
+    its least power of each Laurent variable, positive or not: exact_div(1,
+    t) is t^-1.
     """
     if not isinstance(q, MultiPoly):
         q = MultiPoly.const(p.vars, q, p.laurent)
@@ -575,7 +687,9 @@ def exact_div(p: MultiPoly, q: MultiPoly) -> MultiPoly:
         raise ZeroDivisionError("division by the zero polynomial")
     if p.is_zero():
         return p
-    sp, sq = _laurent_shifts(p), _laurent_shifts(q)
+    sq = tuple(min(col) if flag else 0
+               for col, flag in zip(zip(*q.terms), q.laurent))
+    sp = _laurent_shifts(p)
     p0, q0 = _shift_all(p, sp), _shift_all(q, sq)
     shift = tuple(a - b for a, b in zip(sp, sq))
     for s, flag in zip(shift, p.laurent):
@@ -589,14 +703,14 @@ def exact_div(p: MultiPoly, q: MultiPoly) -> MultiPoly:
     quot: dict = {}
     rem = dict(p0.terms)
     # max-heap on the grlex key: (-total degree, negated exponents, exponent)
-    heap = [(-sum(e), tuple(-a for a in e), e) for e in rem]
+    heap = [(-sum(e), tuple(map(_neg, e)), e) for e in rem]
     heapify(heap)
     while rem:
         lead_r = heappop(heap)[2]
         cr = rem.pop(lead_r, None)
         if cr is None:
             continue
-        diff = tuple(a - b for a, b in zip(lead_r, lead_q))
+        diff = tuple(map(_sub, lead_r, lead_q))
         if any(d < 0 for d in diff):
             raise InexactDivisionError(
                 f"{q.to_text()} does not divide {p.to_text()}")
@@ -606,11 +720,11 @@ def exact_div(p: MultiPoly, q: MultiPoly) -> MultiPoly:
             c = Fraction(cr) / cq
         quot[diff] = c
         for eq, cc in tail_q:
-            e = tuple(a + b for a, b in zip(diff, eq))
+            e = tuple(map(_add, diff, eq))
             v = rem.get(e)
             if v is None:
                 rem[e] = -c * cc
-                heappush(heap, (-sum(e), tuple(-a for a in e), e))
+                heappush(heap, (-sum(e), tuple(map(_neg, e)), e))
                 continue
             v -= c * cc
             if v:

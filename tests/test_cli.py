@@ -5,7 +5,8 @@ import json
 import pytest
 
 from knotpoly import cli
-from knotpoly.cli import TRACE_MAX_LETTERS, TWOBRIDGE_P_MAX, VERIFY_P_MAX, main
+from knotpoly.cli import (QTORUS_N_MAX, TRACE_MAX_LETTERS, TWOBRIDGE_P_MAX,
+                          VERIFY_P_MAX, main)
 from knotpoly.exactpoly import InexactDivisionError
 from knotpoly.report import InternalInconsistencyError
 
@@ -81,6 +82,16 @@ def test_qtorus_rejects_inverted_n_range(capsys):
     code, captured = run(capsys, "qtorus", "--n-range", "20", "-20")
     assert code == 2
     assert "error:" in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("lo, hi", [(-QTORUS_N_MAX - 1, 0),
+                                    (0, QTORUS_N_MAX + 1)])
+def test_qtorus_rejects_n_range_over_the_cap(capsys, lo, hi):
+    code, captured = run(capsys, "qtorus", "--n-range", str(lo), str(hi))
+    assert code == 2
+    assert "error:" in captured.err
+    assert str(QTORUS_N_MAX) in captured.err
     assert captured.out == ""
 
 

@@ -1,10 +1,15 @@
 """Ring, gcd, resultant, and serialization behavior of the exact core."""
 
+import itertools
+import math
+import tracemalloc
 from fractions import Fraction
+from unittest.mock import patch
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from knotpoly import exactpoly
 from knotpoly.exactpoly import (AlignmentError, InexactDivisionError,
                                 LaurentInputError, Matrix2, MultiPoly,
                                 RationalFunction, align, exact_div, gcd_in,
@@ -91,6 +96,41 @@ def test_subtraction_and_scalars(a, b):
     assert a * Fraction(1, 2) * 2 == a
 
 
+MIXED_COEFFS = st.one_of(st.integers(-6, 6),
+                        st.fractions(-3, 3, max_denominator=4))
+
+
+def is_canonical(p):
+    """Every stored coefficient is a nonzero int or a non-integral Fraction."""
+    return all(c != 0 and (type(c) is int or (type(c) is Fraction
+                                              and c.denominator != 1))
+               for c in p.terms.values())
+
+
+@settings(max_examples=80, deadline=None)
+@given(small_polys(coeffs=MIXED_COEFFS, max_terms=12),
+       small_polys(coeffs=MIXED_COEFFS, max_terms=12))
+def test_arithmetic_keeps_coefficients_canonical(a, b):
+    for p in (a + b, a - b, -a, a * b, b * a, 2 * a, a * Fraction(1, 2),
+              a - a):
+        assert is_canonical(p)
+
+
+def test_fractions_that_cancel_to_integers_are_stored_as_int():
+    half = Fraction(1, 2)
+    x, y = var("x"), var("y")
+    cases = [(half * x + half * x, {(1, 0): 1}),
+             (half * x - (-half) * x, {(1, 0): 1}),
+             (half * x - half * x, {}),
+             (2 * (half * x), {(1, 0): 1}),
+             ((x * half) * (2 * y), {(1, 1): 1}),
+             ((half * x + half * y) * (2 * x - 2 * y),
+              {(2, 0): 1, (0, 2): -1})]
+    for p, terms in cases:
+        assert p.terms == terms
+        assert all(type(c) is int for c in p.terms.values())
+
+
 def test_power_and_unit_power():
     x, y = var("x"), var("y")
     assert (x + y) ** 2 == x ** 2 + 2 * x * y + y ** 2
@@ -100,6 +140,87 @@ def test_power_and_unit_power():
         (x + y) ** -1
     t = MultiPoly.variable("t", ("t",), (True,))
     assert (2 * t) ** -2 == Fraction(1, 4) * t ** -2
+
+
+# -- Kronecker-packed products ----------------------------------------------
+
+def dict_product(a, b):
+    """a * b through the dict double loop alone."""
+    with patch.object(exactpoly, "_PACK_MIN_PRODUCTS", math.inf):
+        return a * b
+
+
+# Coefficients near the byte boundaries of a slot, and small ones.
+PACK_COEFFS = st.builds(lambda sign, scale, k, d: sign * (scale * k + d),
+                        st.sampled_from([1, -1]),
+                        st.sampled_from([1, 2 ** 7, 2 ** 63, 2 ** 64]),
+                        st.integers(2, 4), st.integers(-1, 1))
+
+
+@st.composite
+def int_poly_pairs(draw):
+    """Two integer polynomials in 1-3 variables, Laurent ones included,
+    dense enough in their exponent box that many products are packed."""
+    nvars = draw(st.integers(1, 3))
+    vars = ("x", "y", "z")[:nvars]
+    laurent = tuple(draw(st.booleans()) for _ in vars)
+    span = draw(st.sampled_from([2, 4] if nvars == 3 else [2, 4, 12]))
+    box = list(itertools.product(*(range(-2 * flag, span - 2 * flag)
+                                   for flag in laurent)))
+
+    def one():
+        size = draw(st.integers(1, min(40, len(box)))
+                    | st.just(len(box) // 2))
+        exps = draw(st.permutations(box))[:size]
+        coeffs = draw(st.lists(PACK_COEFFS, min_size=size, max_size=size))
+        return MultiPoly(vars, dict(zip(exps, coeffs)), laurent)
+    return one(), one()
+
+
+@settings(max_examples=150, deadline=None)
+@given(int_poly_pairs())
+def test_packed_product_matches_dict_loop(pair):
+    a, b = pair
+    expected = dict_product(a, b)
+    assert a * b == expected
+    packed = exactpoly._packed_product(a.terms, b.terms)
+    if packed is not None:
+        assert packed == expected.terms
+        assert all(type(c) is int for c in packed.values())
+
+
+@pytest.mark.parametrize("bits", [7, 63, 64])
+@pytest.mark.parametrize("step", [-1, 0, 1])
+@pytest.mark.parametrize("m", [1, 8])
+def test_packed_product_with_bound_next_to_a_byte_boundary(bits, step, m):
+    # max|a| * max|b| * min(#a, #b) = 2**bits + step * m, and the middle
+    # coefficient of the product reaches that bound
+    for sa, sb in ((1, 1), (1, -1), (-1, 1), (-1, -1)):
+        ca = sa * (2 ** bits // m + step)
+        a = MultiPoly(("x",), {(i,): ca for i in range(m)})
+        b = MultiPoly(("x",), {(j,): sb for j in range(max(m, 2))})
+        packed = exactpoly._packed_product(a.terms, b.terms)
+        assert packed == dict_product(a, b).terms
+        assert max(map(abs, packed.values())) == 2 ** bits + step * m
+        assert a * b == dict_product(a, b)
+
+
+def test_sparse_high_degree_product_skips_the_dense_box():
+    vars = ("x", "y", "z")
+    a = MultiPoly(vars, {(10 ** 9 * i, 7 * i, 10 ** 6 - i): i + 1
+                         for i in range(10)})
+    b = MultiPoly(vars, {(i, 10 ** 8 * i, i * i): 1 - 2 * i
+                         for i in range(10)})
+    assert exactpoly._packed_product(a.terms, b.terms) is None
+    tracemalloc.start()
+    try:
+        result = a * b
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 ** 6
+    assert result == dict_product(a, b)
+    assert len(result.terms) == 100
 
 
 # -- text and JSON ---------------------------------------------------------
@@ -239,12 +360,17 @@ def test_exact_div_inverts_multiplication_fractions(a, b):
 @given(laurent_polys(), laurent_polys(), laurent_polys(
     coeffs=st.fractions(-4, 4, max_denominator=3)))
 def test_exact_div_inverts_multiplication_laurent(a, b, c):
-    # Only negative exponents are shifted away before dividing, so the
-    # divisor needs a term of t-degree <= 0 (exact_div(1, t) raises).
     for num, den in ((a, b), (c, b), (a, c)):
-        if den.is_zero() or den.min_degree_in("t") > 0:
+        if den.is_zero():
             continue
         assert exact_div(num * den, den) == num
+
+
+def test_exact_div_by_a_positive_laurent_power():
+    t = MultiPoly.variable("t", TM, TM_LAURENT)
+    one = MultiPoly.const(TM, 1, TM_LAURENT)
+    assert exact_div(one, t) == t ** -1
+    assert exact_div(t + 1, t ** 2 + t) == t ** -1
 
 
 def test_poly_gcd_strips_multiplicity():
