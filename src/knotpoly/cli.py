@@ -42,8 +42,6 @@ def _parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true",
                         help="emit one JSON document on stdout")
-    common.add_argument("--tol", type=float, default=1e-9,
-                        help="tolerance for numeric residual checks")
     common.add_argument("--seed", type=int, default=DEFAULT_SEED,
                         help="seed for the random oracles")
 
@@ -113,7 +111,7 @@ def _run_pretzel(args):
     n = args.n
     _check_pretzel_n(n, "--n")
     knot = PretzelKnot(n)
-    reports = [x0_report(n), seidenberg_report(n, tol=args.tol)]
+    reports = [x0_report(n), seidenberg_report(n)]
     if abs(n) <= TRACE_WORD_BOUND:
         reports.append(closed_form_report(n))
     if n in (0, 1, 2):
@@ -190,11 +188,11 @@ def _run_verify(args):
     if args.suite == "twobridge":
         reports = verify.suite_twobridge(p_max)
     elif args.suite == "pretzel":
-        reports = verify.suite_pretzel(n_range, args.tol)
+        reports = verify.suite_pretzel(n_range)
     elif args.suite == "qtorus":
         reports = verify.suite_qtorus(args.seed)
     else:
-        reports = verify.suite_all(n_range, p_max, args.seed, args.tol)
+        reports = verify.suite_all(n_range, p_max, args.seed)
     return f"suite:{args.suite}", {"suite": args.suite}, reports
 
 

@@ -19,7 +19,8 @@ small or sparse operands, take the dict double loop.  The packing is
 private; the term map stays the only representation.
 
 The module also provides rational functions (always reduced, denominator
-normalized, Laurent variables allowed), 2x2 matrices over any ring-like entries, primitive-PRS gcd,
+normalized, Laurent variables allowed), 2x2 matrices over any ring-like
+entries (inverted only at determinant one), primitive-PRS gcd,
 Sylvester/Bareiss resultants, Newton polygons via monotone chain, and a
 canonical text / JSON serialization.
 
@@ -37,7 +38,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from itertools import product
-from math import gcd as _int_gcd, prod
+from math import gcd as _int_gcd, lcm as _int_lcm, prod
 from operator import add as _add, mul as _mul, neg as _neg, sub as _sub
 from typing import Mapping, Sequence
 
@@ -744,27 +745,27 @@ def divides(q: MultiPoly, p: MultiPoly) -> bool:
         return False
 
 
-def _scalar_content(p: MultiPoly) -> Fraction:
+def _scalar_content(p: MultiPoly):
+    """The gcd of the coefficients' numerators and the lcm of their
+    denominators, as ints (an int coefficient has both attributes)."""
     num = 0
     den = 1
     for c in p.terms.values():
-        f = Fraction(c)
-        num = _int_gcd(num, abs(f.numerator))
-        den = den * f.denominator // _int_gcd(den, f.denominator)
-    return Fraction(num, den)
+        num = _int_gcd(num, c.numerator)
+        den = _int_lcm(den, c.denominator)
+    return num, den
 
 
 def rational_normalize(p: MultiPoly) -> MultiPoly:
     """Scale to coprime integer coefficients with positive leading term."""
     if p.is_zero():
         return p
-    content = _scalar_content(p)
+    num, den = _scalar_content(p)
     lead = max(p.terms, key=_grlex_key)
     if p.terms[lead] < 0:
-        content = -content
-    return MultiPoly._make(p.vars, p.laurent,
-                           {e: Fraction(c) / content
-                            for e, c in p.terms.items()})
+        num = -num
+    return MultiPoly._new(p.vars, p.laurent,
+                          {e: c * den // num for e, c in p.terms.items()})
 
 
 def poly_gcd(p: MultiPoly, q: MultiPoly) -> MultiPoly:
@@ -1142,21 +1143,10 @@ class RationalFunction:
 # -- 2x2 matrices ---------------------------------------------------------
 
 
-def _reciprocal_entry(x):
-    if isinstance(x, RationalFunction):
-        return x.reciprocal()
-    if isinstance(x, MultiPoly):
-        if not x.is_constant():
-            raise InexactDivisionError(
-                "matrix determinant is not an invertible scalar")
-        return MultiPoly.const(x.vars, Fraction(1, 1) / x.constant_value(),
-                               x.laurent)
-    return Fraction(1, 1) / x
-
-
 @dataclass(frozen=True)
 class Matrix2:
-    """2x2 matrix over any entries supporting ring arithmetic."""
+    """2x2 matrix over any entries supporting ring arithmetic; only a
+    determinant-one matrix has an inverse here."""
 
     a: object
     b: object
@@ -1186,9 +1176,6 @@ class Matrix2:
     def __neg__(self):
         return Matrix2(-self.a, -self.b, -self.c, -self.d)
 
-    def scale(self, s):
-        return Matrix2(self.a * s, self.b * s, self.c * s, self.d * s)
-
     def det(self):
         return self.a * self.d - self.b * self.c
 
@@ -1196,11 +1183,11 @@ class Matrix2:
         return Matrix2(self.d, -self.b, -self.c, self.a)
 
     def inverse(self) -> "Matrix2":
-        dt = self.det()
-        adj = self.adjugate()
-        if dt == 1:
-            return adj
-        return adj.scale(_reciprocal_entry(dt))
+        """The adjugate, which is the inverse only at determinant one."""
+        if self.det() != 1:
+            raise InexactDivisionError(
+                "only a determinant-one matrix is inverted")
+        return self.adjugate()
 
     def identity_like(self) -> "Matrix2":
         one = self.a ** 0

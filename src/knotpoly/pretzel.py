@@ -7,7 +7,8 @@ This module builds both from closed Chebyshev forms and, as a cross check,
 letter by letter through the trace calculus.  It also verifies the
 z-resultant structure, the radicality certificates on the x = 0 slice, and
 the representation-witness matrices for each branch of y, all in exact
-arithmetic except the one root-separation test that is flagged as numeric.
+arithmetic except the two float checks flagged as numeric: Seidenberg root
+separation and the cosine-root residuals, both against RESIDUAL_TOL.
 """
 
 from __future__ import annotations
@@ -19,8 +20,8 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 
-from .exactpoly import (Matrix2, MultiPoly, RationalFunction, gcd_in,
-                        is_squarefree_in, resultant_in, squarefree_part_in)
+from .exactpoly import (Matrix2, MultiPoly, gcd_in, is_squarefree_in,
+                        resultant_in, squarefree_part_in)
 from .report import (InternalInconsistencyError, VerificationReport,
                      status_of)
 from .sl2trace import (FreeWord, GENERATOR_A, GENERATOR_B, chebyshev_s,
@@ -29,9 +30,11 @@ from .sl2trace import (FreeWord, GENERATOR_A, GENERATOR_B, chebyshev_s,
 VARS_XYZ = ("x", "y", "z")
 VARS_XY = ("x", "y")
 VARS_YZ = ("y", "z")
+VARS_XZ = ("x", "z")
 
 TRACE_WORD_BOUND = 8
 WITNESS_BOUND = 6
+RESIDUAL_TOL = 1e-9
 
 # degree bounds (deg_y, deg_z) tried by the membership solver, in order
 MEMBERSHIP_DEGREE_STEPS = ((4, 4), (6, 6), (9, 9))
@@ -293,7 +296,7 @@ def shared_square_factor(n: int):
     return None
 
 
-def seidenberg_report(n: int, tol: float = 1e-9) -> VerificationReport:
+def seidenberg_report(n: int) -> VerificationReport:
     """Two slice-ideal certificates in the sense of Seidenberg's lemma.
 
     The y-side certificate is exact: a_n U_n lies in the slice ideal by an
@@ -321,13 +324,13 @@ def seidenberg_report(n: int, tol: float = 1e-9) -> VerificationReport:
         sep = abs(r1 - r2)
         if min_sep is None or sep < min_sep:
             min_sep = sep
-        if sep <= tol:
+        if sep <= RESIDUAL_TOL:
             distinct = False
     ok = membership_ok and data.squarefree_ok and distinct
     details = {"membership_ok": membership_ok,
                "squarefree_y_ok": data.squarefree_ok,
                "root_count": len(roots), "min_separation": min_sep,
-               "tolerance": tol}
+               "tolerance": RESIDUAL_TOL}
     if not distinct:
         shared = shared_square_factor(n)
         details["shared_square_factor"] = (shared.to_text() if shared
@@ -565,52 +568,58 @@ def _diagonal_subcase_ok(n: int) -> bool:
             == matrix_of_word(right, (ra, rw)))
 
 
+def y_minus_two_generators():
+    """r(a) = [[x/2, 4 - x^2], [-1/4, x/2]] and r(w) = [[-1, -4(x+z)],
+    [0, -1]]: the paper's y = -2 pair conjugated by D = diag(4(x+z), 1)."""
+    x = MultiPoly.variable("x", VARS_XZ)
+    z = MultiPoly.variable("z", VARS_XZ)
+    one = x ** 0
+    half = Fraction(1, 2)
+    return (Matrix2(half * x, 4 - x ** 2, Fraction(-1, 4) * one, half * x),
+            Matrix2(-one, -4 * (x + z), 0 * one, -one))
+
+
 def witness_y_minus_two(n: int) -> VerificationReport:
-    """Branch y = -2: entries live in the fraction field of (x, z); the
-    division by x + z is symbolic, never numeric."""
+    """Branch y = -2, conjugated by D = diag(4(x+z), 1) to clear the one
+    denominator of the paper's r(a), (4 - x^2)/(4(x+z)): D multiplies every
+    upper right entry by 4(x+z) and divides every lower left one by it.
+    Conjugation keeps products and equality, so each check over these
+    polynomial matrices means the same as in the fraction field."""
     _check_bound(n, WITNESS_BOUND, "witness")
-    vars = ("x", "z")
-    x = MultiPoly.variable("x", vars)
-    z = MultiPoly.variable("z", vars)
-
-    def rf(num, den=1):
-        if not isinstance(num, MultiPoly):
-            num = MultiPoly.const(vars, num)
-        if not isinstance(den, MultiPoly):
-            den = MultiPoly.const(vars, den)
-        return RationalFunction(num, den)
-
-    ra = Matrix2(rf(x, 2), rf(4 - x ** 2, 4 * (x + z)),
-                 rf(-(x + z)), rf(x, 2))
-    rw = Matrix2(rf(-1), rf(-1), rf(0), rf(-1))
+    x = MultiPoly.variable("x", VARS_XZ)
+    z = MultiPoly.variable("z", VARS_XZ)
+    one = x ** 0
+    zero = x * 0
+    half = Fraction(1, 2)
+    d = 4 * (x + z)
+    ra, rw = mats = y_minus_two_generators()
     det_ok = ra.det() == 1 and rw.det() == 1
-    mats = (ra, rw)
+    lower_ef = Fraction(1, 4) * (1 + x * z + z ** 2)
     expect_e = Matrix2(
-        rf(-(x + 2 * z + x ** 2 * z + x * z ** 2), 2),
-        rf(-(4 + 3 * x ** 2 + 4 * x * z + x ** 3 * z + x ** 2 * z ** 2),
-           4 * (x + z)),
-        rf((x + z) * (1 + x * z + z ** 2)),
-        rf(3 * x + 2 * z + x ** 2 * z + x * z ** 2, 2))
+        -half * (x + 2 * z + x ** 2 * z + x * z ** 2),
+        -(4 + 3 * x ** 2 + 4 * x * z + x ** 3 * z + x ** 2 * z ** 2),
+        lower_ef,
+        half * (3 * x + 2 * z + x ** 2 * z + x * z ** 2))
     expect_f = Matrix2(
-        rf(x + 2 * z + x ** 2 * z + x * z ** 2, 2),
-        rf(-(4 + 5 * x ** 2 + 10 * x * z + 3 * x ** 3 * z + 4 * z ** 2
-             + 5 * x ** 2 * z ** 2 + 2 * x * z ** 3), 4 * (x + z)),
-        rf((x + z) * (1 + x * z + z ** 2)),
-        rf(-(5 * x + 4 * z + 3 * x ** 2 * z + 5 * x * z ** 2
-             + 2 * z ** 3), 2))
+        half * (x + 2 * z + x ** 2 * z + x * z ** 2),
+        -(4 + 5 * x ** 2 + 10 * x * z + 3 * x ** 3 * z + 4 * z ** 2
+          + 5 * x ** 2 * z ** 2 + 2 * x * z ** 3),
+        lower_ef,
+        -half * (5 * x + 4 * z + 3 * x ** 2 * z + 5 * x * z ** 2
+                 + 2 * z ** 3))
     ef_ok = (matrix_of_word(word_e(), mats) == expect_e
              and matrix_of_word(word_f(), mats) == expect_f)
     sign = 1 if n % 2 == 0 else -1
     wn_word = FreeWord(((GENERATOR_B, n),)) if n else FreeWord(())
     power_ok = matrix_of_word(wn_word, mats) == Matrix2(
-        rf(sign), rf(sign * n), rf(0), rf(sign))
+        sign * one, sign * n * d, zero, sign * one)
     p3 = 3 * x + z + x ** 2 * z + 2 * x * z ** 2 + z ** 3
     qpp = x + 2 * n * x + 2 * z + x ** 2 * z + x * z ** 2
     left, right = _relation_words(n)
     diff = matrix_of_word(left, mats) - matrix_of_word(right, mats)
     difference_ok = diff == Matrix2(
-        rf(sign * (n * p3 - qpp)), rf(sign * qpp, 2),
-        rf(0), rf(sign * (qpp - (n - 1) * p3)))
+        sign * (n * p3 - qpp), sign * 2 * (x + z) * qpp,
+        zero, sign * (qpp - (n - 1) * p3))
     diagonal_ok = _diagonal_subcase_ok(n)
     ok = det_ok and ef_ok and power_ok and difference_ok and diagonal_ok
     return VerificationReport(

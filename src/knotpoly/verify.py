@@ -26,7 +26,6 @@ RESULTANT_IDENTITY_RANGE = (-5, 8)
 X0_RANGE = (-6, 12)
 RADICAL_DIRECT_NS = (0, 1, 2)
 WITNESS_RANGE = (-4, 4)
-RESIDUAL_TOL = 1e-9
 
 TWOBRIDGE_P_MAX = 45
 LEADING_P_MAX = 31
@@ -62,12 +61,12 @@ def check_resultants(n_range=None) -> list:
             for n in _span(n_range, RESULTANT_RANGE)]
 
 
-def check_x0_slices(n_range=None, tol: float = RESIDUAL_TOL) -> list:
+def check_x0_slices(n_range=None) -> list:
     """Slice identity and square-freeness at x = 0, cosine-root residuals,
     and the direct radical certificates at the three smallest knots."""
     reports = [pretzel.x0_report(n) for n in _span(n_range, X0_RANGE)]
     for n in _span(n_range, X0_RANGE):
-        details = {"tol": tol}
+        details = {"tol": pretzel.RESIDUAL_TOL}
         worst = 0.0
         if n >= 1:
             worst = max(pretzel.u_root_residuals(n), default=0.0)
@@ -80,7 +79,7 @@ def check_x0_slices(n_range=None, tol: float = RESIDUAL_TOL) -> list:
             continue
         reports.append(VerificationReport(
             "x0-cosine-roots", f"n={n}",
-            status_of(worst < tol, numeric=True), details))
+            status_of(worst < pretzel.RESIDUAL_TOL, numeric=True), details))
     for n in RADICAL_DIRECT_NS:
         if n_range is None or n_range[0] <= n <= n_range[1]:
             reports.append(pretzel.radical_slice_report(n))
@@ -222,10 +221,10 @@ def suite_twobridge(p_max: int = TWOBRIDGE_P_MAX) -> list:
                                                    IRREDUCIBILITY_P_MAX)))
 
 
-def suite_pretzel(n_range=None, tol: float = RESIDUAL_TOL) -> list:
+def suite_pretzel(n_range=None) -> list:
     return sort_reports(check_closed_forms(n_range)
                         + check_resultants(n_range)
-                        + check_x0_slices(n_range, tol)
+                        + check_x0_slices(n_range)
                         + check_witnesses(n_range))
 
 
@@ -234,8 +233,8 @@ def suite_qtorus(seed: int = DEFAULT_SEED) -> list:
 
 
 def suite_all(n_range=None, p_max: int = TWOBRIDGE_P_MAX,
-              seed: int = DEFAULT_SEED, tol: float = RESIDUAL_TOL) -> list:
+              seed: int = DEFAULT_SEED) -> list:
     return sort_reports(suite_twobridge(p_max)
-                        + suite_pretzel(n_range, tol)
+                        + suite_pretzel(n_range)
                         + suite_qtorus(seed)
                         + check_trace_oracle(seed=seed))

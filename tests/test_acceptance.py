@@ -35,7 +35,7 @@ def test_resultant_structure():
 
 def test_x0_radicality_data():
     run_gate("x = 0 slice identities, square-freeness, cosine roots", 10.0,
-             verify.check_x0_slices, verify.X0_RANGE, verify.RESIDUAL_TOL)
+             verify.check_x0_slices, verify.X0_RANGE)
 
 
 def test_witness_lemmas():

@@ -109,6 +109,18 @@ def test_pretzel_rejects_oversized_n(capsys):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("args", [
+    ("verify", "--suite", "pretzel", "--n-range", "20", "25"),
+    ("pretzel", "--n", "3")])
+def test_tol_flag_is_a_usage_error(capsys, args):
+    # a caller-chosen tolerance could turn honest numeric failures into
+    # passes, so the numeric checks keep one fixed tolerance
+    code, captured = run(capsys, *args, "--tol", "1")
+    assert code == 2
+    assert "--tol" in captured.err
+    assert captured.out == ""
+
+
 @pytest.mark.parametrize("lo, hi", [("-5000", "5"), ("-5", "5000")])
 def test_verify_rejects_oversized_n_range(capsys, lo, hi):
     code, captured = run(capsys, "verify", "--suite", "pretzel",

@@ -399,6 +399,19 @@ def test_rational_normalize():
     assert rational_normalize(p) == z + 1
 
 
+@settings(max_examples=60, deadline=None)
+@given(small_polys(coeffs=st.fractions(-9, 9, max_denominator=6)).filter(
+           lambda p: not p.is_zero()),
+       st.fractions(-20, 20, max_denominator=12).filter(bool))
+def test_rational_normalize_is_scale_invariant(p, k):
+    r = rational_normalize(p)
+    assert rational_normalize(k * p) == r
+    coeffs = list(r.terms.values())
+    assert all(type(c) is int for c in coeffs)
+    assert math.gcd(*coeffs) == 1
+    assert r.terms[max(r.terms, key=exactpoly._grlex_key)] > 0
+
+
 def test_squarefree_detection():
     z = MultiPoly.variable("z", ("z",))
     assert is_squarefree_in((z - 1) * (z + 2), "z")
@@ -470,6 +483,16 @@ def test_matrix_identity_and_inverse():
     assert prod == ident
     assert m ** -1 == inv
     assert m ** 0 == ident
+
+
+def test_matrix_inverse_needs_determinant_one():
+    x = var("x", ("x",))
+    m = Matrix2(2 * x ** 0, x, x * 0, x ** 0)
+    assert m.det() == 2
+    with pytest.raises(InexactDivisionError):
+        m.inverse()
+    with pytest.raises(InexactDivisionError):
+        m ** -1
 
 
 def test_matrix_power_matches_repeated_product():

@@ -3,7 +3,8 @@
 
 import pytest
 
-from knotpoly.exactpoly import MultiPoly, exact_div, is_squarefree_in
+from knotpoly.exactpoly import (Matrix2, MultiPoly, RationalFunction,
+                                exact_div, is_squarefree_in)
 from knotpoly.pretzel import (ExpansionBoundError, PretzelKnot,
                               TRACE_WORD_BOUND, WITNESS_BOUND, a_poly,
                               b_poly, closed_form_report, defining_p,
@@ -13,7 +14,9 @@ from knotpoly.pretzel import (ExpansionBoundError, PretzelKnot,
                               seidenberg_report, shared_square_factor,
                               slice_p, slice_q, traced_p, traced_q, u_poly,
                               witness_reports, x0_report, x0_slice,
-                              a_root_residuals, u_root_residuals)
+                              a_root_residuals, u_root_residuals,
+                              y_minus_two_generators, _relation_words)
+from knotpoly.sl2trace import matrix_of_word
 
 VARS_XYZ = ("x", "y", "z")
 VARS_XY = ("x", "y")
@@ -215,6 +218,35 @@ def test_witness_details_include_determinants():
     assert by_claim["witness-y-minus-two"].details["det_ok"]
     assert by_claim["witness-y-two"].details["scalar_subcases_ok"]
     assert by_claim["witness-y-minus-two"].details["diagonal_subcase_ok"]
+
+
+def _paper_y_minus_two_generators():
+    # the y = -2 pair as the paper writes it, over the fraction field
+    vars = ("x", "z")
+    x = MultiPoly.variable("x", vars)
+    z = MultiPoly.variable("z", vars)
+
+    def rf(num, den=1):
+        return RationalFunction(num * x ** 0, den * x ** 0)
+
+    return (Matrix2(rf(x, 2), rf(4 - x ** 2, 4 * (x + z)), rf(-(x + z)),
+                    rf(x, 2)),
+            Matrix2(rf(-1), rf(-1), rf(0), rf(-1)))
+
+
+@pytest.mark.parametrize("n", [-2, 3])
+def test_y_minus_two_conjugation_matches_the_paper(n):
+    paper = _paper_y_minus_two_generators()
+    poly = y_minus_two_generators()
+    x = MultiPoly.variable("x", ("x", "z"))
+    z = MultiPoly.variable("z", ("x", "z"))
+    d = 4 * (x + z)
+    for word in _relation_words(n):
+        f = matrix_of_word(word, paper)
+        m = matrix_of_word(word, poly)
+        assert f.a == m.a and f.d == m.d
+        assert f.b == RationalFunction(m.b, d)
+        assert f.c == m.c * d
 
 
 def test_witness_bound_error():
