@@ -42,8 +42,6 @@ def _parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true",
                         help="emit one JSON document on stdout")
-    common.add_argument("--seed", type=int, default=DEFAULT_SEED,
-                        help="seed for the random oracles")
 
     parser = argparse.ArgumentParser(
         prog="knotpoly",
@@ -81,6 +79,8 @@ def _parser() -> argparse.ArgumentParser:
                     help="pretzel parameter range override")
     vf.add_argument("--p", type=int, default=None,
                     help="two-bridge p cap override")
+    vf.add_argument("--seed", type=int, default=DEFAULT_SEED,
+                    help="seed for the random oracles")
     return parser
 
 

@@ -18,11 +18,13 @@ are multiplied once.  Other products, with ``Fraction`` coefficients or
 small or sparse operands, take the dict double loop.  The packing is
 private; the term map stays the only representation.
 
-The module also provides rational functions (always reduced, denominator
-normalized, Laurent variables allowed), 2x2 matrices over any ring-like
-entries (inverted only at determinant one), primitive-PRS gcd,
-Sylvester/Bareiss resultants, Newton polygons via monotone chain, and a
-canonical text / JSON serialization.
+``MultiPoly.evaluate`` runs Horner's scheme in the arithmetic of the
+point's values: exact at ``int`` or ``Fraction`` values, complex at complex
+ones.  The module also provides rational functions (always reduced,
+denominator normalized, Laurent variables allowed), ``Matrix2``, a
+``__slots__`` 2x2 matrix over any ring-like entries (inverted only at
+determinant one), primitive-PRS gcd, Sylvester/Bareiss resultants, Newton
+polygons via monotone chain, and a canonical text / JSON serialization.
 
 Exact division, which the Bareiss resultant and the primitive-PRS gcd
 lean on, takes leading terms from a heap of the remainder's monomials and
@@ -519,38 +521,34 @@ class MultiPoly:
             out[tuple(exp[self.vars.index(v)] for v in vars)] = c
         return MultiPoly._make(vars, laurent, out)
 
-    # -- numeric evaluation ----------------------------------------------
+    # -- evaluation -------------------------------------------------------
 
-    def eval_complex(self, point: Mapping[str, complex]) -> complex:
-        """Horner-style evaluation at complex arguments."""
+    def evaluate(self, point: Mapping[str, object]):
+        """Horner-style evaluation in the arithmetic of the point's values:
+        exact at int or Fraction values, complex at complex ones."""
         for v in self.vars:
             if v not in point:
                 raise EvaluationError(f"no value for {v!r}")
-        if not self.terms:
-            return 0j
 
         def rec(items, depth):
             if depth == len(self.vars):
-                total = 0j
-                for _, c in items:
-                    total += complex(float(c) if not isinstance(c, Fraction)
-                                     else c.numerator / c.denominator)
-                return total
+                return items[0][1]
             groups: dict[int, list] = {}
             for exp, c in items:
                 groups.setdefault(exp[depth], []).append((exp, c))
-            z = complex(point[self.vars[depth]])
+            z = point[self.vars[depth]]
             exps = sorted(groups, reverse=True)
-            acc = 0j
+            acc = 0
             prev = None
             for e in exps:
                 if prev is not None:
                     acc *= z ** (prev - e)
                 acc += rec(groups[e], depth + 1)
                 prev = e
-            return acc * z ** exps[-1]
+            low = exps[-1]
+            return acc * (z ** low if low >= 0 else Fraction(1) / z ** -low)
 
-        return rec(list(self.terms.items()), 0)
+        return rec(list(self.terms.items()), 0) if self.terms else 0
 
     # -- serialization ---------------------------------------------------
 
@@ -735,14 +733,6 @@ def exact_div(p: MultiPoly, q: MultiPoly) -> MultiPoly:
     out = {tuple(e + s for e, s in zip(exp, shift)): c
            for exp, c in quot.items()}
     return MultiPoly._make(p.vars, p.laurent, out)
-
-
-def divides(q: MultiPoly, p: MultiPoly) -> bool:
-    try:
-        exact_div(p, q)
-        return True
-    except InexactDivisionError:
-        return False
 
 
 def _scalar_content(p: MultiPoly):
@@ -1143,15 +1133,26 @@ class RationalFunction:
 # -- 2x2 matrices ---------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class Matrix2:
     """2x2 matrix over any entries supporting ring arithmetic; only a
     determinant-one matrix has an inverse here."""
 
-    a: object
-    b: object
-    c: object
-    d: object
+    __slots__ = ("a", "b", "c", "d")
+
+    def __init__(self, a, b, c, d):
+        self.a = a
+        self.b = b
+        self.c = c
+        self.d = d
+
+    def __eq__(self, other):
+        if not isinstance(other, Matrix2):
+            return NotImplemented
+        return (self.a == other.a and self.b == other.b
+                and self.c == other.c and self.d == other.d)
+
+    def __repr__(self):
+        return f"Matrix2({self.a!r}, {self.b!r}, {self.c!r}, {self.d!r})"
 
     def __mul__(self, other):
         if not isinstance(other, Matrix2):
@@ -1178,6 +1179,9 @@ class Matrix2:
 
     def det(self):
         return self.a * self.d - self.b * self.c
+
+    def trace(self):
+        return self.a + self.d
 
     def adjugate(self) -> "Matrix2":
         return Matrix2(self.d, -self.b, -self.c, self.a)

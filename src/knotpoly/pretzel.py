@@ -257,16 +257,16 @@ def x0_report(n: int) -> VerificationReport:
 def u_root_residuals(n: int) -> list:
     """|U_n| at the cosine points 2 cos(2 pi j / (2n+1)), j = 1..n."""
     u_n = u_poly(n)
-    return [abs(u_n.eval_complex(
-        {"y": 2.0 * math.cos(2.0 * math.pi * j / (2 * n + 1))}))
+    return [abs(u_n.evaluate(
+        {"y": complex(2.0 * math.cos(2.0 * math.pi * j / (2 * n + 1)))}))
         for j in range(1, n + 1)]
 
 
 def a_root_residuals(n: int) -> list:
     """|a_n| at the cosine points 2 cos((2k+1) pi / (2n-5)), k = 0..n-3."""
     a_n = a_poly(n)
-    return [abs(a_n.eval_complex(
-        {"y": 2.0 * math.cos((2 * k + 1) * math.pi / (2 * n - 5))}))
+    return [abs(a_n.evaluate(
+        {"y": complex(2.0 * math.cos((2 * k + 1) * math.pi / (2 * n - 5)))}))
         for k in range(0, n - 2)]
 
 

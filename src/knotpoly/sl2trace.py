@@ -15,9 +15,11 @@ right-multiplication table follows from Cayley-Hamilton, A^2 = xA - 1,
 B^2 = yB - 1, and the Fricke identity AB + BA = yA + xB + (z - xy).
 
 Generators are indexed 0 ("a") and 1 ("b").  The rewrite tables are not
-taken on faith: validate_rewrite_table and the numeric oracle check the
-left table against random SL2(C) matrix pairs, and the test suite checks
-both tables entry by entry the same way.
+taken on faith.  The exact oracle, trace_matches, evaluates a word at
+random integer pairs (A, B) in SL2(Z) with matrix_of_word and compares
+the integer trace with the trace polynomial at (tr A, tr B, tr AB); no
+tolerance is involved.  The test suite checks both tables entry by entry
+against Matrix2 products at such pairs.
 """
 
 from __future__ import annotations
@@ -32,7 +34,6 @@ from .exactpoly import Matrix2, MultiPoly
 VARS_XYZ = ("x", "y", "z")
 
 DEFAULT_SEED = 20231115
-ORACLE_TOL = 1e-8
 
 GENERATOR_A = 0
 GENERATOR_B = 1
@@ -246,12 +247,11 @@ def _trace_xyz(letters) -> MultiPoly:
     return trace_poly_with(FreeWord(letters), x, y, z)
 
 
-def trace_poly(word: FreeWord) -> MultiPoly:
-    """Trace polynomial in (x, y, z); input is reduced defensively."""
+def trace_poly(word) -> MultiPoly:
+    """Trace polynomial in (x, y, z) of a FreeWord, which is reduced by
+    construction, or of a raw letter sequence, which is reduced first."""
     if not isinstance(word, FreeWord):
         word = reduce_word(word)
-    else:
-        word = reduce_word(word.letters)
     return _trace_xyz(word.letters)
 
 
@@ -291,83 +291,31 @@ def matrix_of_word(word: FreeWord, mats: Sequence[Matrix2]) -> Matrix2:
     return result
 
 
-# -- numeric oracle -------------------------------------------------------
+# -- exact oracle ---------------------------------------------------------
 
 
-def _num_mul(m1, m2):
-    a1, b1, c1, d1 = m1
-    a2, b2, c2, d2 = m2
-    return (a1 * a2 + b1 * c2, a1 * b2 + b1 * d2,
-            c1 * a2 + d1 * c2, c1 * b2 + d1 * d2)
+def random_sl2z(rng: random.Random) -> Matrix2:
+    """A product of four elementary matrices [[1, k], [0, 1]] and
+    [[1, 0], [k, 1]], k in {-2, -1, 1, 2}: an integer matrix of det 1."""
+    m = Matrix2(1, 0, 0, 1)
+    for j in range(4):
+        k = rng.choice((-2, -1, 1, 2))
+        m = m * (Matrix2(1, k, 0, 1) if j % 2 else Matrix2(1, 0, k, 1))
+    return m
 
 
-def _num_inv(m):
-    a, b, c, d = m
-    return (d, -b, -c, a)
-
-
-def _num_pow(m, n):
-    if n < 0:
-        m, n = _num_inv(m), -n
-    out = (1 + 0j, 0j, 0j, 1 + 0j)
-    for _ in range(n):
-        out = _num_mul(out, m)
-    return out
-
-
-def random_sl2(rng: random.Random, max_entry: float = 1.0):
-    """Random SL2(C) matrix with all entries in the unit box.
-
-    The entry solving det = 1 is resampled until it also fits the box;
-    without the bound its heavy tail makes long word products lose more
-    than half the double-precision mantissa.
-    """
-    while True:
-        a = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
-        b = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
-        c = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
-        if abs(a) < 0.1:
-            continue
-        d = (1 + b * c) / a
-        if abs(d) <= max_entry:
-            return (a, b, c, d)
-
-
-def numeric_word_trace(word: FreeWord, ma, mb) -> complex:
-    out = (1 + 0j, 0j, 0j, 1 + 0j)
-    for gen, exp in word.letters:
-        base = ma if gen == GENERATOR_A else mb
-        out = _num_mul(out, _num_pow(base, exp))
-    return out[0] + out[3]
-
-
-def trace_residual(word: FreeWord, trials: int, tol: float,
-                   rng: random.Random) -> float:
-    """Largest |tr(word) - trace_poly(word)(x, y, z)| over random SL2(C)
-    pairs (A, B), drawn A then B per trial; stops after the first trial
-    whose residual reaches tol, so the result is >= tol exactly when the
-    word fails."""
+def trace_matches(word: FreeWord, trials: int, rng: random.Random) -> bool:
+    """Whether tr(word) equals trace_poly(word)(tr A, tr B, tr AB) at random
+    SL2(Z) pairs (A, B), drawn A then B per trial; stops at the first
+    mismatching trial.  Both sides are integers, so equality is exact."""
     poly = trace_poly(word)
-    worst = 0.0
     for _ in range(trials):
-        ma = random_sl2(rng)
-        mb = random_sl2(rng)
-        z = ma[0] * mb[0] + ma[1] * mb[2] + ma[2] * mb[1] + ma[3] * mb[3]
-        point = {"x": ma[0] + ma[3], "y": mb[0] + mb[3], "z": z}
-        gap = abs(numeric_word_trace(word, ma, mb) - poly.eval_complex(point))
-        worst = max(worst, gap)
-        if gap >= tol:
-            break
-    return worst
-
-
-def numeric_trace_oracle(word: FreeWord, trials: int = 20,
-                         tol: float = ORACLE_TOL,
-                         rng: random.Random | None = None) -> bool:
-    """Compare trace_poly against random-matrix numeric traces."""
-    if rng is None:
-        rng = random.Random(DEFAULT_SEED)
-    return trace_residual(word, trials, tol, rng) < tol
+        ma = random_sl2z(rng)
+        mb = random_sl2z(rng)
+        point = {"x": ma.trace(), "y": mb.trace(), "z": (ma * mb).trace()}
+        if matrix_of_word(word, (ma, mb)).trace() != poly.evaluate(point):
+            return False
+    return True
 
 
 def random_reduced_word(rng: random.Random, max_len: int = 12) -> FreeWord:
@@ -375,28 +323,3 @@ def random_reduced_word(rng: random.Random, max_len: int = 12) -> FreeWord:
     n = rng.randint(1, max_len)
     letters = [(rng.randrange(2), rng.choice((-1, 1))) for _ in range(n)]
     return reduce_word(letters)
-
-
-def validate_rewrite_table(rng: random.Random | None = None,
-                           words: int = 25,
-                           tol: float = ORACLE_TOL) -> bool:
-    """Spot-check the fold table against the numeric oracle."""
-    if rng is None:
-        rng = random.Random(DEFAULT_SEED)
-    basics = [
-        FreeWord(()),
-        FreeWord(((GENERATOR_A, 1),)),
-        FreeWord(((GENERATOR_B, 1),)),
-        FreeWord(((GENERATOR_A, 1), (GENERATOR_B, 1))),
-        FreeWord(((GENERATOR_A, 1), (GENERATOR_B, -1))),
-        FreeWord(((GENERATOR_A, 1), (GENERATOR_B, 1),
-                  (GENERATOR_A, -1), (GENERATOR_B, -1))),
-    ]
-    for word in basics:
-        if not numeric_trace_oracle(word, trials=8, tol=tol, rng=rng):
-            return False
-    for _ in range(words):
-        if not numeric_trace_oracle(random_reduced_word(rng), trials=4,
-                                    tol=tol, rng=rng):
-            return False
-    return True

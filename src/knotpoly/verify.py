@@ -17,8 +17,8 @@ from .qtorus import (QTElem, VARS_ML, LAURENT_ML, alpha_unknot,
                      annihilation_check, epsilon_eval, JONES_UNKNOT_SEQ,
                      qt_mul, qt_sigma, sigma_symmetry_factor, tm_poly)
 from .report import VerificationReport, sort_reports, status_of
-from .sl2trace import (DEFAULT_SEED, ORACLE_TOL, random_reduced_word,
-                       trace_residual, word_to_string)
+from .sl2trace import (DEFAULT_SEED, random_reduced_word, trace_matches,
+                       word_to_string)
 
 CLOSED_RANGE = (-6, 6)
 RESULTANT_RANGE = (-8, 8)
@@ -196,23 +196,17 @@ def check_quantum_torus(cases: int = QT_RANDOM_CASES,
 
 def check_trace_oracle(words: int = ORACLE_WORDS,
                        trials: int = ORACLE_TRIALS,
-                       tol: float = ORACLE_TOL,
                        seed: int = DEFAULT_SEED) -> list:
-    """Trace polynomials against random-matrix numeric traces."""
+    """Trace polynomials against exact traces at random SL2(Z) pairs."""
     rng = random.Random(seed)
-    worst = 0.0
     bad = []
     for _ in range(words):
         word = random_reduced_word(rng, ORACLE_MAX_LEN)
-        gap = trace_residual(word, trials, tol, rng)
-        worst = max(worst, gap)
-        if gap >= tol:
+        if not trace_matches(word, trials, rng):
             bad.append(word_to_string(word))
     return [VerificationReport(
-        "trace-oracle", f"words={words} seed={seed}",
-        status_of(not bad, numeric=True),
-        {"words": words, "trials": trials, "tol": tol,
-         "max_residual": worst, "failed_words": bad[:5]})]
+        "trace-oracle", f"words={words} seed={seed}", status_of(not bad),
+        {"words": words, "trials": trials, "failed_words": bad[:5]})]
 
 
 def suite_twobridge(p_max: int = TWOBRIDGE_P_MAX) -> list:

@@ -61,6 +61,6 @@ def test_quantum_torus():
 
 
 def test_trace_oracle():
-    run_gate("trace polynomials vs random-matrix traces", 20.0,
+    run_gate("trace polynomials vs random SL2(Z) matrix traces", 20.0,
              verify.check_trace_oracle, verify.ORACLE_WORDS,
-             verify.ORACLE_TRIALS, verify.ORACLE_TOL, verify.DEFAULT_SEED)
+             verify.ORACLE_TRIALS, verify.DEFAULT_SEED)

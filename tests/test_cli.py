@@ -121,6 +121,24 @@ def test_tol_flag_is_a_usage_error(capsys, args):
     assert captured.out == ""
 
 
+def test_verify_accepts_seed(capsys):
+    code, captured = run(capsys, "verify", "--suite", "qtorus", "--seed", "1")
+    assert code == 0
+    assert "0 failing" in captured.out
+
+
+@pytest.mark.parametrize("args", [
+    ("twobridge", "--p", "7", "--m", "3"), ("pretzel", "--n", "3"),
+    ("trace", "--word", "a b"), ("qtorus", "demo-unknot")])
+def test_seed_flag_outside_verify_is_a_usage_error(capsys, args):
+    # only verify draws random oracles; elsewhere the flag would change
+    # nothing
+    code, captured = run(capsys, *args, "--seed", "1")
+    assert code == 2
+    assert "--seed" in captured.err
+    assert captured.out == ""
+
+
 @pytest.mark.parametrize("lo, hi", [("-5000", "5"), ("-5", "5000")])
 def test_verify_rejects_oversized_n_range(capsys, lo, hi):
     code, captured = run(capsys, "verify", "--suite", "pretzel",

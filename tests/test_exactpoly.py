@@ -10,8 +10,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from knotpoly import exactpoly
-from knotpoly.exactpoly import (AlignmentError, InexactDivisionError,
-                                LaurentInputError, Matrix2, MultiPoly,
+from knotpoly.exactpoly import (AlignmentError, EvaluationError,
+                                InexactDivisionError, LaurentInputError,
+                                Matrix2, MultiPoly,
                                 RationalFunction, align, exact_div, gcd_in,
                                 is_squarefree_in, newton_polygon, poly_gcd,
                                 rational_normalize, resultant_in,
@@ -495,6 +496,15 @@ def test_matrix_inverse_needs_determinant_one():
         m ** -1
 
 
+def test_matrix_equality_is_entrywise():
+    m = Matrix2(1, 2, 3, 4)
+    assert m == Matrix2(1, 2, 3, 4)
+    assert m != Matrix2(1, 2, 3, 5)
+    assert m != (1, 2, 3, 4)
+    assert m.trace() == 5
+    assert repr(m) == "Matrix2(1, 2, 3, 4)"
+
+
 def test_matrix_power_matches_repeated_product():
     x = var("x", ("x",))
     m = Matrix2(x, x ** 0, x * 0, x ** 0)
@@ -545,7 +555,26 @@ def test_rational_function_constant_denominator_laurent():
     assert r.den == 1 and r.num == num * Fraction(-1, 4)
 
 
-def test_eval_complex():
+def test_evaluate_complex():
     x, y = var("x"), var("y")
     p = x ** 2 * y - 3
-    assert abs(p.eval_complex({"x": 2 + 1j, "y": -1j}) - ((2 + 1j) ** 2 * -1j - 3)) < 1e-12
+    value = p.evaluate({"x": 2 + 1j, "y": -1j})
+    assert isinstance(value, complex)
+    assert abs(value - ((2 + 1j) ** 2 * -1j - 3)) < 1e-12
+
+
+def test_evaluate_is_exact_at_rational_points():
+    x, y = var("x"), var("y")
+    p = x ** 2 * y - 3
+    big = 10 ** 20
+    value = p.evaluate({"x": big, "y": 3})
+    assert type(value) is int and value == 3 * big ** 2 - 3
+    q = p * Fraction(1, 3) + x
+    half = Fraction(1, 2)
+    assert q.evaluate({"x": half, "y": -7}) == (half ** 2 * -7 - 3) / 3 + half
+    assert q.evaluate({"x": big, "y": 1}) == Fraction(big ** 2 - 3, 3) + big
+    t = MultiPoly.variable("t", ("t",), (True,))
+    assert (t ** -2 + 1).evaluate({"t": 3}) == Fraction(10, 9)
+    assert MultiPoly.zero(XY).evaluate({"x": 1, "y": 2}) == 0
+    with pytest.raises(EvaluationError):
+        p.evaluate({"x": 1})

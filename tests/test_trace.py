@@ -6,17 +6,17 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from knotpoly.exactpoly import MultiPoly
+from knotpoly import sl2trace
+from knotpoly.exactpoly import Matrix2, MultiPoly
 from knotpoly.sl2trace import (DEFAULT_SEED, FreeWord, GENERATOR_A,
-                               GENERATOR_B, ORACLE_TOL,
-                               _mul_left, _mul_right, _num_mul, _num_pow,
+                               GENERATOR_B, _mul_left, _mul_right,
                                chebyshev_s, chebyshev_t, inverse_word,
                                matrix_of_word, nested_slice_traces,
-                               numeric_trace_oracle, random_reduced_word,
-                               random_sl2, reduce_word, reverse_word,
-                               rotate_word, trace_poly, trace_poly_with,
-                               validate_rewrite_table, word_from_string,
+                               random_reduced_word, random_sl2z, reduce_word,
+                               reverse_word, rotate_word, trace_matches,
+                               trace_poly, trace_poly_with, word_from_string,
                                word_to_string)
+from knotpoly.verify import check_trace_oracle
 
 X = MultiPoly.variable("x", ("x", "y", "z"))
 Y = MultiPoly.variable("y", ("x", "y", "z"))
@@ -87,6 +87,12 @@ def test_generator_traces():
     assert trace_poly(w("b")) == X
 
 
+def test_trace_poly_reduces_a_raw_letter_sequence():
+    raw = [(GENERATOR_A, 1), (GENERATOR_A, 1), (GENERATOR_B, -1),
+           (GENERATOR_B, 1), (GENERATOR_B, 0)]
+    assert trace_poly(raw) == trace_poly(w("a^2")) == X ** 2 - 2
+
+
 def test_inverse_pair_trace():
     assert trace_poly(w("a b^-1")) == X * Y - Z
 
@@ -138,32 +144,30 @@ def test_nested_slice_traces_match_per_slice_folds(word):
 
 
 def _coeff_matrix(coeffs, ma, mb):
-    """alpha*1 + beta*A + gamma*B + delta*AB as a numeric 2x2 matrix."""
+    """alpha*1 + beta*A + gamma*B + delta*AB as a Matrix2."""
     al, be, ga, de = coeffs
-    return tuple(al * i + be * a + ga * b + de * ab for i, a, b, ab
-                 in zip((1, 0, 0, 1), ma, mb, _num_mul(ma, mb)))
+    return Matrix2(*(al * i + be * a + ga * b + de * ab for i, a, b, ab
+                     in zip((1, 0, 0, 1), ma.entries(), mb.entries(),
+                            (ma * mb).entries())))
 
 
 def test_multiplication_tables_match_matrix_products():
-    # Each row of both tables, as an identity of matrices: the table's
-    # coefficients of E*g^k (g^k*E) against the product itself.
+    # Each row of both tables, as an identity of integer matrices: the
+    # table's coefficients of E*g^k (g^k*E) against the product itself.
     rng = random.Random(DEFAULT_SEED)
     for _ in range(20):
-        ma, mb = random_sl2(rng), random_sl2(rng)
-        ab = _num_mul(ma, mb)
-        x, y, z = ma[0] + ma[3], mb[0] + mb[3], ab[0] + ab[3]
-        coeffs = tuple(complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
-                       for _ in range(4))
+        ma, mb = random_sl2z(rng), random_sl2z(rng)
+        x, y, z = ma.trace(), mb.trace(), (ma * mb).trace()
+        coeffs = tuple(rng.randint(-9, 9) for _ in range(4))
         e = _coeff_matrix(coeffs, ma, mb)
         for gen, base in ((GENERATOR_A, ma), (GENERATOR_B, mb)):
             for exp in (1, -1, 2, -3):
-                g = _num_pow(base, exp)
-                for table, product in ((_mul_right, _num_mul(e, g)),
-                                       (_mul_left, _num_mul(g, e))):
+                g = base ** exp
+                for table, product in ((_mul_right, e * g),
+                                       (_mul_left, g * e)):
                     got = _coeff_matrix(
                         table(gen, exp, coeffs, x, y, z, z - x * y), ma, mb)
-                    gap = max(abs(u - v) for u, v in zip(got, product))
-                    assert gap < ORACLE_TOL, (table, gen, exp)
+                    assert got == product, (table, gen, exp)
 
 
 # -- chebyshev families ----------------------------------------------------
@@ -193,43 +197,76 @@ def test_chebyshev_t_from_s():
 def test_chebyshev_trigonometric_values():
     for k in range(-6, 7):
         for theta in (0.3, 1.1, 2.5):
-            val = chebyshev_t(k).eval_complex({"y": 2 * math.cos(theta)})
+            val = chebyshev_t(k).evaluate({"y": 2 * math.cos(theta)})
             assert abs(val - 2 * math.cos(k * theta)) < 1e-9
-            sval = chebyshev_s(k).eval_complex({"y": 2 * math.cos(theta)})
+            sval = chebyshev_s(k).evaluate({"y": 2 * math.cos(theta)})
             expected = math.sin((k + 1) * theta) / math.sin(theta)
             assert abs(sval - expected) < 1e-9
 
 
-# -- numeric oracle --------------------------------------------------------
+# -- exact oracle ----------------------------------------------------------
+
+def test_random_sl2z_draws_varied_integer_matrices():
+    rng = random.Random(DEFAULT_SEED)
+    mats = [random_sl2z(rng) for _ in range(50)]
+    for m in mats:
+        assert m.det() == 1
+        assert all(type(e) is int for e in m.entries())
+    # a triangular or repeated sample would weaken every oracle verdict
+    assert any(m.b and m.c for m in mats)
+    assert len({m.trace() for m in mats}) > 5
+
 
 def test_rewrite_table_spot_check():
-    assert validate_rewrite_table()
+    rng = random.Random(DEFAULT_SEED)
+    basics = [FreeWord(()), FreeWord(((GENERATOR_A, 1),)),
+              FreeWord(((GENERATOR_B, 1),)), w("a b"), w("a b^-1"),
+              w("a b a^-1 b^-1")]
+    for word in basics:
+        assert trace_matches(word, 8, rng)
+    for _ in range(25):
+        assert trace_matches(random_reduced_word(rng), 4, rng)
 
 
-def test_numeric_oracle_on_sample_words():
+def test_exact_oracle_on_sample_words():
     rng = random.Random(DEFAULT_SEED)
     for text in ("a b", "a b^-1 a b", "a^2 b^-3 a^-1 b",
                  "b a b a^-1 b^-1 a"):
-        assert numeric_trace_oracle(w(text), rng=rng)
+        assert trace_matches(w(text), 20, rng)
 
 
-def test_numeric_oracle_catches_wrong_polynomial():
-    rng = random.Random(DEFAULT_SEED)
-    word = w("a b")
-    # perturb the candidate: compare z + 1 against tr(ab)
-    from knotpoly.sl2trace import numeric_word_trace, random_sl2
-    wrong = Z + 1
-    hits = 0
-    for _ in range(10):
-        ma, mb = random_sl2(rng), random_sl2(rng)
-        prod_tr = (ma[0] * mb[0] + ma[1] * mb[2]
-                   + ma[2] * mb[1] + ma[3] * mb[3])
-        direct = numeric_word_trace(word, ma, mb)
-        via = wrong.eval_complex({"x": ma[0] + ma[3], "y": mb[0] + mb[3],
-                                  "z": prod_tr})
-        if abs(direct - via) > 1e-6:
-            hits += 1
-    assert hits == 10
+def test_exact_oracle_catches_wrong_polynomial(monkeypatch):
+    # compare z + 1 against tr(ab): the first trial already differs
+    monkeypatch.setattr(sl2trace, "trace_poly", lambda word: Z + 1)
+    assert not trace_matches(w("a b"), 1, random.Random(DEFAULT_SEED))
+
+
+@pytest.fixture
+def fresh_trace_cache():
+    sl2trace._trace_xyz.cache_clear()
+    yield
+    sl2trace._trace_xyz.cache_clear()
+
+
+def test_trace_oracle_catches_a_wrong_table_row(monkeypatch,
+                                                fresh_trace_cache):
+    def wrong_mul_left(gen, exp, coeffs, px, py, pz, z_xy):
+        if gen == GENERATOR_A or exp > 0:
+            return _mul_left(gen, exp, coeffs, px, py, pz, z_xy)
+        al, be, ga, de = coeffs
+        for _ in range(-exp):
+            # the b^-1 row with the sign of pz * de flipped
+            al, be, ga, de = (py * al - z_xy * be + ga + px * de,
+                              -de,
+                              -al - px * be + pz * de,
+                              py * de + be)
+        return al, be, ga, de
+
+    monkeypatch.setattr(sl2trace, "_mul_left", wrong_mul_left)
+    report, = check_trace_oracle()
+    assert report.status == "fail"
+    failed = report.details["failed_words"]
+    assert failed and all("b^-" in word for word in failed)
 
 
 def test_random_reduced_word_respects_length_bound():
@@ -243,13 +280,10 @@ def test_random_reduced_word_respects_length_bound():
 
 def test_matrix_of_word_matches_trace():
     # exact dual route on a concrete integer representation
-    from knotpoly.exactpoly import Matrix2
     ma = Matrix2(1, 1, 0, 1)
     mb = Matrix2(1, 0, 1, 1)
     word = w("a b a^-1 b^-1")
     m = matrix_of_word(word, (ma, mb))
     prod = ma * mb
-    x_val, y_val, z_val = 2, 2, prod.a + prod.d
-    poly_val = trace_poly(word).eval_complex(
-        {"x": x_val, "y": y_val, "z": z_val})
-    assert m.a + m.d == round(poly_val.real)
+    point = {"x": ma.trace(), "y": mb.trace(), "z": prod.trace()}
+    assert m.trace() == trace_poly(word).evaluate(point)
