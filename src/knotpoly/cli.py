@@ -111,14 +111,14 @@ def _run_pretzel(args):
     n = args.n
     _check_pretzel_n(n, "--n")
     knot = PretzelKnot(n)
-    reports = [x0_report(n), seidenberg_report(n)]
+    data = x0_slice(n)
+    reports = [x0_report(data), seidenberg_report(data)]
     if abs(n) <= TRACE_WORD_BOUND:
         reports.append(closed_form_report(n))
     if n in (0, 1, 2):
-        reports.append(radical_slice_report(n))
+        reports.append(radical_slice_report(data))
     if abs(n) <= WITNESS_BOUND:
         reports.extend(witness_reports(n))
-    data = x0_slice(n)
     payload = {
         "p": defining_p().to_text(),
         "q_n": defining_q(n).to_text(),

@@ -24,7 +24,7 @@ ones.  The module also provides rational functions (always reduced,
 denominator normalized, Laurent variables allowed), ``Matrix2``, a
 ``__slots__`` 2x2 matrix over any ring-like entries (inverted only at
 determinant one), primitive-PRS gcd, Sylvester/Bareiss resultants, Newton
-polygons via monotone chain, and a canonical text / JSON serialization.
+polygons via monotone chain, and a canonical text form.
 
 Exact division, which the Bareiss resultant and the primitive-PRS gcd
 lean on, takes leading terms from a heap of the remainder's monomials and
@@ -434,37 +434,6 @@ class MultiPoly:
             out[exp[:i] + (e - 1,) + exp[i + 1:]] = c * e
         return MultiPoly._make(self.vars, self.laurent, out)
 
-    def substitute(self, var, replacement: "MultiPoly") -> "MultiPoly":
-        """Replace var by a polynomial (negative powers need a unit monomial)."""
-        i = self._index(var)
-        if not isinstance(replacement, MultiPoly):
-            raise TypeError("replacement must be a MultiPoly")
-        merged_vars, merged_laurent = _merge_vars(self, replacement)
-        base = self.extend_to(merged_vars, merged_laurent)
-        rep = replacement.extend_to(merged_vars, merged_laurent)
-        bi = merged_vars.index(var)
-        pows: dict[int, MultiPoly] = {0: MultiPoly.const(merged_vars, 1,
-                                                         merged_laurent)}
-
-        def power(k: int) -> MultiPoly:
-            if k in pows:
-                return pows[k]
-            if k > 0:
-                pows[k] = power(k - 1) * rep
-            else:
-                inv = rep._monomial_inverse()
-                pows[k] = power(k + 1) * inv
-            return pows[k]
-
-        total = MultiPoly.zero(merged_vars, merged_laurent)
-        for exp, c in base.terms.items():
-            k = exp[bi]
-            stripped = MultiPoly._make(
-                merged_vars, merged_laurent,
-                {exp[:bi] + (0,) + exp[bi + 1:]: c})
-            total = total + stripped * power(k)
-        return total
-
     def substitute_square(self, var, new_name) -> "MultiPoly":
         """Rewrite even powers var**(2k) as new_name**k."""
         i = self._index(var)
@@ -577,26 +546,6 @@ class MultiPoly:
                 parts.append(f"+ {body}" if c > 0 else f"- {body}")
         return " ".join(parts)
 
-    def to_json_dict(self) -> dict:
-        terms = []
-        for exp, c in self._sorted_terms():
-            f = Fraction(c)
-            terms.append({"exp": list(exp), "num": str(f.numerator),
-                          "den": str(f.denominator)})
-        return {"vars": list(self.vars), "terms": terms}
-
-    @classmethod
-    def from_json_dict(cls, doc: Mapping) -> "MultiPoly":
-        vars = tuple(doc["vars"])
-        terms = {}
-        mins = [0] * len(vars)
-        for t in doc["terms"]:
-            exp = tuple(int(e) for e in t["exp"])
-            mins = [min(m, e) for m, e in zip(mins, exp)]
-            terms[exp] = Fraction(int(t["num"]), int(t["den"]))
-        laurent = tuple(m < 0 for m in mins)
-        return cls(vars, terms, laurent)
-
     def __repr__(self):
         return f"<MultiPoly {self.to_text()}>"
 
@@ -618,29 +567,6 @@ def _merge(a, b, negate):
         else:
             del out[e]
     return out
-
-
-def _merge_vars(p: MultiPoly, q: MultiPoly):
-    vars = list(p.vars)
-    for v in q.vars:
-        if v not in vars:
-            vars.append(v)
-    vars = tuple(vars)
-    laurent = []
-    for v in vars:
-        flag = False
-        if v in p.vars and p.laurent[p.vars.index(v)]:
-            flag = True
-        if v in q.vars and q.laurent[q.vars.index(v)]:
-            flag = True
-        laurent.append(flag)
-    return vars, tuple(laurent)
-
-
-def align(p: MultiPoly, q: MultiPoly):
-    """Bring two polynomials onto a common variable list."""
-    vars, laurent = _merge_vars(p, q)
-    return p.extend_to(vars, laurent), q.extend_to(vars, laurent)
 
 
 # -- exact division and gcd ----------------------------------------------

@@ -204,14 +204,12 @@ def b_poly(n: int) -> MultiPoly:
 
 @lru_cache(maxsize=None)
 def slice_p() -> MultiPoly:
-    return defining_p().substitute(
-        "x", MultiPoly.zero(VARS_XYZ)).restrict(VARS_YZ)
+    return defining_p().coeff_in("x", 0).restrict(VARS_YZ)
 
 
 @lru_cache(maxsize=None)
 def slice_q(n: int) -> MultiPoly:
-    return defining_q(n).substitute(
-        "x", MultiPoly.zero(VARS_XYZ)).restrict(VARS_YZ)
+    return defining_q(n).coeff_in("x", 0).restrict(VARS_YZ)
 
 
 @dataclass(frozen=True)
@@ -244,11 +242,10 @@ def x0_slice(n: int) -> X0SliceData:
     return X0SliceData(n, a_n, b_n, u_n, identity_ok, squarefree_ok)
 
 
-def x0_report(n: int) -> VerificationReport:
-    data = x0_slice(n)
+def x0_report(data: X0SliceData) -> VerificationReport:
     ok = data.identity_ok and data.squarefree_ok
     return VerificationReport(
-        "x0-slice", f"n={n}", status_of(ok),
+        "x0-slice", f"n={data.n}", status_of(ok),
         {"a_n": data.a_n.to_text(), "b_n": data.b_n.to_text(),
          "u_n": data.u_n.to_text(), "identity_ok": data.identity_ok,
          "squarefree_ok": data.squarefree_ok})
@@ -276,6 +273,14 @@ def _slice_root_angles(n: int) -> list:
     return fam
 
 
+def _reflect_y(p: MultiPoly) -> MultiPoly:
+    """p(-y): the terms of odd degree in y change sign."""
+    i = p.vars.index("y")
+    return MultiPoly._new(p.vars, p.laurent,
+                          {e: -c if e[i] % 2 else c
+                           for e, c in p.terms.items()})
+
+
 def shared_square_factor(n: int):
     """Exact detector for colliding roots of the z-side product.
 
@@ -287,16 +292,14 @@ def shared_square_factor(n: int):
     """
     if n < 3:
         return None
-    y = MultiPoly.variable("y", ("y",))
     u_n, a_n = u_poly(n), a_poly(n)
-    g = gcd_in(u_n * u_n.substitute("y", -y),
-               a_n * a_n.substitute("y", -y), "y")
+    g = gcd_in(u_n * _reflect_y(u_n), a_n * _reflect_y(a_n), "y")
     if (g.degree_in("y") or 0) > 0:
         return g
     return None
 
 
-def seidenberg_report(n: int) -> VerificationReport:
+def seidenberg_report(data: X0SliceData) -> VerificationReport:
     """Two slice-ideal certificates in the sense of Seidenberg's lemma.
 
     The y-side certificate is exact: a_n U_n lies in the slice ideal by an
@@ -305,7 +308,7 @@ def seidenberg_report(n: int) -> VerificationReport:
     coefficients, so its square-freeness is checked as pairwise root
     separation in floating point; the whole report is flagged numeric.
     """
-    data = x0_slice(n)
+    n = data.n
     p0, q0 = slice_p(), slice_q(n)
     z = MultiPoly.variable("z", VARS_YZ)
     a_l = data.a_n.extend_to(VARS_YZ)
@@ -424,16 +427,16 @@ def membership_certificate(target: MultiPoly, gens,
     return None
 
 
-def radical_slice_report(n: int) -> VerificationReport:
+def radical_slice_report(data: X0SliceData) -> VerificationReport:
     """Exact radical certificates for the x = 0 slice at n in {0, 1, 2}.
 
     Exhibits square-free members of the two elimination ideals: a_n U_n on
     the y side, and the square-free part of Res_y(P, Q_n) on the z side
     with explicit cofactors witnessing membership.
     """
+    n = data.n
     if n not in (0, 1, 2):
         raise ValueError("direct slice check is reserved for n in {0, 1, 2}")
-    data = x0_slice(n)
     p0, q0 = slice_p(), slice_q(n)
     au = data.a_n * data.u_n
     y_ok = data.identity_ok and data.squarefree_ok

@@ -7,6 +7,10 @@ a(M) L^k . b(M) L^l = a(M) b(t^2k M) L^(k+l).  The module also provides
 the sigma involution, the skein-image elements, specialization at t = -1,
 the left action on integer-indexed sequences, (1+t)-adic heights in the
 localization, and the weak division step used for recurrence ideals.
+
+The twist and the action are exponent maps, not substitutions: the twist
+by L^k sends t^a M^b to t^(a + 2kb) M^b, a bijection on monomials, and the
+action at n sends t^a M^b to t^(a + 2nb), summing what lands together.
 """
 
 from __future__ import annotations
@@ -157,10 +161,6 @@ class QTElem:
                 parts.append(f"{coeff}*L^{j}")
         return " + ".join(parts)
 
-    def to_json_dict(self) -> dict:
-        return {"terms": [{"l": j, "coeff": self.terms[j].to_json_dict()}
-                          for j in sorted(self.terms)]}
-
     def __repr__(self):
         return f"<QTElem {self.to_text()}>"
 
@@ -169,7 +169,10 @@ def _twist(a: MultiPoly, k: int) -> MultiPoly:
     """a(t, M) -> a(t, t^2k M), the conjugation by L^k."""
     if k == 0:
         return a
-    return a.substitute("M", tm_poly({(2 * k, 1): 1}))
+    s = 2 * k
+    return MultiPoly._new(a.vars, a.laurent,
+                          {(et + s * em, em): c
+                           for (et, em), c in a.terms.items()})
 
 
 def qt_mul(p: QTElem, q: QTElem) -> QTElem:
@@ -233,9 +236,13 @@ class DiscreteSeq:
 def act(p: QTElem, f: DiscreteSeq, n: int) -> MultiPoly:
     """Left action: (a(t, M) L^j f)(n) = a(t, t^2n) f(n + j)."""
     total = MultiPoly.zero(VARS_T, LAURENT_T)
+    s = 2 * n
     for j, a in p.terms.items():
-        scalar = a.substitute("M", tm_poly({(2 * n, 0): 1})).restrict(VARS_T)
-        total = total + scalar * f(n + j)
+        folded: dict = {}
+        for (et, em), c in a.terms.items():
+            e = (et + s * em,)
+            folded[e] = folded.get(e, 0) + c
+        total = total + MultiPoly._make(VARS_T, LAURENT_T, folded) * f(n + j)
     return total
 
 
@@ -246,13 +253,9 @@ def apply_seq(p: QTElem, f: DiscreteSeq) -> DiscreteSeq:
 
 def jones_unknot(n: int) -> MultiPoly:
     """[n] = (t^2n - t^-2n) / (t^2 - t^-2), expanded exactly."""
-    if n == 0:
-        return MultiPoly.zero(VARS_T, LAURENT_T)
-    if n < 0:
-        return -jones_unknot(-n)
-    return MultiPoly(VARS_T,
-                     {(2 * k,): 1 for k in range(-(n - 1), n, 2)},
-                     LAURENT_T)
+    sign, m = (1, n) if n >= 0 else (-1, -n)
+    return MultiPoly._new(VARS_T, LAURENT_T,
+                          {(2 * k,): sign for k in range(1 - m, m, 2)})
 
 
 JONES_UNKNOT_SEQ = DiscreteSeq(jones_unknot)

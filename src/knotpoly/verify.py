@@ -64,8 +64,9 @@ def check_resultants(n_range=None) -> list:
 def check_x0_slices(n_range=None) -> list:
     """Slice identity and square-freeness at x = 0, cosine-root residuals,
     and the direct radical certificates at the three smallest knots."""
-    reports = [pretzel.x0_report(n) for n in _span(n_range, X0_RANGE)]
-    for n in _span(n_range, X0_RANGE):
+    slices = {n: pretzel.x0_slice(n) for n in _span(n_range, X0_RANGE)}
+    reports = [pretzel.x0_report(data) for data in slices.values()]
+    for n in slices:
         details = {"tol": pretzel.RESIDUAL_TOL}
         worst = 0.0
         if n >= 1:
@@ -81,8 +82,8 @@ def check_x0_slices(n_range=None) -> list:
             "x0-cosine-roots", f"n={n}",
             status_of(worst < pretzel.RESIDUAL_TOL, numeric=True), details))
     for n in RADICAL_DIRECT_NS:
-        if n_range is None or n_range[0] <= n <= n_range[1]:
-            reports.append(pretzel.radical_slice_report(n))
+        if n in slices:
+            reports.append(pretzel.radical_slice_report(slices[n]))
     return reports
 
 

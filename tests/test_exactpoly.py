@@ -13,7 +13,7 @@ from knotpoly import exactpoly
 from knotpoly.exactpoly import (AlignmentError, EvaluationError,
                                 InexactDivisionError, LaurentInputError,
                                 Matrix2, MultiPoly,
-                                RationalFunction, align, exact_div, gcd_in,
+                                RationalFunction, exact_div, gcd_in,
                                 is_squarefree_in, newton_polygon, poly_gcd,
                                 rational_normalize, resultant_in,
                                 squarefree_part_in)
@@ -240,45 +240,12 @@ def test_text_zero():
     assert MultiPoly.zero(XY).to_text() == "0"
 
 
-@settings(max_examples=40, deadline=None)
-@given(small_polys())
-def test_json_round_trip(p):
-    assert MultiPoly.from_json_dict(p.to_json_dict()) == p
-
-
-def test_json_round_trip_fraction_and_laurent():
-    p = MultiPoly(("t",), {(-3,): Fraction(1, 3)}, (True,))
-    q = MultiPoly.from_json_dict(p.to_json_dict())
-    assert q == p and q.laurent == (True,)
-
-
 # -- alignment and substitution -------------------------------------------
-
-def test_align_merges_variable_lists():
-    a = MultiPoly(("x",), {(1,): 1})
-    b = MultiPoly(("y",), {(1,): 1})
-    aa, bb = align(a, b)
-    assert aa.vars == bb.vars == ("x", "y")
-    assert aa + bb == poly({(1, 0): 1, (0, 1): 1})
-
 
 def test_mismatched_vars_raise_alignment_error():
     a = MultiPoly(("x",), {(1,): 1})
     with pytest.raises(AlignmentError):
         a + poly({(1, 0): 1})
-
-
-def test_substitute_polynomial():
-    x, y = var("x"), var("y")
-    p = x ** 2 + y
-    assert p.substitute("x", y + 1) == y ** 2 + 3 * y + 1
-
-
-def test_substitute_monomial_into_laurent_exponent():
-    t = MultiPoly.variable("t", ("t", "M"), (True, True))
-    m = MultiPoly.variable("M", ("t", "M"), (True, True))
-    p = m ** -1
-    assert p.substitute("M", t ** 2 * m) == t ** -2 * m ** -1
 
 
 def test_substitute_square_collapses_even_part():

@@ -120,7 +120,7 @@ def test_slice_identity_holds_widely():
 
 
 def test_x0_report():
-    rep = x0_report(5)
+    rep = x0_report(x0_slice(5))
     assert rep.status == "pass"
     assert rep.details["identity_ok"] and rep.details["squarefree_ok"]
 
@@ -145,7 +145,7 @@ def test_shared_square_factor_arises_periodically():
 
 
 def test_seidenberg_passes_off_the_collision_set():
-    rep = seidenberg_report(3)
+    rep = seidenberg_report(x0_slice(3))
     assert rep.status == "numeric-pass"
     assert rep.details["membership_ok"] and rep.details["squarefree_y_ok"]
     assert rep.details["root_count"] == 9
@@ -154,7 +154,7 @@ def test_seidenberg_passes_off_the_collision_set():
 
 def test_seidenberg_fails_honestly_on_the_collision_set():
     for n in (4, 7):
-        rep = seidenberg_report(n)
+        rep = seidenberg_report(x0_slice(n))
         assert rep.status == "fail", n
         assert rep.details["membership_ok"]
         assert rep.details["min_separation"] <= 1e-9
@@ -162,7 +162,7 @@ def test_seidenberg_fails_honestly_on_the_collision_set():
 
 
 def test_seidenberg_trivial_negative_case():
-    rep = seidenberg_report(-2)
+    rep = seidenberg_report(x0_slice(-2))
     assert rep.status == "numeric-pass"
 
 
@@ -170,16 +170,16 @@ def test_seidenberg_trivial_negative_case():
 
 def test_radical_slice_reports():
     for n in (0, 1, 2):
-        rep = radical_slice_report(n)
+        rep = radical_slice_report(x0_slice(n))
         assert rep.status == "pass", (n, rep.details)
         assert rep.details["identity_ok"] and rep.details["squarefree_y_ok"]
         assert "z_generator" in rep.details and "z_cofactors" in rep.details
     with pytest.raises(ValueError):
-        radical_slice_report(3)
+        radical_slice_report(x0_slice(3))
 
 
 def test_radical_slice_certificate_values():
-    rep = radical_slice_report(1)
+    rep = radical_slice_report(x0_slice(1))
     assert rep.details["z_generator"] == "z^3 - 2*z"
     # re-check the exhibited cofactors against the generators
     cof_texts = rep.details["z_cofactors"]

@@ -38,6 +38,13 @@ def test_commutation_rule():
     assert qt_mul(M, L) == QTElem({1: tm_poly({(0, 1): 1})})
 
 
+def test_twist_moves_l_powers_past_m_powers():
+    for k in range(-2, 3):
+        for m in range(-2, 3):
+            product = qt_mul(QTElem.term(1, l_exp=k), QTElem.term(1, m_exp=m))
+            assert product == QTElem({k: tm_poly({(2 * k * m, m): 1})})
+
+
 def test_ml_square():
     assert qt_mul(M, L) ** 2 == QTElem({2: tm_poly({(2, 2): 1})})
 
@@ -158,6 +165,18 @@ def test_act_shifts_and_evaluates():
     assert act(L, f, 3) == jones_unknot(4)
     assert act(M, f, 3) == t ** 6 * jones_unknot(3)
     assert act(QTElem.term(1, t_exp=1), f, -2) == t * jones_unknot(-2)
+
+
+def test_act_folds_m_into_a_power_of_t():
+    f = JONES_UNKNOT_SEQ
+    t = MultiPoly.variable("t", ("t",), (True,))
+    p = QTElem.term(5, t_exp=-1, m_exp=2, l_exp=1)
+    for n in range(-3, 4):
+        assert act(p, f, n) == 5 * t ** (4 * n - 1) * jones_unknot(n + 1)
+    # t^2 and M land on the same power of t at n = 1 and cancel.
+    q = QTElem.term(1, t_exp=2) - M
+    assert act(q, f, 1).is_zero()
+    assert act(q, f, 2) == (t ** 2 - t ** 4) * jones_unknot(2)
 
 
 def test_act_composes_with_multiplication():
