@@ -23,13 +23,24 @@ point's values: exact at ``int`` or ``Fraction`` values, complex at complex
 ones.  The module also provides rational functions (always reduced,
 denominator normalized, Laurent variables allowed), ``Matrix2``, a
 ``__slots__`` 2x2 matrix over any ring-like entries (inverted only at
-determinant one), primitive-PRS gcd, Sylvester/Bareiss resultants, Newton
-polygons via monotone chain, and a canonical text form.
+determinant one), gcds, Sylvester/Bareiss resultants, Newton polygons via
+monotone chain, and a canonical text form.
 
-Exact division, which the Bareiss resultant and the primitive-PRS gcd
-lean on, takes leading terms from a heap of the remainder's monomials and
-keeps quotient coefficients as ``int`` while they divide evenly, so the
-fraction-free elimination over integer polynomials builds no ``Fraction``.
+Exact division, which the Bareiss resultant and the gcds lean on, takes
+leading terms from a heap of the remainder's monomials and keeps quotient
+coefficients as ``int`` while they divide evenly, so the fraction-free
+elimination over integer polynomials builds no ``Fraction``.
+
+``gcd_in`` first tries the heuristic gcd GCDHEU (Char, Geddes & Gonnet,
+J. Symb. Comput. 1989) when both operands have ``int`` coefficients and
+involve its main variable alone.  The primitive parts A, B are evaluated
+at an integer xi >= 2 * min(|A|_inf, |B|_inf) + 2, and the integer gcd of
+the two values, read back in balanced base xi, gives a candidate.  Above
+that bound a candidate whose primitive part divides both A and B is their
+gcd, and exact_div must divide it into both before it is returned, so the
+result is exact.  A rejected candidate is retried at a few larger xi;
+after that, and for every other input, the primitive PRS computes the
+gcd, which is all ``poly_gcd`` uses.
 """
 
 from __future__ import annotations
@@ -656,9 +667,9 @@ def exact_div(p: MultiPoly, q: MultiPoly) -> MultiPoly:
                 rem[e] = v
             else:
                 del rem[e]
-    out = {tuple(e + s for e, s in zip(exp, shift)): c
-           for exp, c in quot.items()}
-    return MultiPoly._make(p.vars, p.laurent, out)
+    if any(shift):
+        quot = {tuple(map(_add, exp, shift)): c for exp, c in quot.items()}
+    return MultiPoly._make(p.vars, p.laurent, quot)
 
 
 def _scalar_content(p: MultiPoly):
@@ -750,8 +761,71 @@ def _gcd_in_core(p: MultiPoly, q: MultiPoly, var) -> MultiPoly:
     return rational_normalize(cont * a)
 
 
+# Evaluation points the heuristic gcd tries before gcd_in falls back to
+# the primitive PRS.
+_GCDHEU_TRIES = 6
+
+
+def _heuristic_gcd(p: MultiPoly, q: MultiPoly, var):
+    """GCDHEU (Char, Geddes & Gonnet, J. Symb. Comput. 7, 1989), as gcd_in
+    describes it: the normalized gcd of p and q, or None when the
+    heuristic does not apply or none of _GCDHEU_TRIES points gives a
+    candidate that exact_div divides into both primitive parts.
+
+    p and q have nonnegative exponents, as gcd_in's shift leaves them; the
+    heuristic applies when both have ``int`` coefficients and involve no
+    variable but var.
+    """
+    i = p._index(var)
+    for f in (p, q):
+        for e, c in f.terms.items():
+            if type(c) is not int or sum(e) != e[i]:
+                return None
+    a, b = rational_normalize(p), rational_normalize(q)
+    xi = 2 * min(max(map(abs, a.terms.values())),
+                 max(map(abs, b.terms.values()))) + 2
+    before, after = (0,) * i, (0,) * (len(p.vars) - i - 1)
+    for _ in range(_GCDHEU_TRIES):
+        point = dict.fromkeys(p.vars, xi)
+        gamma = _int_gcd(a.evaluate(point), b.evaluate(point))
+        half = xi // 2
+        digits = {}
+        k = 0
+        while gamma:
+            gamma, d = divmod(gamma, xi)
+            if d > half:
+                d -= xi
+                gamma += 1
+            if d:
+                digits[before + (k,) + after] = d
+            k += 1
+        g = rational_normalize(MultiPoly._new(p.vars, p.laurent, digits))
+        try:
+            exact_div(a, g)
+            exact_div(b, g)
+        except InexactDivisionError:
+            # grow by 73794/27011, about 1 + sqrt(3), as GCDHEU does in
+            # Geddes, Czapor & Labahn, Algorithms for Computer Algebra
+            xi = xi * 73794 // 27011
+            continue
+        return g
+    return None
+
+
 def gcd_in(p: MultiPoly, q: MultiPoly, var) -> MultiPoly:
-    """Gcd computed with var as the main variable (primitive PRS)."""
+    """Gcd computed with var as the main variable, normalized via
+    rational_normalize.
+
+    When both operands have ``int`` coefficients and involve var alone,
+    the heuristic gcd (GCDHEU) is tried first: one integer gcd of A(xi)
+    and B(xi), where A, B are the primitive parts and xi >= 2 *
+    min(|A|_inf, |B|_inf) + 2, read back in balanced base xi.  The
+    primitive part of that candidate is returned only when exact_div
+    divides it into both A and B; above the bound that proves it is the
+    gcd (Char, Geddes & Gonnet 1989, Theorem 1).  A rejected candidate is
+    retried at a few larger xi.  After that, and for every other input,
+    the primitive PRS computes the gcd, as poly_gcd always does.
+    """
     if p.vars != q.vars:
         raise AlignmentError(f"variable mismatch: {p.vars} vs {q.vars}")
     if p.is_zero() and q.is_zero():
@@ -761,7 +835,8 @@ def gcd_in(p: MultiPoly, q: MultiPoly, var) -> MultiPoly:
         return poly_gcd(p, q)
     p = _shift_all(p, _laurent_shifts(p))
     q = _shift_all(q, _laurent_shifts(q))
-    return _gcd_in_core(p, q, var)
+    g = _heuristic_gcd(p, q, var)
+    return g if g is not None else _gcd_in_core(p, q, var)
 
 
 def is_squarefree_in(p: MultiPoly, var) -> bool:

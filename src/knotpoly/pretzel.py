@@ -214,12 +214,14 @@ def slice_q(n: int) -> MultiPoly:
 
 @dataclass(frozen=True)
 class X0SliceData:
-    """Slice coefficients at x = 0 together with the two exact checks."""
+    """Slice coefficients at x = 0, the product a_n U_n, and the two
+    exact checks."""
 
     n: int
     a_n: MultiPoly
     b_n: MultiPoly
     u_n: MultiPoly
+    au: MultiPoly
     identity_ok: bool
     squarefree_ok: bool
 
@@ -239,7 +241,7 @@ def x0_slice(n: int) -> X0SliceData:
     identity_ok = b_l ** 2 * z * p0 == (q0 - a_l) * (q0 - u_l)
     au = a_n * u_n
     squarefree_ok = (not au.is_zero()) and is_squarefree_in(au, "y")
-    return X0SliceData(n, a_n, b_n, u_n, identity_ok, squarefree_ok)
+    return X0SliceData(n, a_n, b_n, u_n, au, identity_ok, squarefree_ok)
 
 
 def x0_report(data: X0SliceData) -> VerificationReport:
@@ -314,7 +316,7 @@ def seidenberg_report(data: X0SliceData) -> VerificationReport:
     a_l = data.a_n.extend_to(VARS_YZ)
     b_l = data.b_n.extend_to(VARS_YZ)
     u_l = data.u_n.extend_to(VARS_YZ)
-    au = (data.a_n * data.u_n).extend_to(VARS_YZ)
+    au = data.au.extend_to(VARS_YZ)
     membership_ok = au == (a_l * q0 - q0 ** 2 + q0 * u_l
                            + b_l ** 2 * z * p0)
     roots = [0j]
@@ -438,9 +440,8 @@ def radical_slice_report(data: X0SliceData) -> VerificationReport:
     if n not in (0, 1, 2):
         raise ValueError("direct slice check is reserved for n in {0, 1, 2}")
     p0, q0 = slice_p(), slice_q(n)
-    au = data.a_n * data.u_n
     y_ok = data.identity_ok and data.squarefree_ok
-    details = {"y_generator": au.to_text(),
+    details = {"y_generator": data.au.to_text(),
                "identity_ok": data.identity_ok,
                "squarefree_y_ok": data.squarefree_ok}
     z_ok = False

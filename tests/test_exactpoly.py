@@ -361,6 +361,93 @@ def test_gcd_in_multivariate():
     assert gcd_in(p, q, "y") == y - z
 
 
+@st.composite
+def int_polys_in_y(draw, max_bits=70, max_deg=4):
+    """A nonzero polynomial over (x, y) in y alone with int coefficients
+    of either sign, up to about 2**max_bits."""
+    bound = 2 ** draw(st.integers(1, max_bits))
+    terms = draw(st.dictionaries(
+        st.tuples(st.just(0), st.integers(0, max_deg)),
+        st.integers(-bound, bound).filter(bool), min_size=1, max_size=4))
+    return MultiPoly(XY, terms)
+
+
+@settings(max_examples=80, deadline=None)
+@given(int_polys_in_y(), int_polys_in_y(), int_polys_in_y(max_bits=20),
+       st.integers(0, 3), st.integers(0, 3), st.integers(-50, 50).filter(bool),
+       st.booleans())
+def test_heuristic_gcd_matches_the_prs(a, b, g, ka, kb, content, coprime):
+    y = var("y")
+    if coprime:
+        g = MultiPoly.const(XY, 1)
+    p = content * a * g * y ** ka
+    q = b * g * y ** kb
+    ref = exactpoly._gcd_in_core(p, q, "y")
+    h = exactpoly._heuristic_gcd(p, q, "y")
+    assert h is None or h == ref
+    assert gcd_in(p, q, "y") == ref
+    assert exact_div(p, ref) * ref == p
+
+
+def test_heuristic_gcd_without_tries_falls_back(monkeypatch):
+    y = var("y")
+    p = (y - 1) ** 2 * (3 * y + 2)
+    q = p.derivative("y")
+    ref = exactpoly._gcd_in_core(p, q, "y")
+    assert exactpoly._heuristic_gcd(p, q, "y") == ref == y - 1
+    monkeypatch.setattr(exactpoly, "_GCDHEU_TRIES", 0)
+    assert exactpoly._heuristic_gcd(p, q, "y") is None
+    fallbacks = []
+
+    def core(*args):
+        fallbacks.append(args)
+        return ref
+
+    monkeypatch.setattr(exactpoly, "_gcd_in_core", core)
+    assert gcd_in(p, q, "y") == ref
+    assert len(fallbacks) == 1
+
+
+def test_heuristic_gcd_retries_a_rejected_candidate(monkeypatch):
+    # |y - 2| = |y + 2| = 2, so xi starts at 6; gcd(6 - 2, 6 + 2) = 4 reads
+    # back as y - 2, which does not divide y + 2.
+    y = var("y", ("y",))
+    points, divisors = [], []
+    evaluate, divide = MultiPoly.evaluate, exactpoly.exact_div
+
+    def spy_evaluate(self, point):
+        points.append(point["y"])
+        return evaluate(self, point)
+
+    def spy_divide(p, q):
+        divisors.append(q)
+        return divide(p, q)
+
+    monkeypatch.setattr(MultiPoly, "evaluate", spy_evaluate)
+    monkeypatch.setattr(exactpoly, "exact_div", spy_divide)
+    assert exactpoly._heuristic_gcd(y - 2, y + 2, "y") == 1
+    assert points[0] == 6 and divisors[:2] == [y - 2, y - 2]
+    assert points == sorted(points) and len(set(points)) == 2
+    monkeypatch.setattr(exactpoly, "_GCDHEU_TRIES", 1)
+    assert exactpoly._heuristic_gcd(y - 2, y + 2, "y") is None
+    assert gcd_in(y - 2, y + 2, "y") == 1
+    assert gcd_in((y - 2) * (y + 5), (y + 2) * (y + 5), "y") == y + 5
+
+
+def test_heuristic_gcd_leaves_other_inputs_to_the_prs():
+    y, z = var("y", ("y", "z")), var("z", ("y", "z"))
+    half = Fraction(1, 2)
+    cases = [((y - z) * (y + 1), (y - z) * (z + 2)),
+             ((y + 1) * (y + z), (y + 1) * (y - 3)),
+             (half * (y + 1) * (y - 2), (y + 1) ** 2),
+             ((y + half) * (y - 2), (2 * y + 1) * y)]
+    for p, q in cases:
+        assert exactpoly._heuristic_gcd(p, q, "y") is None
+        assert gcd_in(p, q, "y") == exactpoly._gcd_in_core(p, q, "y")
+    assert gcd_in(*cases[1], "y") == y + 1
+    assert gcd_in(*cases[3], "y") == 2 * y + 1
+
+
 def test_rational_normalize():
     z = MultiPoly.variable("z", ("z",))
     p = (z + 1) * Fraction(3, 2) * -1
