@@ -7,7 +7,7 @@ the quantum-torus recurrence picture with its t = -1 specialization.
 
 from .exactpoly import (AlignmentError, InexactDivisionError, LaurentInputError,
                         Matrix2, MultiPoly, RationalFunction, exact_div,
-                        gcd_in, is_squarefree_in, newton_polygon,
+                        is_squarefree_in, newton_polygon, poly_gcd,
                         rational_normalize, resultant_in, squarefree_part_in)
 from .pretzel import PretzelKnot
 from .qtorus import (DiscreteSeq, LocalizedScalar, QTElem, act, alpha_unknot,
@@ -27,9 +27,9 @@ __all__ = [
     "PretzelKnot", "QTElem", "RationalFunction", "TwoBridgeKnot",
     "VerificationReport", "act", "all_knots", "all_passed", "alpha_unknot",
     "annihilation_check", "character_polynomial", "chebyshev_s",
-    "chebyshev_t", "epsilon_eval", "exact_div", "gcd_in", "height",
-    "is_squarefree_in", "jones_unknot", "newton_polygon", "qt_mul",
-    "qt_sigma", "rational_normalize", "reduce_word", "resultant_in",
+    "chebyshev_t", "epsilon_eval", "exact_div", "height",
+    "is_squarefree_in", "jones_unknot", "newton_polygon", "poly_gcd",
+    "qt_mul", "qt_sigma", "rational_normalize", "reduce_word", "resultant_in",
     "sigma_symmetry_factor", "sort_reports", "squarefree_part_in",
     "trace_poly", "upsilon", "weak_divide", "word_from_string",
     "word_to_string", "__version__",

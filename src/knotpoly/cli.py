@@ -90,14 +90,15 @@ def _run_twobridge(args):
                          f"{TWOBRIDGE_P_MAX}")
     knot = TwoBridgeKnot(args.p, args.m)
     phi = character_polynomial(knot)
-    gamma = character_polynomial_even(knot)
+    gamma = character_polynomial_even(knot, phi)
     payload = {
         "phi": phi.to_text(),
         "gamma": gamma.to_text(),
         "z_degree": knot.d,
         "irreducibility": irreducibility_certificate(knot).value,
     }
-    reports = structural_reports(knot) + [leading_term_report(knot)]
+    reports = (structural_reports(knot, phi, gamma)
+               + [leading_term_report(knot)])
     return knot.label(), payload, reports
 
 

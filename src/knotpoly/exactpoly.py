@@ -31,16 +31,17 @@ leading terms from a heap of the remainder's monomials and keeps quotient
 coefficients as ``int`` while they divide evenly, so the fraction-free
 elimination over integer polynomials builds no ``Fraction``.
 
-``gcd_in`` first tries the heuristic gcd GCDHEU (Char, Geddes & Gonnet,
-J. Symb. Comput. 1989) when both operands have ``int`` coefficients and
-involve its main variable alone.  The primitive parts A, B are evaluated
-at an integer xi >= 2 * min(|A|_inf, |B|_inf) + 2, and the integer gcd of
-the two values, read back in balanced base xi, gives a candidate.  Above
-that bound a candidate whose primitive part divides both A and B is their
-gcd, and exact_div must divide it into both before it is returned, so the
-result is exact.  A rejected candidate is retried at a few larger xi;
+``poly_gcd`` is the one gcd.  It first tries the heuristic gcd GCDHEU
+(Char, Geddes & Gonnet, J. Symb. Comput. 1989) when both operands have
+``int`` coefficients and together involve one variable.  The primitive
+parts A, B are evaluated at an integer xi >= 2 * min(|A|_inf, |B|_inf) +
+2, and the integer gcd of the two values, read back in balanced base xi,
+gives a candidate.  Above that bound a candidate whose primitive part
+divides both A and B is their gcd, and exact_div must divide it into both
+before it is returned, so the result is exact (Char, Geddes & Gonnet
+1989, Theorem 1).  A rejected candidate is retried at a few larger xi;
 after that, and for every other input, the primitive PRS computes the
-gcd, which is all ``poly_gcd`` uses.
+gcd.
 """
 
 from __future__ import annotations
@@ -696,22 +697,29 @@ def rational_normalize(p: MultiPoly) -> MultiPoly:
 
 
 def poly_gcd(p: MultiPoly, q: MultiPoly) -> MultiPoly:
-    """Full multivariate gcd, normalized via rational_normalize."""
+    """The gcd of p and q, normalized via rational_normalize.
+
+    Laurent exponents are shifted to nonnegative ones first.  Operands
+    with ``int`` coefficients that together involve one variable go to
+    the heuristic gcd (GCDHEU, as the module docstring describes it).
+    Every other pair, and one the heuristic gives up on, runs the
+    primitive PRS in the first variable of positive degree; a normalized
+    gcd is unique, so that choice cannot change the result.
+    """
     if p.vars != q.vars:
         raise AlignmentError(f"variable mismatch: {p.vars} vs {q.vars}")
     if p.is_zero() and q.is_zero():
         raise UndefinedGcdError("gcd(0, 0) is undefined")
-    if p.is_zero():
-        return rational_normalize(_shift_all(q, _laurent_shifts(q)))
-    if q.is_zero():
-        return rational_normalize(_shift_all(p, _laurent_shifts(p)))
     p = _shift_all(p, _laurent_shifts(p))
     q = _shift_all(q, _laurent_shifts(q))
+    if p.is_zero() or q.is_zero():
+        return rational_normalize(q if p.is_zero() else p)
+    g = _heuristic_gcd(p, q)
+    if g is not None:
+        return g
     for v in p.vars:
-        dp = p.degree_in(v)
-        dq = q.degree_in(v)
-        if (dp or 0) > 0 or (dq or 0) > 0:
-            return _gcd_in_core(p, q, v)
+        if (p.degree_in(v) or 0) > 0 or (q.degree_in(v) or 0) > 0:
+            return _prs_gcd(p, q, v)
     return MultiPoly.const(p.vars, 1, p.laurent)
 
 
@@ -742,7 +750,8 @@ def _prem(a: MultiPoly, b: MultiPoly, var) -> MultiPoly:
     return r
 
 
-def _gcd_in_core(p: MultiPoly, q: MultiPoly, var) -> MultiPoly:
+def _prs_gcd(p: MultiPoly, q: MultiPoly, var) -> MultiPoly:
+    """The primitive PRS gcd of nonzero p and q with main variable var."""
     cp, pp = _content_and_primitive(p, var)
     cq, qq = _content_and_primitive(q, var)
     cont = poly_gcd(cp, cq)
@@ -761,26 +770,29 @@ def _gcd_in_core(p: MultiPoly, q: MultiPoly, var) -> MultiPoly:
     return rational_normalize(cont * a)
 
 
-# Evaluation points the heuristic gcd tries before gcd_in falls back to
+# Evaluation points the heuristic gcd tries before poly_gcd falls back to
 # the primitive PRS.
 _GCDHEU_TRIES = 6
 
 
-def _heuristic_gcd(p: MultiPoly, q: MultiPoly, var):
-    """GCDHEU (Char, Geddes & Gonnet, J. Symb. Comput. 7, 1989), as gcd_in
-    describes it: the normalized gcd of p and q, or None when the
+def _heuristic_gcd(p: MultiPoly, q: MultiPoly):
+    """GCDHEU (Char, Geddes & Gonnet, J. Symb. Comput. 7, 1989), as
+    poly_gcd describes it: the normalized gcd of p and q, or None when the
     heuristic does not apply or none of _GCDHEU_TRIES points gives a
     candidate that exact_div divides into both primitive parts.
 
-    p and q have nonnegative exponents, as gcd_in's shift leaves them; the
-    heuristic applies when both have ``int`` coefficients and involve no
-    variable but var.
+    p and q are nonzero with nonnegative exponents, as poly_gcd leaves
+    them; the heuristic applies when both have ``int`` coefficients and
+    together involve exactly one variable, read off their exponents.
     """
-    i = p._index(var)
     for f in (p, q):
-        for e, c in f.terms.items():
-            if type(c) is not int or sum(e) != e[i]:
+        for c in f.terms.values():
+            if type(c) is not int:
                 return None
+    live = [i for i, col in enumerate(zip(*p.terms, *q.terms)) if any(col)]
+    if len(live) != 1:
+        return None
+    i = live[0]
     a, b = rational_normalize(p), rational_normalize(q)
     xi = 2 * min(max(map(abs, a.terms.values())),
                  max(map(abs, b.terms.values()))) + 2
@@ -812,33 +824,6 @@ def _heuristic_gcd(p: MultiPoly, q: MultiPoly, var):
     return None
 
 
-def gcd_in(p: MultiPoly, q: MultiPoly, var) -> MultiPoly:
-    """Gcd computed with var as the main variable, normalized via
-    rational_normalize.
-
-    When both operands have ``int`` coefficients and involve var alone,
-    the heuristic gcd (GCDHEU) is tried first: one integer gcd of A(xi)
-    and B(xi), where A, B are the primitive parts and xi >= 2 *
-    min(|A|_inf, |B|_inf) + 2, read back in balanced base xi.  The
-    primitive part of that candidate is returned only when exact_div
-    divides it into both A and B; above the bound that proves it is the
-    gcd (Char, Geddes & Gonnet 1989, Theorem 1).  A rejected candidate is
-    retried at a few larger xi.  After that, and for every other input,
-    the primitive PRS computes the gcd, as poly_gcd always does.
-    """
-    if p.vars != q.vars:
-        raise AlignmentError(f"variable mismatch: {p.vars} vs {q.vars}")
-    if p.is_zero() and q.is_zero():
-        raise UndefinedGcdError("gcd(0, 0) is undefined")
-    p._index(var)
-    if p.is_zero() or q.is_zero():
-        return poly_gcd(p, q)
-    p = _shift_all(p, _laurent_shifts(p))
-    q = _shift_all(q, _laurent_shifts(q))
-    g = _heuristic_gcd(p, q, var)
-    return g if g is not None else _gcd_in_core(p, q, var)
-
-
 def is_squarefree_in(p: MultiPoly, var) -> bool:
     """True when gcd(p, dp/dvar) is constant in var."""
     if p.is_zero():
@@ -846,7 +831,7 @@ def is_squarefree_in(p: MultiPoly, var) -> bool:
     d = p.derivative(var)
     if d.is_zero():
         return p.degree_in(var) == 0
-    g = gcd_in(p, d, var)
+    g = poly_gcd(p, d)
     return g.degree_in(var) == 0
 
 
@@ -857,7 +842,7 @@ def squarefree_part_in(p: MultiPoly, var) -> MultiPoly:
     d = p.derivative(var)
     if d.is_zero():
         return rational_normalize(p)
-    g = gcd_in(p, d, var)
+    g = poly_gcd(p, d)
     return rational_normalize(exact_div(p, g))
 
 

@@ -20,7 +20,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 
-from .exactpoly import (Matrix2, MultiPoly, gcd_in, is_squarefree_in,
+from .exactpoly import (Matrix2, MultiPoly, is_squarefree_in, poly_gcd,
                         resultant_in, squarefree_part_in)
 from .report import (InternalInconsistencyError, VerificationReport,
                      status_of)
@@ -295,7 +295,7 @@ def shared_square_factor(n: int):
     if n < 3:
         return None
     u_n, a_n = u_poly(n), a_poly(n)
-    g = gcd_in(u_n * _reflect_y(u_n), a_n * _reflect_y(a_n), "y")
+    g = poly_gcd(u_n * _reflect_y(u_n), a_n * _reflect_y(a_n))
     if (g.degree_in("y") or 0) > 0:
         return g
     return None

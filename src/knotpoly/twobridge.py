@@ -127,10 +127,10 @@ def character_polynomial(knot: TwoBridgeKnot) -> MultiPoly:
     return total
 
 
-def character_polynomial_even(knot: TwoBridgeKnot) -> MultiPoly:
-    """Character polynomial with x^2 collapsed to X; top part is checked
-    to factor as z^(d-c) (z - X)^c."""
-    phi = character_polynomial(knot)
+def character_polynomial_even(knot: TwoBridgeKnot,
+                              phi: MultiPoly) -> MultiPoly:
+    """The knot's character polynomial phi with x^2 collapsed to X; top
+    part is checked to factor as z^(d-c) (z - X)^c."""
     gamma = phi.substitute_square("x", "X")
     _check_top_part(gamma, knot.d, knot.c, knot.label())
     return gamma
@@ -151,9 +151,9 @@ def _check_top_part(poly: MultiPoly, degree: int, c: int, label: str):
             f"leading part of {label} is not z^{degree - c} (z-X)^{c}")
 
 
-def x_zero_profile(knot: TwoBridgeKnot) -> VerificationReport:
-    """Check phi(0, z) = S_d(z) - S_(d-1)(z)."""
-    phi = character_polynomial(knot)
+def x_zero_profile(knot: TwoBridgeKnot, phi: MultiPoly) -> VerificationReport:
+    """Check phi(0, z) = S_d(z) - S_(d-1)(z) for the knot's character
+    polynomial phi."""
     at_zero = phi.coeff_in("x", 0).restrict(("z",))
     expected = chebyshev_difference(knot.d, "z")
     ok = at_zero == expected
@@ -162,9 +162,10 @@ def x_zero_profile(knot: TwoBridgeKnot) -> VerificationReport:
         {"phi_at_x0": at_zero.to_text(), "expected": expected.to_text()})
 
 
-def newton_vertex_report(knot: TwoBridgeKnot) -> VerificationReport:
-    """Both predicted hull corners must be vertices of the Newton polygon."""
-    gamma = character_polynomial_even(knot)
+def newton_vertex_report(knot: TwoBridgeKnot,
+                         gamma: MultiPoly) -> VerificationReport:
+    """Both predicted hull corners must be vertices of the Newton polygon
+    of the knot's even-form character polynomial gamma."""
     hull = newton_polygon(gamma)
     want = [(0, knot.d), (knot.c, (knot.p - knot.m) // 2)]
     present = [tuple(v) in hull.vertices for v in want]
@@ -226,19 +227,6 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def irreducible_over_q(p: int) -> bool:
-    """Irreducibility over Q of S_d - S_(d-1) for d = (p-1)/2.
-
-    The verdict is primality of p, cross-checked against the exact
-    factorization.
-    """
-    verdict = is_prime(p)
-    if (len(chebyshev_difference_factors(p)) == 1) != verdict:
-        raise InternalInconsistencyError(
-            f"primality of {p} disagrees with the factorization")
-    return verdict
-
-
 def irreducibility_certificate(knot: TwoBridgeKnot) -> IrreducibilityCertificate:
     """Guaranteed C-irreducibility needs p prime and gcd(d, c) = 1,
     reading gcd(d, 0) as d."""
@@ -290,12 +278,18 @@ def chebyshev_difference_factors(p: int) -> list:
 # -- aggregated per-knot reports -----------------------------------------
 
 
-def structural_reports(knot: TwoBridgeKnot) -> list:
-    """Construction-time checks plus the hull and slice claims."""
+def structural_reports(knot: TwoBridgeKnot, phi: MultiPoly = None,
+                       gamma: MultiPoly = None) -> list:
+    """Construction-time checks plus the hull and slice claims.
+
+    phi and gamma are the knot's character polynomial and its even form,
+    built here unless the caller has built them already.
+    """
     reports = []
     try:
-        phi = character_polynomial(knot)
-        gamma = character_polynomial_even(knot)
+        if phi is None:
+            phi = character_polynomial(knot)
+            gamma = character_polynomial_even(knot, phi)
         reports.append(VerificationReport(
             "character-structure", knot.label(), STATUS_PASS,
             {"phi": phi.to_text(), "gamma": gamma.to_text(),
@@ -305,6 +299,6 @@ def structural_reports(knot: TwoBridgeKnot) -> list:
             "character-structure", knot.label(), STATUS_FAIL,
             {"error": str(err)}))
         return reports
-    reports.append(x_zero_profile(knot))
-    reports.append(newton_vertex_report(knot))
+    reports.append(x_zero_profile(knot, phi))
+    reports.append(newton_vertex_report(knot, gamma))
     return reports

@@ -13,7 +13,7 @@ from knotpoly import exactpoly
 from knotpoly.exactpoly import (AlignmentError, EvaluationError,
                                 InexactDivisionError, LaurentInputError,
                                 Matrix2, MultiPoly,
-                                RationalFunction, exact_div, gcd_in,
+                                RationalFunction, exact_div,
                                 is_squarefree_in, newton_polygon, poly_gcd,
                                 rational_normalize, resultant_in,
                                 squarefree_part_in)
@@ -352,13 +352,65 @@ def test_poly_gcd_is_normalized():
     z = MultiPoly.variable("z", ("z",))
     g = poly_gcd(-2 * (z + 1), 4 * (z + 1) ** 2)
     assert g == z + 1
+    y = var("y", ("y",))
+    assert poly_gcd(MultiPoly.const(("y",), 6), 4 * y + 2) == 1
+    assert poly_gcd(MultiPoly.const(("y",), 0), -2 * y - 2) == y + 1
 
 
-def test_gcd_in_multivariate():
-    y, z = var("y", ("y", "z")), var("z", ("y", "z"))
+YZ = ("y", "z")
+INT_OR_FRACTION = st.one_of(st.integers(-9, 9),
+                            st.fractions(-9, 9, max_denominator=6))
+
+
+def test_poly_gcd_multivariate():
+    y, z = var("y", YZ), var("z", YZ)
     p = (y - z) * (y + 1)
     q = (y - z) * (z + 2)
-    assert gcd_in(p, q, "y") == y - z
+    assert poly_gcd(p, q) == y - z
+
+
+def nonzero_yz_polys(max_terms=4):
+    return small_polys(YZ, max_exp=2, max_terms=max_terms,
+                       coeffs=INT_OR_FRACTION).filter(
+        lambda p: not p.is_zero())
+
+
+@settings(max_examples=60, deadline=None)
+@given(nonzero_yz_polys(), nonzero_yz_polys(), nonzero_yz_polys(3))
+def test_poly_gcd_does_not_depend_on_the_main_variable(a, b, common):
+    # A normalized gcd is unique, so the primitive PRS gives it whichever
+    # variable it eliminates; poly_gcd takes no main variable.
+    p, q = a * common, b * common
+    g = poly_gcd(p, q)
+    for v in YZ:
+        if (p.degree_in(v) or 0) > 0 or (q.degree_in(v) or 0) > 0:
+            assert exactpoly._prs_gcd(p, q, v) == g
+    assert exact_div(p, g) * g == p and exact_div(q, g) * g == q
+    assert exact_div(g, common) * common == g
+
+
+def test_poly_gcd_finds_the_heuristic_variable(monkeypatch):
+    # z alone in the ring (y, z), and M alone with negative exponents in
+    # the Laurent ring (t, M): the heuristic applies to both, and its
+    # result is the PRS result.
+    z = var("z", YZ)
+    m = MultiPoly.variable("M", TM, (True, True))
+    cases = [((z - 1) ** 2 * (z + 3), (z - 1) * (2 * z + 5), z - 1),
+             (m ** -2 * (m + 1) * (m - 3), m ** -1 * (m + 1) ** 2, m + 1)]
+    heuristic = exactpoly._heuristic_gcd
+    for p, q, want in cases:
+        taken = []
+
+        def spy(a, b):
+            g = heuristic(a, b)
+            taken.append(g is not None)
+            return g
+
+        monkeypatch.setattr(exactpoly, "_heuristic_gcd", spy)
+        assert poly_gcd(p, q) == want
+        assert taken == [True]
+        monkeypatch.setattr(exactpoly, "_heuristic_gcd", lambda a, b: None)
+        assert poly_gcd(p, q) == want
 
 
 @st.composite
@@ -382,10 +434,10 @@ def test_heuristic_gcd_matches_the_prs(a, b, g, ka, kb, content, coprime):
         g = MultiPoly.const(XY, 1)
     p = content * a * g * y ** ka
     q = b * g * y ** kb
-    ref = exactpoly._gcd_in_core(p, q, "y")
-    h = exactpoly._heuristic_gcd(p, q, "y")
+    ref = exactpoly._prs_gcd(p, q, "y")
+    h = exactpoly._heuristic_gcd(p, q)
     assert h is None or h == ref
-    assert gcd_in(p, q, "y") == ref
+    assert poly_gcd(p, q) == ref
     assert exact_div(p, ref) * ref == p
 
 
@@ -393,18 +445,18 @@ def test_heuristic_gcd_without_tries_falls_back(monkeypatch):
     y = var("y")
     p = (y - 1) ** 2 * (3 * y + 2)
     q = p.derivative("y")
-    ref = exactpoly._gcd_in_core(p, q, "y")
-    assert exactpoly._heuristic_gcd(p, q, "y") == ref == y - 1
+    ref = exactpoly._prs_gcd(p, q, "y")
+    assert exactpoly._heuristic_gcd(p, q) == ref == y - 1
     monkeypatch.setattr(exactpoly, "_GCDHEU_TRIES", 0)
-    assert exactpoly._heuristic_gcd(p, q, "y") is None
+    assert exactpoly._heuristic_gcd(p, q) is None
     fallbacks = []
 
     def core(*args):
         fallbacks.append(args)
         return ref
 
-    monkeypatch.setattr(exactpoly, "_gcd_in_core", core)
-    assert gcd_in(p, q, "y") == ref
+    monkeypatch.setattr(exactpoly, "_prs_gcd", core)
+    assert poly_gcd(p, q) == ref
     assert len(fallbacks) == 1
 
 
@@ -425,27 +477,27 @@ def test_heuristic_gcd_retries_a_rejected_candidate(monkeypatch):
 
     monkeypatch.setattr(MultiPoly, "evaluate", spy_evaluate)
     monkeypatch.setattr(exactpoly, "exact_div", spy_divide)
-    assert exactpoly._heuristic_gcd(y - 2, y + 2, "y") == 1
+    assert exactpoly._heuristic_gcd(y - 2, y + 2) == 1
     assert points[0] == 6 and divisors[:2] == [y - 2, y - 2]
     assert points == sorted(points) and len(set(points)) == 2
     monkeypatch.setattr(exactpoly, "_GCDHEU_TRIES", 1)
-    assert exactpoly._heuristic_gcd(y - 2, y + 2, "y") is None
-    assert gcd_in(y - 2, y + 2, "y") == 1
-    assert gcd_in((y - 2) * (y + 5), (y + 2) * (y + 5), "y") == y + 5
+    assert exactpoly._heuristic_gcd(y - 2, y + 2) is None
+    assert poly_gcd(y - 2, y + 2) == 1
+    assert poly_gcd((y - 2) * (y + 5), (y + 2) * (y + 5)) == y + 5
 
 
 def test_heuristic_gcd_leaves_other_inputs_to_the_prs():
-    y, z = var("y", ("y", "z")), var("z", ("y", "z"))
+    y, z = var("y", YZ), var("z", YZ)
     half = Fraction(1, 2)
     cases = [((y - z) * (y + 1), (y - z) * (z + 2)),
              ((y + 1) * (y + z), (y + 1) * (y - 3)),
              (half * (y + 1) * (y - 2), (y + 1) ** 2),
              ((y + half) * (y - 2), (2 * y + 1) * y)]
     for p, q in cases:
-        assert exactpoly._heuristic_gcd(p, q, "y") is None
-        assert gcd_in(p, q, "y") == exactpoly._gcd_in_core(p, q, "y")
-    assert gcd_in(*cases[1], "y") == y + 1
-    assert gcd_in(*cases[3], "y") == 2 * y + 1
+        assert exactpoly._heuristic_gcd(p, q) is None
+        assert poly_gcd(p, q) == exactpoly._prs_gcd(p, q, "y")
+    assert poly_gcd(*cases[1]) == y + 1
+    assert poly_gcd(*cases[3]) == 2 * y + 1
 
 
 def test_rational_normalize():

@@ -21,7 +21,7 @@ from knotpoly.twobridge import (IrreducibilityCertificate, TwoBridgeKnot,
                                 chebyshev_difference,
                                 chebyshev_difference_factors,
                                 irreducibility_certificate,
-                                irreducible_over_q, is_prime,
+                                is_prime,
                                 leading_term_report, newton_vertex_report,
                                 sign_sequence, structural_reports,
                                 x_zero_profile)
@@ -83,9 +83,10 @@ def test_small_character_polynomials():
 
 def test_seven_three_character_polynomial():
     k = knot(7, 3)
-    assert character_polynomial(k).to_text() == \
+    phi = character_polynomial(k)
+    assert phi.to_text() == \
         "-x^2*z^2 + 3*x^2*z + z^3 - 2*x^2 - z^2 - 2*z + 1"
-    assert character_polynomial_even(k).to_text() == \
+    assert character_polynomial_even(k, phi).to_text() == \
         "-X*z^2 + z^3 + 3*X*z - z^2 - 2*X - 2*z + 1"
 
 
@@ -126,8 +127,8 @@ def test_leading_term_slices_are_cached_nested_slices():
 
 def test_even_form_substitutes_back():
     for k in (knot(5, 3), knot(9, 5), knot(11, 7)):
-        gamma = character_polynomial_even(k)
         phi = character_polynomial(k)
+        gamma = character_polynomial_even(k, phi)
         i = gamma.vars.index("X")
         assert gamma.vars[:i] + ("x",) + gamma.vars[i + 1:] == phi.vars
         lifted = MultiPoly(phi.vars,
@@ -150,15 +151,17 @@ def test_character_polynomial_structure():
 
 def test_x_zero_slice_is_chebyshev_difference():
     for k in all_knots(13):
-        rep = x_zero_profile(k)
+        rep = x_zero_profile(k, character_polynomial(k))
         assert rep.status == "pass", rep.details
 
 
 def test_newton_vertices_present():
     for k in all_knots(13):
-        rep = newton_vertex_report(k)
+        phi = character_polynomial(k)
+        rep = newton_vertex_report(k, character_polynomial_even(k, phi))
         assert rep.status == "pass", rep.details
-    hull = newton_polygon(character_polynomial_even(knot(7, 3)))
+    phi = character_polynomial(knot(7, 3))
+    hull = newton_polygon(character_polynomial_even(knot(7, 3), phi))
     assert (0, 3) in hull.vertices and (1, 2) in hull.vertices
 
 
@@ -168,11 +171,20 @@ def test_leading_terms_of_nested_words():
         assert rep.status == "pass", rep.details
 
 
-def test_structural_reports_bundle():
+def test_structural_reports_bundle(monkeypatch):
+    built = []
+    build = twobridge.character_polynomial
+    monkeypatch.setattr(twobridge, "character_polynomial",
+                        lambda k: built.append(k) or build(k))
     reports = structural_reports(knot(7, 3))
     assert [r.claim_id for r in reports] == [
         "character-structure", "x0-chebyshev", "newton-vertices"]
     assert all(r.status == "pass" for r in reports)
+    assert built == [knot(7, 3)]
+    phi = build(knot(7, 3))
+    gamma = character_polynomial_even(knot(7, 3), phi)
+    assert structural_reports(knot(7, 3), phi, gamma) == reports
+    assert built == [knot(7, 3)]
 
 
 # -- irreducibility --------------------------------------------------------
@@ -187,13 +199,13 @@ def test_is_prime():
         [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
 
 
-def test_irreducible_over_q_verdicts():
-    assert irreducible_over_q(7)
-    assert irreducible_over_q(13)
-    assert not irreducible_over_q(9)
-    assert not irreducible_over_q(15)
+def test_chebyshev_difference_factor_counts():
+    assert len(chebyshev_difference_factors(7)) == 1
+    assert len(chebyshev_difference_factors(13)) == 1
+    assert len(chebyshev_difference_factors(9)) > 1
+    assert len(chebyshev_difference_factors(15)) > 1
     with pytest.raises(ValueError):
-        irreducible_over_q(8)
+        chebyshev_difference_factors(8)
 
 
 def test_factor_oracle_on_composite_difference():
