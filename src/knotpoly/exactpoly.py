@@ -23,13 +23,13 @@ point's values: exact at ``int`` or ``Fraction`` values, complex at complex
 ones.  The module also provides rational functions (always reduced,
 denominator normalized, Laurent variables allowed), ``Matrix2``, a
 ``__slots__`` 2x2 matrix over any ring-like entries (inverted only at
-determinant one), gcds, Sylvester/Bareiss resultants, Newton polygons via
+determinant one), gcds, Bezout-matrix resultants, Newton polygons via
 monotone chain, and a canonical text form.
 
-Exact division, which the Bareiss resultant and the gcds lean on, takes
-leading terms from a heap of the remainder's monomials and keeps quotient
-coefficients as ``int`` while they divide evenly, so the fraction-free
-elimination over integer polynomials builds no ``Fraction``.
+Exact division, which the gcds lean on, takes leading terms from a heap of
+the remainder's monomials and keeps quotient coefficients as ``int`` while
+they divide evenly, so a quotient of integer polynomials that divide
+exactly builds no ``Fraction``.
 
 ``poly_gcd`` is the one gcd.  It first tries the heuristic gcd GCDHEU
 (Char, Geddes & Gonnet, J. Symb. Comput. 1989) when both operands have
@@ -610,11 +610,10 @@ def exact_div(p: MultiPoly, q: MultiPoly) -> MultiPoly:
     step finds its leading term without scanning the remainder.  An entry
     whose monomial has since cancelled out of the remainder is skipped.
     A quotient coefficient is an ``int`` whenever the remainder's leading
-    coefficient is an integer multiple of q's, as it always is when the
-    Bareiss elimination runs over integer polynomials; otherwise it is a
-    ``Fraction``.  A Laurent variable is a unit, so q is first divided by
-    its least power of each Laurent variable, positive or not: exact_div(1,
-    t) is t^-1.
+    coefficient is an integer multiple of q's, as it always is when q
+    divides p over the integers; otherwise it is a ``Fraction``.  A
+    Laurent variable is a unit, so q is first divided by its least power
+    of each Laurent variable, positive or not: exact_div(1, t) is t^-1.
     """
     if not isinstance(q, MultiPoly):
         q = MultiPoly.const(p.vars, q, p.laurent)
@@ -850,10 +849,17 @@ def squarefree_part_in(p: MultiPoly, var) -> MultiPoly:
 
 
 def resultant_in(p: MultiPoly, q: MultiPoly, var) -> MultiPoly:
-    """Sylvester resultant in var; p-coefficient rows first, descending.
+    """Resultant in var from the Bezout matrix, with at most one division.
 
-    The determinant is evaluated by fraction-free Bareiss elimination, so
-    every intermediate division is exact.
+    With m = deg p, n = deg q, N = max(m, n), and u, v the coefficients of
+    p, q in ascending powers of var padded with zeros to length N + 1, the
+    symmetric N x N Bezout matrix is B[a][b] = sum over k = 0 ..
+    min(a, N-1-b) of u[b+k+1] v[a-k] - u[a-k] v[b+k+1].  Its determinant,
+    expanded in minors without division, is (-1)^(N(N-1)/2) Res(p, q) when
+    m >= n, times a further (-1)^((m+1)(n-m)) when n > m.  When m != n the
+    padding also multiplies it by lc^(N - min(m, n)), lc the leading
+    coefficient of the operand of higher degree, which one exact division
+    takes out unless it is 1 (a monic operand).
     """
     if p.vars != q.vars:
         raise AlignmentError(f"variable mismatch: {p.vars} vs {q.vars}")
@@ -866,49 +872,47 @@ def resultant_in(p: MultiPoly, q: MultiPoly, var) -> MultiPoly:
     n = q.degree_in(var)
     if m == 0 and n == 0:
         raise UndefinedResultantError("both inputs constant in " + str(var))
-    pc = [p.coeff_in(var, m - k) for k in range(m + 1)]
-    qc = [q.coeff_in(var, n - k) for k in range(n + 1)]
-    size = m + n
+    size = max(m, n)
     zero = MultiPoly.zero(p.vars, p.laurent)
-    mat = []
-    for r in range(n):
-        row = [zero] * size
-        for k, c in enumerate(pc):
-            row[r + k] = c
-        mat.append(row)
-    for r in range(m):
-        row = [zero] * size
-        for k, c in enumerate(qc):
-            row[r + k] = c
-        mat.append(row)
-    return _bareiss_det(mat)
+    pu, qu = p.as_univariate(var), q.as_univariate(var)
+    u = [pu.get(k, zero) for k in range(size + 1)]
+    v = [qu.get(k, zero) for k in range(size + 1)]
+    bez = [[zero] * size for _ in range(size)]
+    for a in range(size):
+        for b in range(a, size):
+            bez[a][b] = bez[b][a] = sum(
+                (u[b + k + 1] * v[a - k] - u[a - k] * v[b + k + 1]
+                 for k in range(min(a, size - 1 - b) + 1)), zero)
+    det = _minor_det(bez, zero + 1)
+    flips = size * (size - 1) // 2 + (m + 1) * (n - m) * (n > m)
+    if flips % 2:
+        det = -det
+    if m != n:
+        pad = (pu[m] if m > n else qu[n]) ** (size - min(m, n))
+        if pad != 1:
+            det = exact_div(det, pad)
+    return det
 
 
-def _bareiss_det(mat) -> MultiPoly:
-    size = len(mat)
-    if size == 0:
-        raise UndefinedResultantError("empty Sylvester matrix")
-    sample = mat[0][0]
-    one = MultiPoly.const(sample.vars, 1, sample.laurent)
-    sign = 1
-    prev = one
-    for k in range(size - 1):
-        if mat[k][k].is_zero():
-            pivot = next((r for r in range(k + 1, size)
-                          if not mat[r][k].is_zero()), None)
-            if pivot is None:
-                return MultiPoly.zero(sample.vars, sample.laurent)
-            mat[k], mat[pivot] = mat[pivot], mat[k]
-            sign = -sign
-        pk = mat[k][k]
-        for r in range(k + 1, size):
-            for c in range(k + 1, size):
-                mat[r][c] = exact_div(pk * mat[r][c] - mat[r][k] * mat[k][c],
-                                      prev)
-            mat[r][k] = MultiPoly.zero(sample.vars, sample.laurent)
-        prev = pk
-    det = mat[size - 1][size - 1]
-    return det if sign > 0 else -det
+def _minor_det(mat, one) -> MultiPoly:
+    """Determinant by expansion in minors from the last row up: each minor
+    on the bottom rows and a column set (a bit mask) is built once, from
+    the minors one row smaller, by products and sums only."""
+    minors = {0: one}
+    for row in reversed(mat):
+        grown: dict = {}
+        for cols, minor in minors.items():
+            for c, entry in enumerate(row):
+                bit = 1 << c
+                if cols & bit or entry.is_zero():
+                    continue
+                term = entry * minor
+                if (cols & (bit - 1)).bit_count() % 2:
+                    term = -term
+                key = cols | bit
+                grown[key] = grown[key] + term if key in grown else term
+        minors = {k: d for k, d in grown.items() if not d.is_zero()}
+    return minors.get((1 << len(mat)) - 1, one * 0)
 
 
 # -- Newton polygon -------------------------------------------------------

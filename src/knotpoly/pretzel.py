@@ -563,10 +563,11 @@ def witness_y_two(n: int) -> VerificationReport:
 
 
 def _diagonal_subcase_ok(n: int) -> bool:
-    # x = z = 0 representation: r(a) = diag(i, -i), r(w) = -Id; products
-    # stay in the Gaussian integers, so complex == is exact here
-    ra = Matrix2(1j, 0j, 0j, -1j)
-    rw = Matrix2(-1 + 0j, 0j, 0j, -1 + 0j)
+    # x = z = 0 representation r(a) = diag(i, -i), r(w) = -Id, with r(a)
+    # conjugated over Q to the int matrix [[0, 1], [-1, 0]]; conjugation
+    # keeps the relation
+    ra = Matrix2(0, 1, -1, 0)
+    rw = Matrix2(-1, 0, 0, -1)
     left, right = _relation_words(n)
     return (matrix_of_word(left, (ra, rw))
             == matrix_of_word(right, (ra, rw)))

@@ -15,8 +15,8 @@ from knotpoly.exactpoly import (AlignmentError, EvaluationError,
                                 Matrix2, MultiPoly,
                                 RationalFunction, exact_div,
                                 is_squarefree_in, newton_polygon, poly_gcd,
-                                rational_normalize, resultant_in,
-                                squarefree_part_in)
+                                UndefinedResultantError, rational_normalize,
+                                resultant_in, squarefree_part_in)
 
 XY = ("x", "y")
 
@@ -559,6 +559,99 @@ def test_resultant_vanishes_on_common_factor():
     p = (x - y) * (x + 1)
     q = (x - y) * (x + 2)
     assert resultant_in(p, q, "x").is_zero()
+
+
+def _sylvester(p, q, var):
+    """The (m+n) x (m+n) Sylvester matrix: n rows of p's coefficients,
+    then m rows of q's, each in descending powers of var."""
+    m, n = p.degree_in(var), q.degree_in(var)
+    zero = p * 0
+    rows = []
+    for poly_, deg, count in ((p, m, n), (q, n, m)):
+        for r in range(count):
+            row = [zero] * (m + n)
+            for k in range(deg + 1):
+                row[r + k] = poly_.coeff_in(var, deg - k)
+            rows.append(row)
+    return rows
+
+
+def _leibniz_det(mat):
+    """Sum of the signed products over all permutations, built row by row;
+    a branch through a zero entry contributes nothing and is dropped."""
+    size = len(mat)
+    total = mat[0][0] * 0
+
+    def expand(row, used, sign, acc):
+        nonlocal total
+        if row == size:
+            total = total + sign * acc
+            return
+        for c in range(size):
+            if c in used or mat[row][c].is_zero():
+                continue
+            inversions = sum(1 for u in used if u > c)
+            expand(row + 1, used | {c}, sign * (-1) ** inversions,
+                   acc * mat[row][c])
+
+    expand(0, frozenset(), 1, mat[0][0] ** 0)
+    return total
+
+
+XT = ("x", "t")
+
+
+@st.composite
+def resultant_operands(draw):
+    """p and q in x over coefficients in t, t Laurent or not; degrees in x
+    from 0 to 4, not both 0, and lower coefficients often zero."""
+    laurent = (False, draw(st.booleans()))
+    low = -2 if laurent[1] else 0
+    coeff = st.dictionaries(st.integers(low, 2), MIXED_COEFFS.filter(bool),
+                            max_size=2)
+
+    def operand(deg):
+        terms = {}
+        for k in range(deg + 1):
+            for e, c in draw(coeff).items():
+                terms[(k, e)] = c
+        terms.setdefault((deg, 0), 1)
+        return MultiPoly(XT, terms, laurent)
+
+    degrees = draw(st.tuples(st.integers(0, 4), st.integers(0, 4))
+                   .filter(any))
+    return operand(degrees[0]), operand(degrees[1])
+
+
+@settings(max_examples=60, deadline=None)
+@given(resultant_operands())
+def test_resultant_matches_sylvester_determinant(pq):
+    p, q = pq
+    assert resultant_in(p, q, "x") == _leibniz_det(_sylvester(p, q, "x"))
+
+
+def test_resultant_with_a_constant_operand_is_its_power():
+    laurent = (False, True)
+    x = MultiPoly.variable("x", XT, laurent)
+    t = MultiPoly.variable("t", XT, laurent)
+    c = 3 * t ** -1 + Fraction(1, 2)
+    q = t * x ** 3 - x + 2
+    assert resultant_in(c, q, "x") == c ** 3
+    assert resultant_in(q, c, "x") == c ** 3
+
+
+def test_resultant_error_paths():
+    x, y = var("x"), var("y")
+    with pytest.raises(UndefinedResultantError):
+        resultant_in(x * 0, x + y, "x")
+    with pytest.raises(UndefinedResultantError):
+        resultant_in(y + 1, y - 1, "x")
+    laurent = (True, False)
+    xl = MultiPoly.variable("x", XY, laurent)
+    with pytest.raises(LaurentInputError):
+        resultant_in(xl ** -1 + 1, xl + 2, "x")
+    with pytest.raises(AlignmentError):
+        resultant_in(x + 1, var("x", ("x",)) + 1, "x")
 
 
 # -- newton polygon --------------------------------------------------------
