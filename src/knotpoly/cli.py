@@ -20,7 +20,7 @@ from .pretzel import (PretzelKnot, TRACE_WORD_BOUND, WITNESS_BOUND,
                       closed_form_report, defining_p, defining_q,
                       pq_resultant, radical_slice_report, resultant_report,
                       seidenberg_report, witness_reports, x0_report, x0_slice)
-from .qtorus import alpha_unknot, epsilon_eval, sigma_symmetry_factor
+from .qtorus import alpha_unknot
 from .report import InternalInconsistencyError, all_passed, sort_reports
 from .sl2trace import (DEFAULT_SEED, trace_poly, word_from_string,
                        word_to_string)
@@ -150,15 +150,13 @@ def _run_qtorus(args):
                              f"most {QTORUS_N_MAX}")
     reports = verify.unknot_reports(window)
     by_claim = {r.claim_id: r for r in reports}
-    alpha = alpha_unknot()
-    factor = sigma_symmetry_factor(alpha)
     shape = by_claim["aj-shape-unknot"].details
     payload = {
-        "alpha": alpha.to_text(),
-        "epsilon_alpha": epsilon_eval(alpha).to_text(),
+        "alpha": alpha_unknot().to_text(),
+        "epsilon_alpha": shape["epsilon_alpha"],
         "aj_unknot": {"quotient_by_l_minus_1": shape["quotient_by_l_minus_1"],
                       "m_only": shape["m_only"]},
-        "sigma_factor": factor.as_dict() if factor else None,
+        "sigma_factor": by_claim["sigma-factor-unknot"].details,
     }
     return "unknot", payload, reports
 

@@ -56,10 +56,6 @@ from math import gcd as _int_gcd, lcm as _int_lcm, prod
 from operator import add as _add, mul as _mul, neg as _neg, sub as _sub
 from typing import Mapping, Sequence
 
-Coeff = "int | Fraction"
-Exponent = "tuple[int, ...]"
-
-
 class AlignmentError(ValueError):
     """Raised when an operation mixes polynomials over different variables."""
 
@@ -923,23 +919,6 @@ class NewtonPolygon:
     """Convex hull of a bivariate support, vertices counterclockwise."""
 
     vertices: tuple
-
-    def contains(self, pt) -> bool:
-        pts = self.vertices
-        if len(pts) == 1:
-            return tuple(pt) == pts[0]
-        if len(pts) == 2:
-            (x0, y0), (x1, y1) = pts
-            px, py = pt
-            if (x1 - x0) * (py - y0) - (y1 - y0) * (px - x0) != 0:
-                return False
-            dot = (px - x0) * (x1 - x0) + (py - y0) * (y1 - y0)
-            return 0 <= dot <= (x1 - x0) ** 2 + (y1 - y0) ** 2
-        px, py = pt
-        for (x0, y0), (x1, y1) in zip(pts, pts[1:] + pts[:1]):
-            if (x1 - x0) * (py - y0) - (y1 - y0) * (px - x0) < 0:
-                return False
-        return True
 
 
 def _cross(o, a, b):

@@ -4,9 +4,9 @@ Elements of the quantum torus generated by L, M over Laurent polynomials
 in t, subject to LM = t^2 ML, are kept in the normal form
 sum_j a_j(t, M) L^j.  Multiplication twists the right factor by
 a(M) L^k . b(M) L^l = a(M) b(t^2k M) L^(k+l).  The module also provides
-the sigma involution, the skein-image elements, specialization at t = -1,
-the left action on integer-indexed sequences, (1+t)-adic heights in the
-localization, and the weak division step used for recurrence ideals.
+the sigma involution, specialization at t = -1, the left action on
+integer-indexed sequences, the unknot annihilator and the sigma-symmetry
+factor of a recurrence.
 
 The twist and the action are exponent maps, not substitutions: the twist
 by L^k sends t^a M^b to t^(a + 2kb) M^b, a bijection on monomials, and the
@@ -15,12 +15,11 @@ action at n sends t^a M^b to t^(a + 2nb), summing what lands together.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Mapping
 
-from .exactpoly import MultiPoly, RationalFunction, exact_div
+from .exactpoly import MultiPoly, RationalFunction
 from .report import VerificationReport, status_of
 
 VARS_TM = ("t", "M")
@@ -29,8 +28,6 @@ VARS_ML = ("M", "L")
 LAURENT_ML = (True, True)
 VARS_T = ("t",)
 LAURENT_T = (True,)
-
-INFINITE = math.inf
 
 
 def tm_poly(terms: Mapping) -> MultiPoly:
@@ -42,15 +39,6 @@ def _coerce_tm(value) -> MultiPoly:
     if isinstance(value, MultiPoly):
         return value.extend_to(VARS_TM, LAURENT_TM)
     return MultiPoly.const(VARS_TM, value, LAURENT_TM)
-
-
-def _eval_t_minus_one(p: MultiPoly) -> MultiPoly:
-    """Substitute t = -1; result is a Laurent polynomial in M."""
-    terms = {}
-    for (et, em), c in p.terms.items():
-        key = (em,)
-        terms[key] = terms.get(key, 0) + (c if et % 2 == 0 else -c)
-    return MultiPoly(("M",), terms, (True,))
 
 
 class QTElem:
@@ -196,20 +184,14 @@ def qt_sigma(p: QTElem) -> QTElem:
     return QTElem(terms)
 
 
-def upsilon(k: int, l: int) -> QTElem:
-    """Skein image (-1)^(k+l) t^(kl) (M^k L^l + M^-k L^-l); sigma-invariant."""
-    if math.gcd(abs(k), abs(l)) != 1:
-        raise ValueError(f"(k, l) = ({k}, {l}) is not a primitive pair")
-    sign = 1 if (k + l) % 2 == 0 else -1
-    return (QTElem.term(sign, t_exp=k * l, m_exp=k, l_exp=l)
-            + QTElem.term(sign, t_exp=k * l, m_exp=-k, l_exp=-l))
-
-
 def epsilon_eval(p: QTElem) -> MultiPoly:
     """Specialize t = -1; the twist dies and the result is a commutative
     Laurent polynomial in (M, L)."""
-    terms = {(em, j): c for j, a in p.terms.items()
-             for (em,), c in _eval_t_minus_one(a).terms.items()}
+    terms: dict = {}
+    for j, a in p.terms.items():
+        for (et, em), c in a.terms.items():
+            key = (em, j)
+            terms[key] = terms.get(key, 0) + (-c if et % 2 else c)
     return MultiPoly(VARS_ML, terms, LAURENT_ML)
 
 
@@ -228,10 +210,6 @@ class DiscreteSeq:
             return value.extend_to(VARS_T, LAURENT_T)
         return MultiPoly.const(VARS_T, value, LAURENT_T)
 
-    @classmethod
-    def constant(cls, value) -> "DiscreteSeq":
-        return cls(lambda n: value)
-
 
 def act(p: QTElem, f: DiscreteSeq, n: int) -> MultiPoly:
     """Left action: (a(t, M) L^j f)(n) = a(t, t^2n) f(n + j)."""
@@ -244,11 +222,6 @@ def act(p: QTElem, f: DiscreteSeq, n: int) -> MultiPoly:
             folded[e] = folded.get(e, 0) + c
         total = total + MultiPoly._make(VARS_T, LAURENT_T, folded) * f(n + j)
     return total
-
-
-def apply_seq(p: QTElem, f: DiscreteSeq) -> DiscreteSeq:
-    """The sequence p f, so that ((pq) f)(n) = (p (q f))(n)."""
-    return DiscreteSeq(lambda n: act(p, f, n))
 
 
 def jones_unknot(n: int) -> MultiPoly:
@@ -332,118 +305,3 @@ def sigma_symmetry_factor(p: QTElem):
                          for poly in (h.num, h.den))
             return SigmaFactor(ordering, h, m_only)
     return None
-
-
-# -- the localization at t = -1 and weak division -------------------------
-
-
-class LocalizedScalar(RationalFunction):
-    """Fraction f/g of Laurent polynomials in (t, M) with g(-1, M) != 0.
-
-    A RationalFunction over (t, M), so it is stored reduced and canonically
-    normalized and equality is structural; arithmetic keeps the type.
-    """
-
-    __slots__ = ()
-
-    def __init__(self, num, den=1):
-        super().__init__(_coerce_tm(num), _coerce_tm(den))
-        if _eval_t_minus_one(self.den).is_zero():
-            raise ValueError("denominator vanishes at t = -1")
-
-    def twist(self, k: int) -> "LocalizedScalar":
-        return LocalizedScalar(_twist(self.num, k), _twist(self.den, k))
-
-
-def height(value):
-    """(1+t)-adic valuation; zero maps to INFINITE.
-
-    Accepts a LocalizedScalar or anything coercible to a (t, M) Laurent
-    polynomial; the denominator contributes 0 by the localization
-    invariant.
-    """
-    if isinstance(value, LocalizedScalar):
-        if value.is_zero():
-            return INFINITE
-        return height(value.num)
-    p = _coerce_tm(value)
-    if p.is_zero():
-        return INFINITE
-    one_plus_t = tm_poly({(1, 0): 1, (0, 0): 1})
-    v = 0
-    while _eval_t_minus_one(p).is_zero():
-        p = exact_div(p, one_plus_t)
-        v += 1
-    return v
-
-
-class WeakDivisionError(ArithmeticError):
-    """A weak-division precondition failed; the message names the clause."""
-
-
-def _localized_terms(p) -> dict:
-    if isinstance(p, QTElem):
-        return {j: LocalizedScalar(a) for j, a in p.terms.items()}
-    out = {}
-    for j, a in p.items():
-        a = a if isinstance(a, LocalizedScalar) else LocalizedScalar(a)
-        if not a.is_zero():
-            out[int(j)] = a
-    return out
-
-
-def _localized_mul(p: dict, q: dict) -> dict:
-    terms: dict = {}
-    for k, a in p.items():
-        for l, b in q.items():
-            j = k + l
-            prod = a * b.twist(k)
-            terms[j] = terms.get(j, prod * 0) + prod
-    return {j: c for j, c in terms.items() if not c.is_zero()}
-
-
-def _localized_add(p: dict, q: dict) -> dict:
-    terms = dict(p)
-    for j, c in q.items():
-        terms[j] = terms.get(j, c * 0) + c
-    return {j: c for j, c in terms.items() if not c.is_zero()}
-
-
-def _localized_sub(p: dict, q: dict) -> dict:
-    return _localized_add(p, {j: -c for j, c in q.items()})
-
-
-def weak_divide(f, g):
-    """One weak-division step: f = q g + r with q = a L^k, deg r < deg f.
-
-    f and g are QTElem or {L-exponent: LocalizedScalar} maps, polynomial
-    in L.  The quotient coefficient is the leading-coefficient ratio in
-    the localization at t = -1 (twisted by L^k); the height precondition
-    keeps that ratio inside the localization.  The returned pair is
-    {L-exponent: LocalizedScalar} maps, and the identity f = q g + r is
-    re-verified exactly before returning.
-    """
-    fl = _localized_terms(f)
-    gl = _localized_terms(g)
-    if not gl:
-        raise WeakDivisionError("precondition failed: g is zero")
-    if not fl:
-        raise WeakDivisionError("precondition failed: f is zero")
-    if min(fl) < 0 or min(gl) < 0:
-        raise WeakDivisionError(
-            "precondition failed: negative L-exponents present")
-    deg_f, deg_g = max(fl), max(gl)
-    if deg_f < deg_g:
-        raise WeakDivisionError("precondition failed: deg f < deg g")
-    if height(fl[deg_f]) < height(gl[deg_g]):
-        raise WeakDivisionError(
-            "precondition failed: leading height of f below that of g")
-    k = deg_f - deg_g
-    a = fl[deg_f] / gl[deg_g].twist(k)
-    q = {k: a}
-    r = _localized_sub(fl, _localized_mul(q, gl))
-    if r and max(r) >= deg_f:
-        raise WeakDivisionError("degree did not drop after division")
-    if _localized_sub(fl, _localized_add(_localized_mul(q, gl), r)):
-        raise WeakDivisionError("postcondition failed: f != q g + r")
-    return q, r

@@ -27,7 +27,6 @@ from .sl2trace import (FreeWord, GENERATOR_A, GENERATOR_B, chebyshev_s,
                        nested_slice_traces)
 
 VARS_XZ = ("x", "z")
-VARS_XZCAP = ("X", "z")
 
 MERIDIAN_CACHE_SIZE = 4
 

@@ -1,18 +1,13 @@
-"""Quantum torus normal form, the unknot recurrence, and the localization."""
-
-import math
+"""Quantum torus normal form, the unknot recurrence and its symmetry factor."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from knotpoly.exactpoly import InexactDivisionError, MultiPoly, exact_div
-from knotpoly.qtorus import (DiscreteSeq, INFINITE, JONES_UNKNOT_SEQ,
-                             LocalizedScalar, QTElem, VARS_ML, LAURENT_ML,
-                             WeakDivisionError, act, alpha_unknot,
-                             annihilation_check, apply_seq, epsilon_eval,
-                             height, jones_unknot, qt_mul, qt_sigma,
-                             sigma_symmetry_factor, tm_poly, upsilon,
-                             weak_divide)
+from knotpoly.exactpoly import MultiPoly, exact_div
+from knotpoly.qtorus import (DiscreteSeq, JONES_UNKNOT_SEQ, QTElem, VARS_ML,
+                             LAURENT_ML, act, alpha_unknot,
+                             annihilation_check, epsilon_eval, jones_unknot,
+                             qt_mul, qt_sigma, sigma_symmetry_factor, tm_poly)
 
 M = QTElem.term(1, m_exp=1)
 L = QTElem.term(1, l_exp=1)
@@ -96,29 +91,6 @@ def test_sigma_on_monomials():
     assert qt_sigma(elem) == QTElem.term(3, t_exp=2, m_exp=-1, l_exp=2)
 
 
-# -- skein images ----------------------------------------------------------
-
-def test_upsilon_axis_values():
-    assert upsilon(1, 0) == -(M + M_INV)
-    assert upsilon(0, 1) == -(L + L_INV)
-    assert upsilon(1, 1) == QTElem({1: tm_poly({(1, 1): 1}),
-                                    -1: tm_poly({(1, -1): 1})})
-
-
-@pytest.mark.parametrize("pair", [(1, 0), (0, 1), (1, 1), (2, 1), (3, -2),
-                                  (-5, 3)])
-def test_upsilon_is_sigma_invariant(pair):
-    elem = upsilon(*pair)
-    assert qt_sigma(elem) == elem
-
-
-def test_upsilon_requires_primitive_pair():
-    with pytest.raises(ValueError):
-        upsilon(2, 4)
-    with pytest.raises(ValueError):
-        upsilon(0, 0)
-
-
 # -- specialization at t = -1 ----------------------------------------------
 
 @settings(max_examples=60, deadline=None)
@@ -183,8 +155,9 @@ def test_act_composes_with_multiplication():
     p = QTElem({1: tm_poly({(1, 1): 2}), 0: tm_poly({(0, -1): 1})})
     q = QTElem({-1: tm_poly({(0, 2): 1}), 2: tm_poly({(2, 0): -3})})
     f = JONES_UNKNOT_SEQ
+    qf = DiscreteSeq(lambda m: act(q, f, m))
     for n in (-3, 0, 2):
-        assert act(qt_mul(p, q), f, n) == act(p, apply_seq(q, f), n)
+        assert act(qt_mul(p, q), f, n) == act(p, qf, n)
 
 
 def test_alpha_annihilates_jones():
@@ -200,7 +173,7 @@ def test_annihilation_negative_control():
 
 
 def test_constant_sequence():
-    ones = DiscreteSeq.constant(1)
+    ones = DiscreteSeq(lambda n: 1)
     assert act(L - 1, ones, 7).is_zero()
 
 
@@ -238,93 +211,3 @@ def test_sigma_factor_preconditions():
         sigma_symmetry_factor(QTElem.zero())
     with pytest.raises(ValueError):
         sigma_symmetry_factor(qt_mul(L, alpha_unknot()))
-
-
-# -- localization and heights ----------------------------------------------
-
-def one_plus_t():
-    return tm_poly({(1, 0): 1, (0, 0): 1})
-
-
-def test_height_examples():
-    m = tm_poly({(0, 1): 1})
-    assert height(one_plus_t() ** 2 * m + one_plus_t() ** 3) == 2
-    assert height(tm_poly({(2, 0): -1, (0, 0): 1})) == 1
-    assert height(m - 1) == 0
-    assert height(0) == INFINITE
-    assert height(LocalizedScalar(0)) == INFINITE
-    assert math.isinf(INFINITE)
-
-
-def test_localized_scalar_invariant():
-    with pytest.raises(ValueError):
-        LocalizedScalar(1, one_plus_t())
-    # a removable factor of 1 + t in the denominator reduces away
-    m = tm_poly({(0, 1): 1})
-    s = LocalizedScalar(one_plus_t() * m, one_plus_t())
-    assert s == LocalizedScalar(m)
-
-
-def test_localized_arithmetic():
-    m = tm_poly({(0, 1): 1})
-    a = LocalizedScalar(m, m - 1)
-    b = LocalizedScalar(1, m + 2)
-    assert (a + b) - b == a
-    assert (a * b) / b == a
-    assert (a - a).is_zero()
-    with pytest.raises(ZeroDivisionError):
-        a / LocalizedScalar(0)
-
-
-def test_height_of_localized_fraction():
-    m = tm_poly({(0, 1): 1})
-    s = LocalizedScalar(one_plus_t() ** 2, m - 1)
-    assert height(s) == 2
-
-
-# -- weak division ---------------------------------------------------------
-
-def test_weak_divide_basic():
-    f = qt_mul(M, L ** 2) + 1
-    q, r = weak_divide(f, L)
-    assert list(q) == [1]
-    assert q[1] == LocalizedScalar(tm_poly({(0, 1): 1}))
-    assert list(r) == [0] and r[0] == LocalizedScalar(1)
-
-
-def test_weak_divide_self():
-    alpha = alpha_unknot()
-    q, r = weak_divide(alpha, alpha)
-    assert q == {0: LocalizedScalar(1)} and r == {}
-
-
-def test_weak_divide_precondition_messages():
-    with pytest.raises(WeakDivisionError, match="g is zero"):
-        weak_divide(L, QTElem.zero())
-    with pytest.raises(WeakDivisionError, match="deg f < deg g"):
-        weak_divide(QTElem.one(), L)
-    with pytest.raises(WeakDivisionError, match="negative L-exponents"):
-        weak_divide(qt_mul(L_INV, M), L)
-    g = QTElem({1: one_plus_t(), 0: 1})
-    with pytest.raises(WeakDivisionError, match="leading height"):
-        weak_divide(L + 1, g)
-
-
-def test_weak_divide_with_matching_heights():
-    m = tm_poly({(0, 1): 1})
-    g = QTElem({1: one_plus_t(), 0: 1})
-    f = QTElem({1: one_plus_t() * m, 0: m - 1})
-    q, r = weak_divide(f, g)
-    assert q == {0: LocalizedScalar(m)}
-    assert r == {0: LocalizedScalar(m - 1) - LocalizedScalar(m)}
-
-
-def test_weak_divide_quotient_twists():
-    # dividing by a pure power of L twists the quotient coefficient ratio
-    f = QTElem({2: tm_poly({(0, 1): 1})})  # M L^2
-    g = QTElem({1: tm_poly({(0, 1): 1})})  # M L
-    q, r = weak_divide(f, g)
-    assert r == {}
-    # q = (M / twist(M)) L = t^-2 L
-    assert q == {1: LocalizedScalar(tm_poly({(-2, 0): 1}))}
-    assert qt_mul(QTElem({1: tm_poly({(-2, 0): 1})}), g) == f
