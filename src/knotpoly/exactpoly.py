@@ -1,47 +1,46 @@
-"""Exact sparse multivariate polynomial arithmetic over the rationals.
+"""Exact sparse multivariate polynomial arithmetic over the integers.
 
 A polynomial carries a fixed, ordered tuple of variable names and a sparse
-term map from exponent tuples to rational coefficients.  Every stored
-coefficient is canonical and nonzero: an ``int``, or a
-``fractions.Fraction`` that is not an integer.  Equality is therefore plain
+term map from exponent tuples to coefficients.  Every stored coefficient
+is a nonzero ``int``; the public constructor raises ``TypeError`` for any
+other coefficient, a rational one included.  Equality is therefore plain
 dict comparison, and ``+``, ``-`` and a product by one term build their
-result directly, canonicalizing only a value that is not an ``int`` and
-dropping zeros as they merge.  Per-variable Laurent flags admit negative
-exponents.
+result directly, dropping zeros as they merge.  Per-variable Laurent flags
+admit negative exponents; only a monomial with coefficient +1 or -1 is a
+unit.
 
-A product of two polynomials with ``int`` coefficients and at least
-``_PACK_MIN_PRODUCTS`` term products is computed by Kronecker substitution
-(Harvey, J. Symb. Comput. 2009) when the dense box of its exponents has no
-more slots than there are term products: each operand is packed into one
-Python int, one slot of bytes per monomial of the box, and the two ints
-are multiplied once.  Other products, with ``Fraction`` coefficients or
-small or sparse operands, take the dict double loop.  The packing is
-private; the term map stays the only representation.
+A product with at least ``_PACK_MIN_PRODUCTS`` term products is computed
+by Kronecker substitution (Harvey, J. Symb. Comput. 2009) when the dense
+box of its exponents has no more slots than there are term products: each
+operand is packed into one Python int, one slot of bytes per monomial of
+the box, and the two ints are multiplied once.  Other products, small or
+sparse, take the dict double loop.  The packing is private; the term map
+stays the only representation.
 
 ``MultiPoly.evaluate`` runs Horner's scheme in the arithmetic of the
-point's values: exact at ``int`` or ``Fraction`` values, complex at complex
-ones.  The module also provides rational functions (always reduced,
-denominator normalized, Laurent variables allowed), ``Matrix2``, a
+point's values: exact at integer or rational values, complex at complex
+ones.  The module also provides rational functions (integer numerator and
+denominator, always reduced, Laurent variables allowed), ``Matrix2``, a
 ``__slots__`` 2x2 matrix over any ring-like entries (inverted only at
 determinant one), gcds, Bezout-matrix resultants, Newton polygons via
 monotone chain, and a canonical text form.
 
 Exact division, which the gcds lean on, takes leading terms from a heap of
-the remainder's monomials and keeps quotient coefficients as ``int`` while
-they divide evenly, so a quotient of integer polynomials that divide
-exactly builds no ``Fraction``.
+the remainder's monomials and divides over Z: a leading coefficient that
+does not divide is a remainder.  Every division in the package is by a
+primitive or monic polynomial, so by Gauss's lemma it divides over Z
+whenever it divides over Q.
 
 ``poly_gcd`` is the one gcd.  It first tries the heuristic gcd GCDHEU
-(Char, Geddes & Gonnet, J. Symb. Comput. 1989) when both operands have
-``int`` coefficients and together involve one variable.  The primitive
-parts A, B are evaluated at an integer xi >= 2 * min(|A|_inf, |B|_inf) +
-2, and the integer gcd of the two values, read back in balanced base xi,
-gives a candidate.  Above that bound a candidate whose primitive part
-divides both A and B is their gcd, and exact_div must divide it into both
-before it is returned, so the result is exact (Char, Geddes & Gonnet
-1989, Theorem 1).  A rejected candidate is retried at a few larger xi;
-after that, and for every other input, the primitive PRS computes the
-gcd.
+(Char, Geddes & Gonnet, J. Symb. Comput. 1989) when the two operands
+together involve one variable.  The primitive parts A, B are evaluated at
+an integer xi >= 2 * min(|A|_inf, |B|_inf) + 2, and the integer gcd of the
+two values, read back in balanced base xi, gives a candidate.  Above that
+bound a candidate whose primitive part divides both A and B is their gcd,
+and exact_div must divide it into both before it is returned, so the
+result is exact (Char, Geddes & Gonnet 1989, Theorem 1).  A rejected
+candidate is retried at a few larger xi; after that, and for every other
+input, the primitive PRS computes the gcd.
 """
 
 from __future__ import annotations
@@ -52,7 +51,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from itertools import product
-from math import gcd as _int_gcd, lcm as _int_lcm, prod
+from math import gcd as _int_gcd, prod
 from operator import add as _add, mul as _mul, neg as _neg, sub as _sub
 from typing import Mapping, Sequence
 
@@ -82,17 +81,6 @@ class InexactDivisionError(ArithmeticError):
 
 class EvaluationError(ValueError):
     """Raised when a numeric evaluation point misses a variable."""
-
-
-def _canon_coeff(c):
-    """Normalize a rational coefficient; integral Fractions collapse to int."""
-    if type(c) is int:
-        return c
-    if isinstance(c, Fraction):
-        return int(c) if c.denominator == 1 else c
-    if isinstance(c, int):
-        return int(c)
-    raise TypeError(f"unsupported coefficient type {type(c).__name__}")
 
 
 def _grlex_key(exp):
@@ -130,7 +118,7 @@ def _pack(terms, lo, hi, strides, width):
 
 
 def _packed_product(a, b):
-    """Product of two int-coefficient term maps by Kronecker substitution
+    """Product of two term maps by Kronecker substitution
     (one big-int multiplication), or None when the dense box is too large.
 
     Exponents are shifted so that each variable starts at 0 in each
@@ -170,7 +158,8 @@ def _packed_product(a, b):
 
 
 class MultiPoly:
-    """Sparse exact polynomial over an ordered variable tuple."""
+    """Sparse polynomial with int coefficients over an ordered variable
+    tuple."""
 
     __slots__ = ("vars", "laurent", "terms")
 
@@ -189,7 +178,9 @@ class MultiPoly:
             exp = tuple(int(e) for e in exp)
             if len(exp) != n:
                 raise ValueError(f"exponent {exp} does not match {vars}")
-            c = _canon_coeff(c)
+            if not isinstance(c, int):
+                raise TypeError(f"coefficient {c!r} is not an int")
+            c = int(c)
             if c == 0:
                 continue
             for e, flag in zip(exp, laurent):
@@ -203,15 +194,15 @@ class MultiPoly:
 
     @classmethod
     def _make(cls, vars, laurent, terms):
-        """Fast internal constructor; trusts exponent validity."""
-        return cls._new(vars, laurent, {
-            e: c if type(c) is int else _canon_coeff(c)
-            for e, c in terms.items() if c})
+        """Fast internal constructor; trusts exponent validity and int
+        coefficients, and drops zeros."""
+        return cls._new(vars, laurent,
+                        {e: c for e, c in terms.items() if c})
 
     @classmethod
     def _new(cls, vars, laurent, terms):
-        """Internal constructor that also trusts terms to be canonical:
-        every coefficient a nonzero int or a non-integral Fraction."""
+        """Internal constructor that also trusts every coefficient to be a
+        nonzero int."""
         obj = object.__new__(cls)
         obj.vars = vars
         obj.laurent = laurent
@@ -306,13 +297,13 @@ class MultiPoly:
                 raise AlignmentError(
                     f"variable mismatch: {self.vars} vs {other.vars}")
             return other
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, int):
             return MultiPoly._make(self.vars, self.laurent,
-                                   {(0,) * len(self.vars): other})
+                                   {(0,) * len(self.vars): int(other)})
         return None
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, int):
             other = MultiPoly.const(self.vars, other, self.laurent)
         if not isinstance(other, MultiPoly):
             return NotImplemented
@@ -361,15 +352,8 @@ class MultiPoly:
                 out = {tuple(map(_add, ea, e)): ca * c for e, c in b.items()}
             else:
                 out = {e: ca * c for e, c in b.items()}
-            # a product of nonzero values is nonzero, but int * Fraction
-            # or Fraction * Fraction may be integral
-            for e, c in out.items():
-                if type(c) is not int and c.denominator == 1:
-                    out[e] = c.numerator
             return MultiPoly._new(self.vars, self.laurent, out)
-        if len(a) * len(b) >= _PACK_MIN_PRODUCTS \
-                and all(type(c) is int for c in a.values()) \
-                and all(type(c) is int for c in b.values()):
+        if len(a) * len(b) >= _PACK_MIN_PRODUCTS:
             out = _packed_product(a, b)
             if out is not None:
                 return MultiPoly._new(self.vars, self.laurent, out)
@@ -400,8 +384,9 @@ class MultiPoly:
         return result
 
     def _monomial_inverse(self) -> "MultiPoly":
-        """Inverse of a single-term unit; requires Laurent room."""
-        if len(self.terms) != 1:
+        """Inverse of a unit: a monomial with coefficient +1 or -1, on
+        Laurent variables only."""
+        if len(self.terms) != 1 or abs(next(iter(self.terms.values()))) != 1:
             raise InexactDivisionError(
                 f"{self.to_text()} is not an invertible monomial")
         (exp, c), = self.terms.items()
@@ -410,8 +395,7 @@ class MultiPoly:
             if e < 0 and not flag:
                 raise LaurentInputError(
                     "monomial inverse needs a Laurent variable")
-        return MultiPoly._make(self.vars, self.laurent,
-                               {inv_exp: Fraction(1, 1) / c})
+        return MultiPoly._new(self.vars, self.laurent, {inv_exp: c})
 
     def mul_var_power(self, var, k: int) -> "MultiPoly":
         """Multiply by var**k (k may be negative on a Laurent variable)."""
@@ -568,8 +552,6 @@ def _merge(a, b, negate):
             out[e] = -c if negate else c
             continue
         v = v - c if negate else v + c
-        if type(v) is not int and v.denominator == 1:
-            v = v.numerator
         if v:
             out[e] = v
         else:
@@ -599,17 +581,17 @@ def _shift_all(p: MultiPoly, shifts):
 
 
 def exact_div(p: MultiPoly, q: MultiPoly) -> MultiPoly:
-    """Exact quotient p/q; raises InexactDivisionError on any remainder.
+    """Exact quotient p/q over Z; raises InexactDivisionError on any
+    remainder.
 
     Division by leading terms in graded-lex order, with the remainder's
     monomials kept in a max-heap (Monagan & Pearce, CASC 2007), so each
     step finds its leading term without scanning the remainder.  An entry
     whose monomial has since cancelled out of the remainder is skipped.
-    A quotient coefficient is an ``int`` whenever the remainder's leading
-    coefficient is an integer multiple of q's, as it always is when q
-    divides p over the integers; otherwise it is a ``Fraction``.  A
-    Laurent variable is a unit, so q is first divided by its least power
-    of each Laurent variable, positive or not: exact_div(1, t) is t^-1.
+    A remainder whose leading coefficient is not a multiple of q's is not
+    divisible over Z: exact_div(x + 1, 2x + 2) raises.  A Laurent variable
+    is a unit, so q is first divided by its least power of each Laurent
+    variable, positive or not: exact_div(1, t) is t^-1.
     """
     if not isinstance(q, MultiPoly):
         q = MultiPoly.const(p.vars, q, p.laurent)
@@ -630,7 +612,6 @@ def exact_div(p: MultiPoly, q: MultiPoly) -> MultiPoly:
 
     lead_q = max(q0.terms, key=_grlex_key)
     cq = q0.terms[lead_q]
-    cq_int = type(cq) is int
     tail_q = [(e, c) for e, c in q0.terms.items() if e != lead_q]
     quot: dict = {}
     rem = dict(p0.terms)
@@ -643,13 +624,10 @@ def exact_div(p: MultiPoly, q: MultiPoly) -> MultiPoly:
         if cr is None:
             continue
         diff = tuple(map(_sub, lead_r, lead_q))
-        if any(d < 0 for d in diff):
+        c, r = divmod(cr, cq)
+        if r or any(d < 0 for d in diff):
             raise InexactDivisionError(
                 f"{q.to_text()} does not divide {p.to_text()}")
-        if cq_int and type(cr) is int and not cr % cq:
-            c = cr // cq
-        else:
-            c = Fraction(cr) / cq
         quot[diff] = c
         for eq, cc in tail_q:
             e = tuple(map(_add, diff, eq))
@@ -668,38 +646,38 @@ def exact_div(p: MultiPoly, q: MultiPoly) -> MultiPoly:
     return MultiPoly._make(p.vars, p.laurent, quot)
 
 
-def _scalar_content(p: MultiPoly):
-    """The gcd of the coefficients' numerators and the lcm of their
-    denominators, as ints (an int coefficient has both attributes)."""
-    num = 0
-    den = 1
-    for c in p.terms.values():
-        num = _int_gcd(num, c.numerator)
-        den = _int_lcm(den, c.denominator)
-    return num, den
+def _scalar_content(p: MultiPoly) -> int:
+    """The gcd of the coefficients; 0 for the zero polynomial."""
+    return _int_gcd(*p.terms.values())
+
+
+def _divide_scalar(p: MultiPoly, k: int) -> MultiPoly:
+    """p with every coefficient divided by k, which divides them all."""
+    if k == 1:
+        return p
+    return MultiPoly._new(p.vars, p.laurent,
+                          {e: c // k for e, c in p.terms.items()})
 
 
 def rational_normalize(p: MultiPoly) -> MultiPoly:
-    """Scale to coprime integer coefficients with positive leading term."""
+    """The primitive part: coprime coefficients, positive leading term."""
     if p.is_zero():
         return p
-    num, den = _scalar_content(p)
-    lead = max(p.terms, key=_grlex_key)
-    if p.terms[lead] < 0:
-        num = -num
-    return MultiPoly._new(p.vars, p.laurent,
-                          {e: c * den // num for e, c in p.terms.items()})
+    content = _scalar_content(p)
+    if p.terms[max(p.terms, key=_grlex_key)] < 0:
+        content = -content
+    return _divide_scalar(p, content)
 
 
 def poly_gcd(p: MultiPoly, q: MultiPoly) -> MultiPoly:
     """The gcd of p and q, normalized via rational_normalize.
 
     Laurent exponents are shifted to nonnegative ones first.  Operands
-    with ``int`` coefficients that together involve one variable go to
-    the heuristic gcd (GCDHEU, as the module docstring describes it).
-    Every other pair, and one the heuristic gives up on, runs the
-    primitive PRS in the first variable of positive degree; a normalized
-    gcd is unique, so that choice cannot change the result.
+    that together involve one variable go to the heuristic gcd (GCDHEU,
+    as the module docstring describes it).  Every other pair, and one the
+    heuristic gives up on, runs the primitive PRS in the first variable of
+    positive degree; a normalized gcd is unique, so that choice cannot
+    change the result.
     """
     if p.vars != q.vars:
         raise AlignmentError(f"variable mismatch: {p.vars} vs {q.vars}")
@@ -726,8 +704,8 @@ def _content_and_primitive(p: MultiPoly, var):
         if content.is_constant():
             break
     content = rational_normalize(content)
-    # normalize to coprime integer coefficients: scalar content is a unit
-    # over Q, but leaving it in makes the remainder sequence blow up
+    # the gcd is normalized to be primitive, so the integer content does
+    # not change it; taking it out keeps the remainder sequence small
     return content, rational_normalize(exact_div(p, content))
 
 
@@ -777,13 +755,9 @@ def _heuristic_gcd(p: MultiPoly, q: MultiPoly):
     candidate that exact_div divides into both primitive parts.
 
     p and q are nonzero with nonnegative exponents, as poly_gcd leaves
-    them; the heuristic applies when both have ``int`` coefficients and
-    together involve exactly one variable, read off their exponents.
+    them; the heuristic applies when together they involve exactly one
+    variable, read off their exponents.
     """
-    for f in (p, q):
-        for c in f.terms.values():
-            if type(c) is not int:
-                return None
     live = [i for i, col in enumerate(zip(*p.terms, *q.terms)) if any(col)]
     if len(live) != 1:
         return None
@@ -946,25 +920,21 @@ def newton_polygon(p: MultiPoly) -> NewtonPolygon:
         while len(upper) >= 2 and _cross(upper[-2], upper[-1], pt) <= 0:
             upper.pop()
         upper.append(pt)
-    hull = lower[:-1] + upper[:-1]
-    if len(hull) == 0:
-        hull = [pts[0], pts[-1]]
-    elif len(hull) == 1:
-        hull = [pts[0], pts[-1]]
-    if hull[0] == hull[-1] and len(hull) > 1:
-        hull = hull[:-1]
-    return NewtonPolygon(tuple(hull))
+    # two or more distinct points give each chain two distinct ends, so
+    # the hull has at least two vertices and does not repeat its first
+    return NewtonPolygon(tuple(lower[:-1] + upper[:-1]))
 
 
 # -- rational functions ---------------------------------------------------
 
 
 class RationalFunction:
-    """Reduced fraction of polynomials with a normalized denominator.
+    """Reduced fraction of integer polynomials, the one fraction type.
 
     The normal form divides out the gcd, shifts each Laurent variable so
-    that its least exponent in the denominator is 0, and scales the
-    denominator's graded-lex leading coefficient to 1, so the
+    that its least exponent in the denominator is 0, and scales the pair
+    so that numerator and denominator together have content 1 and the
+    denominator's graded-lex leading coefficient is positive, so the
     representation is canonical and structural equality is valid.
     Arithmetic returns the type of its left operand, so subclasses that
     add constraints in __init__ keep them.
@@ -994,17 +964,11 @@ class RationalFunction:
                 if shift:
                     num = num.mul_var_power(var, -shift)
                     den = den.mul_var_power(var, -shift)
-        lead = max(den.terms, key=_grlex_key)
-        lc = Fraction(den.terms[lead])
-        if lc != 1:
-            num = MultiPoly._make(num.vars, num.laurent,
-                                  {e: Fraction(c) / lc
-                                   for e, c in num.terms.items()})
-            den = MultiPoly._make(den.vars, den.laurent,
-                                  {e: Fraction(c) / lc
-                                   for e, c in den.terms.items()})
-        self.num = num
-        self.den = den
+        content = _int_gcd(_scalar_content(num), _scalar_content(den))
+        if den.terms[max(den.terms, key=_grlex_key)] < 0:
+            content = -content
+        self.num = _divide_scalar(num, content)
+        self.den = _divide_scalar(den, content)
 
     @classmethod
     def from_poly(cls, p: MultiPoly) -> "RationalFunction":
@@ -1015,7 +979,7 @@ class RationalFunction:
             if other.num.vars != self.num.vars:
                 raise AlignmentError("variable mismatch")
             return other
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, int):
             other = MultiPoly.const(self.num.vars, other, self.num.laurent)
         if isinstance(other, MultiPoly):
             return type(self).from_poly(other)

@@ -9,6 +9,12 @@ z-resultant structure, the radicality certificates on the x = 0 slice, and
 the representation-witness matrices for each branch of y, all in exact
 arithmetic except the two float checks flagged as numeric: Seidenberg root
 separation and the cosine-root residuals, both against RESIDUAL_TOL.
+
+Every polynomial here has integer coefficients.  The paper's y = -2
+witness has the denominators 2 and 4(x + z); it is conjugated by
+C = [[2(x+z), x], [0, 2]] to matrices over Z[x, z] (see
+witness_y_minus_two).  Only the membership solver works over the
+rationals, on scalars, and it returns integer cofactors.
 """
 
 from __future__ import annotations
@@ -132,7 +138,6 @@ def pq_resultant(n: int) -> MultiPoly:
     return resultant_in(defining_p(), defining_q(n), "z").restrict(VARS_XY)
 
 
-@lru_cache(maxsize=None)
 def resultant_closed_rhs(n: int) -> MultiPoly:
     """Closed bracket E_n with (y^2 - 4)(y + 2) Res = (y + 2 - x^2) E_n."""
     x = MultiPoly.variable("x", VARS_XY)
@@ -387,8 +392,10 @@ def membership_certificate(target: MultiPoly, gens,
                            bounds=MEMBERSHIP_DEGREE_STEPS):
     """Cofactors u_i with sum u_i g_i = target, found by bounded ansatz.
 
-    The returned cofactors are re-checked exactly; None means no solution
-    within the tried degree bounds (not a proof of non-membership).
+    The linear system is solved over the rationals; a cofactor that is not
+    integral raises InternalInconsistencyError.  The returned cofactors
+    are re-checked exactly; None means no solution within the tried degree
+    bounds (not a proof of non-membership).
     """
     vars = target.vars
     for by, bz in bounds:
@@ -417,8 +424,11 @@ def membership_certificate(target: MultiPoly, gens,
             terms = {}
             for mi, e in enumerate(mons):
                 c = sol[gi * per + mi]
-                if c != 0:
-                    terms[e] = c
+                if c.denominator != 1:
+                    raise InternalInconsistencyError(
+                        "membership solver found the non-integral "
+                        f"cofactor coefficient {c}")
+                terms[e] = c.numerator
             out.append(MultiPoly(vars, terms))
         check = MultiPoly.zero(vars)
         for cof, g in zip(out, gens):
@@ -574,57 +584,53 @@ def _diagonal_subcase_ok(n: int) -> bool:
 
 
 def y_minus_two_generators():
-    """r(a) = [[x/2, 4 - x^2], [-1/4, x/2]] and r(w) = [[-1, -4(x+z)],
-    [0, -1]]: the paper's y = -2 pair conjugated by D = diag(4(x+z), 1)."""
+    """r(a) = [[0, 1], [-1, x]] and r(w) = [[-1, -(x+z)], [0, -1]]: the
+    paper's y = -2 pair conjugated by C = [[2(x+z), x], [0, 2]]."""
     x = MultiPoly.variable("x", VARS_XZ)
     z = MultiPoly.variable("z", VARS_XZ)
     one = x ** 0
-    half = Fraction(1, 2)
-    return (Matrix2(half * x, 4 - x ** 2, Fraction(-1, 4) * one, half * x),
-            Matrix2(-one, -4 * (x + z), 0 * one, -one))
+    zero = x * 0
+    return (Matrix2(zero, one, -one, x), Matrix2(-one, -(x + z), zero, -one))
 
 
 def witness_y_minus_two(n: int) -> VerificationReport:
-    """Branch y = -2, conjugated by D = diag(4(x+z), 1) to clear the one
-    denominator of the paper's r(a), (4 - x^2)/(4(x+z)): D multiplies every
-    upper right entry by 4(x+z) and divides every lower left one by it.
+    """Branch y = -2, conjugated by C = [[2(x+z), x], [0, 2]] (M -> C M C^-1)
+    to clear the denominators of the paper's r(a) = [[x/2, (4 - x^2)/(4(x+z))],
+    [-(x+z), x/2]]; r(w) = [[-1, -1], [0, -1]] keeps integer entries.
     Conjugation keeps products and equality, so each check over these
-    polynomial matrices means the same as in the fraction field."""
+    matrices over Z[x, z] means the same as in the fraction field."""
     _check_bound(n, WITNESS_BOUND, "witness")
     x = MultiPoly.variable("x", VARS_XZ)
     z = MultiPoly.variable("z", VARS_XZ)
     one = x ** 0
     zero = x * 0
-    half = Fraction(1, 2)
-    d = 4 * (x + z)
     ra, rw = mats = y_minus_two_generators()
     det_ok = ra.det() == 1 and rw.det() == 1
-    lower_ef = Fraction(1, 4) * (1 + x * z + z ** 2)
-    expect_e = Matrix2(
-        -half * (x + 2 * z + x ** 2 * z + x * z ** 2),
-        -(4 + 3 * x ** 2 + 4 * x * z + x ** 3 * z + x ** 2 * z ** 2),
-        lower_ef,
-        half * (3 * x + 2 * z + x ** 2 * z + x * z ** 2))
+    lower_ef = x * z + z ** 2 + 1
+    expect_e = Matrix2(-z, -one, lower_ef, x + z)
     expect_f = Matrix2(
-        half * (x + 2 * z + x ** 2 * z + x * z ** 2),
-        -(4 + 5 * x ** 2 + 10 * x * z + 3 * x ** 3 * z + 4 * z ** 2
-          + 5 * x ** 2 * z ** 2 + 2 * x * z ** 3),
+        x ** 2 * z + x * z ** 2 + x + z,
+        -(2 * x ** 3 * z + 3 * x ** 2 * z ** 2 + x * z ** 3 + 3 * x ** 2
+          + 4 * x * z + z ** 2 + 1),
         lower_ef,
-        -half * (5 * x + 4 * z + 3 * x ** 2 * z + 5 * x * z ** 2
-                 + 2 * z ** 3))
+        -(2 * x ** 2 * z + 3 * x * z ** 2 + z ** 3 + 3 * x + 2 * z))
     ef_ok = (matrix_of_word(word_e(), mats) == expect_e
              and matrix_of_word(word_f(), mats) == expect_f)
     sign = 1 if n % 2 == 0 else -1
     wn_word = FreeWord(((GENERATOR_B, n),)) if n else FreeWord(())
     power_ok = matrix_of_word(wn_word, mats) == Matrix2(
-        sign * one, sign * n * d, zero, sign * one)
+        sign * one, sign * n * (x + z), zero, sign * one)
     p3 = 3 * x + z + x ** 2 * z + 2 * x * z ** 2 + z ** 3
     qpp = x + 2 * n * x + 2 * z + x ** 2 * z + x * z ** 2
     left, right = _relation_words(n)
     diff = matrix_of_word(left, mats) - matrix_of_word(right, mats)
-    difference_ok = diff == Matrix2(
-        sign * (n * p3 - qpp), sign * 2 * (x + z) * qpp,
-        zero, sign * (qpp - (n - 1) * p3))
+    # twice the upper right entry has the closed form over Z, so no
+    # division by 2 is needed
+    difference_ok = (
+        diff.a == sign * (n * p3 - qpp)
+        and 2 * diff.b == sign * ((3 * x + z) * qpp - (2 * n - 1) * x * p3)
+        and diff.c.is_zero()
+        and diff.d == sign * (qpp - (n - 1) * p3))
     diagonal_ok = _diagonal_subcase_ok(n)
     ok = det_ok and ef_ok and power_ok and difference_ok and diagonal_ok
     return VerificationReport(

@@ -16,7 +16,6 @@ action at n sends t^a M^b to t^(a + 2nb), summing what lands together.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Callable, Mapping
 
 from .exactpoly import MultiPoly, RationalFunction
@@ -84,7 +83,7 @@ class QTElem:
     def _coerce(self, other):
         if isinstance(other, QTElem):
             return other
-        if isinstance(other, (int, Fraction, MultiPoly)):
+        if isinstance(other, (int, MultiPoly)):
             return QTElem({0: other})
         return None
 

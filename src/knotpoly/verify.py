@@ -96,14 +96,13 @@ def check_witnesses(n_range=None) -> list:
     return reports
 
 
-def check_two_bridge(p_max: int = TWOBRIDGE_P_MAX,
-                     leading_p_max: int = LEADING_P_MAX) -> list:
+def check_two_bridge(p_max: int = TWOBRIDGE_P_MAX) -> list:
     """Structural suite for every valid (p, m), with the per-slice leading
-    term checks on the smaller range."""
+    term checks up to LEADING_P_MAX."""
     reports = []
     for knot in twobridge.all_knots(p_max):
         reports.extend(twobridge.structural_reports(knot))
-        if knot.p <= leading_p_max:
+        if knot.p <= LEADING_P_MAX:
             reports.append(twobridge.leading_term_report(knot))
     return reports
 
@@ -124,9 +123,9 @@ def check_irreducibility(p_max: int = IRREDUCIBILITY_P_MAX) -> list:
     return reports
 
 
-def _random_qt_elem(rng: random.Random, nterms: int = 3) -> QTElem:
+def _random_qt_elem(rng: random.Random) -> QTElem:
     out = QTElem.zero()
-    for _ in range(nterms):
+    for _ in range(3):
         out = out + QTElem.term(rng.randint(-4, 4),
                                 t_exp=rng.randint(-3, 3),
                                 m_exp=rng.randint(-2, 2),
@@ -162,52 +161,43 @@ def unknot_reports(window=QT_WINDOW) -> list:
     return reports
 
 
-def check_quantum_torus(cases: int = QT_RANDOM_CASES,
-                        window=QT_WINDOW,
-                        seed: int = DEFAULT_SEED) -> list:
-    """Ring laws on random elements, the unknot annihilator, its shape at
-    t = -1, and its symmetry factor."""
+def check_quantum_torus(seed: int = DEFAULT_SEED) -> list:
+    """Ring laws on QT_RANDOM_CASES random elements, the unknot annihilator
+    on QT_WINDOW, its shape at t = -1, and its symmetry factor."""
     rng = random.Random(seed)
-    failures = {"associativity": [], "sigma": [], "epsilon": []}
-    for i in range(cases):
+    failures = {"qt-associativity": [], "qt-sigma-automorphism": [],
+                "qt-epsilon-multiplicative": []}
+    for i in range(QT_RANDOM_CASES):
         p, q, r = (_random_qt_elem(rng) for _ in range(3))
         if qt_mul(qt_mul(p, q), r) != qt_mul(p, qt_mul(q, r)):
-            failures["associativity"].append(i)
+            failures["qt-associativity"].append(i)
         if (qt_sigma(qt_sigma(p)) != p
                 or qt_sigma(qt_mul(p, q)) != qt_mul(qt_sigma(p),
                                                     qt_sigma(q))):
-            failures["sigma"].append(i)
+            failures["qt-sigma-automorphism"].append(i)
         if epsilon_eval(qt_mul(p, q)) != epsilon_eval(p) * epsilon_eval(q):
-            failures["epsilon"].append(i)
-    return [
-        VerificationReport("qt-associativity", f"random x{cases}",
-                           status_of(not failures["associativity"]),
-                           {"cases": cases,
-                            "failed_at": failures["associativity"][:5]}),
-        VerificationReport("qt-sigma-automorphism", f"random x{cases}",
-                           status_of(not failures["sigma"]),
-                           {"cases": cases,
-                            "failed_at": failures["sigma"][:5]}),
-        VerificationReport("qt-epsilon-multiplicative", f"random x{cases}",
-                           status_of(not failures["epsilon"]),
-                           {"cases": cases,
-                            "failed_at": failures["epsilon"][:5]}),
-    ] + unknot_reports(window)
+            failures["qt-epsilon-multiplicative"].append(i)
+    return [VerificationReport(claim, f"random x{QT_RANDOM_CASES}",
+                               status_of(not failed),
+                               {"cases": QT_RANDOM_CASES,
+                                "failed_at": failed[:5]})
+            for claim, failed in failures.items()] + unknot_reports()
 
 
-def check_trace_oracle(words: int = ORACLE_WORDS,
-                       trials: int = ORACLE_TRIALS,
-                       seed: int = DEFAULT_SEED) -> list:
-    """Trace polynomials against exact traces at random SL2(Z) pairs."""
+def check_trace_oracle(seed: int = DEFAULT_SEED) -> list:
+    """Trace polynomials of ORACLE_WORDS random words against exact traces
+    at ORACLE_TRIALS random SL2(Z) pairs each."""
     rng = random.Random(seed)
     bad = []
-    for _ in range(words):
+    for _ in range(ORACLE_WORDS):
         word = random_reduced_word(rng, ORACLE_MAX_LEN)
-        if not trace_matches(word, trials, rng):
+        if not trace_matches(word, ORACLE_TRIALS, rng):
             bad.append(word_to_string(word))
     return [VerificationReport(
-        "trace-oracle", f"words={words} seed={seed}", status_of(not bad),
-        {"words": words, "trials": trials, "failed_words": bad[:5]})]
+        "trace-oracle", f"words={ORACLE_WORDS} seed={seed}",
+        status_of(not bad),
+        {"words": ORACLE_WORDS, "trials": ORACLE_TRIALS,
+         "failed_words": bad[:5]})]
 
 
 def suite_twobridge(p_max: int = TWOBRIDGE_P_MAX) -> list:

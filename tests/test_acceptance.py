@@ -45,8 +45,7 @@ def test_witness_lemmas():
 
 def test_two_bridge_suite():
     run_gate("two-bridge structure to p = 45, leading terms to p = 31", 120.0,
-             verify.check_two_bridge, verify.TWOBRIDGE_P_MAX,
-             verify.LEADING_P_MAX)
+             verify.check_two_bridge, verify.TWOBRIDGE_P_MAX)
 
 
 def test_irreducibility_crosscheck():
@@ -56,11 +55,9 @@ def test_irreducibility_crosscheck():
 
 def test_quantum_torus():
     run_gate("quantum torus laws and the unknot annihilator", 5.0,
-             verify.check_quantum_torus, verify.QT_RANDOM_CASES,
-             verify.QT_WINDOW, verify.DEFAULT_SEED)
+             verify.check_quantum_torus, verify.DEFAULT_SEED)
 
 
 def test_trace_oracle():
     run_gate("trace polynomials vs random SL2(Z) matrix traces", 20.0,
-             verify.check_trace_oracle, verify.ORACLE_WORDS,
-             verify.ORACLE_TRIALS, verify.DEFAULT_SEED)
+             verify.check_trace_oracle, verify.DEFAULT_SEED)

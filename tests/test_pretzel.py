@@ -16,7 +16,9 @@ from knotpoly.pretzel import (ExpansionBoundError, PretzelKnot,
                               witness_reports, x0_report, x0_slice,
                               a_root_residuals, u_root_residuals,
                               y_minus_two_generators, _relation_words)
-from knotpoly.sl2trace import matrix_of_word
+from knotpoly.report import InternalInconsistencyError
+from knotpoly.sl2trace import (FreeWord, GENERATOR_A, GENERATOR_B,
+                               matrix_of_word)
 
 VARS_XYZ = ("x", "y", "z")
 VARS_XY = ("x", "y")
@@ -196,6 +198,13 @@ def test_membership_certificate_round_trip():
     assert rebuilt == target
 
 
+def test_membership_certificate_rejects_a_non_integral_cofactor():
+    # z = (1/2) * 2z has only a rational cofactor
+    z = MultiPoly.variable("z", ("y", "z"))
+    with pytest.raises(InternalInconsistencyError, match="non-integral"):
+        membership_certificate(z, (2 * z,), bounds=((1, 1),))
+
+
 def test_membership_certificate_returns_none_when_unreachable():
     p0 = slice_p()
     one = MultiPoly.const(("y", "z"), 1)
@@ -236,17 +245,23 @@ def _paper_y_minus_two_generators():
 
 @pytest.mark.parametrize("n", [-2, 3])
 def test_y_minus_two_conjugation_matches_the_paper(n):
+    # each integer matrix N is C M C^-1 for the paper's M, with
+    # C = [[2(x+z), x], [0, 2]]; it is checked as C M = N C over the
+    # fraction field, so C is never inverted
     paper = _paper_y_minus_two_generators()
-    poly = y_minus_two_generators()
     x = MultiPoly.variable("x", ("x", "z"))
     z = MultiPoly.variable("z", ("x", "z"))
-    d = 4 * (x + z)
-    for word in _relation_words(n):
-        f = matrix_of_word(word, paper)
-        m = matrix_of_word(word, poly)
-        assert f.a == m.a and f.d == m.d
-        assert f.b == RationalFunction(m.b, d)
-        assert f.c == m.c * d
+
+    def rf(p):
+        return RationalFunction.from_poly(p * x ** 0)
+
+    c = Matrix2(rf(2 * (x + z)), rf(x), rf(0), rf(2))
+    words = [FreeWord(((GENERATOR_A, 1),)), FreeWord(((GENERATOR_B, 1),)),
+             *_relation_words(n)]
+    for word in words:
+        m = matrix_of_word(word, paper)
+        ints = matrix_of_word(word, y_minus_two_generators())
+        assert c * m == Matrix2(*map(rf, ints.entries())) * c
 
 
 def test_witness_bound_error():

@@ -1,5 +1,7 @@
 """Quantum torus normal form, the unknot recurrence and its symmetry factor."""
 
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -31,6 +33,14 @@ def qt_elems(draw, max_terms=3):
 def test_commutation_rule():
     assert qt_mul(L, M) == QTElem({1: tm_poly({(2, 1): 1})})
     assert qt_mul(M, L) == QTElem({1: tm_poly({(0, 1): 1})})
+
+
+def test_fraction_coefficients_are_type_errors():
+    half = Fraction(1, 2)
+    for op in (lambda: M * half, lambda: half + L, lambda: QTElem({0: half}),
+               lambda: QTElem.term(half, m_exp=1)):
+        with pytest.raises(TypeError):
+            op()
 
 
 def test_twist_moves_l_powers_past_m_powers():
