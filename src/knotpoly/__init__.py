@@ -10,9 +10,9 @@ from .exactpoly import (AlignmentError, InexactDivisionError, LaurentInputError,
                         is_squarefree_in, newton_polygon, poly_gcd,
                         rational_normalize, resultant_in, squarefree_part_in)
 from .pretzel import PretzelKnot
-from .qtorus import (DiscreteSeq, QTElem, act, alpha_unknot,
-                     annihilation_check, epsilon_eval, jones_unknot, qt_mul,
-                     qt_sigma, sigma_symmetry_factor)
+from .qtorus import (act, alpha_unknot, annihilation_check, epsilon_eval,
+                     jones_unknot, qt_mul, qt_sigma, qt_text,
+                     sigma_symmetry_factor)
 from .report import VerificationReport, all_passed, sort_reports
 from .sl2trace import (FreeWord, chebyshev_s, chebyshev_t, reduce_word,
                        trace_poly, word_from_string, word_to_string)
@@ -21,14 +21,13 @@ from .twobridge import TwoBridgeKnot, all_knots, character_polynomial
 __version__ = "0.1.0"
 
 __all__ = [
-    "AlignmentError", "DiscreteSeq", "FreeWord", "InexactDivisionError",
-    "LaurentInputError", "Matrix2", "MultiPoly", "PretzelKnot", "QTElem",
-    "RationalFunction", "TwoBridgeKnot", "VerificationReport", "act",
-    "all_knots", "all_passed", "alpha_unknot", "annihilation_check",
-    "character_polynomial", "chebyshev_s", "chebyshev_t", "epsilon_eval",
-    "exact_div", "is_squarefree_in", "jones_unknot", "newton_polygon",
-    "poly_gcd", "qt_mul", "qt_sigma", "rational_normalize", "reduce_word",
-    "resultant_in", "sigma_symmetry_factor", "sort_reports",
-    "squarefree_part_in", "trace_poly", "word_from_string",
-    "word_to_string", "__version__",
+    "AlignmentError", "FreeWord", "InexactDivisionError", "LaurentInputError",
+    "Matrix2", "MultiPoly", "PretzelKnot", "RationalFunction", "TwoBridgeKnot",
+    "VerificationReport", "act", "all_knots", "all_passed", "alpha_unknot",
+    "annihilation_check", "character_polynomial", "chebyshev_s", "chebyshev_t",
+    "epsilon_eval", "exact_div", "is_squarefree_in", "jones_unknot",
+    "newton_polygon", "poly_gcd", "qt_mul", "qt_sigma", "qt_text",
+    "rational_normalize", "reduce_word", "resultant_in",
+    "sigma_symmetry_factor", "sort_reports", "squarefree_part_in",
+    "trace_poly", "word_from_string", "word_to_string", "__version__",
 ]

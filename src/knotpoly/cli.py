@@ -20,7 +20,7 @@ from .pretzel import (PretzelKnot, TRACE_WORD_BOUND, WITNESS_BOUND,
                       closed_form_report, defining_p, defining_q,
                       pq_resultant, radical_slice_report, resultant_report,
                       seidenberg_report, witness_reports, x0_report, x0_slice)
-from .qtorus import alpha_unknot
+from .qtorus import alpha_unknot, qt_text
 from .report import InternalInconsistencyError, all_passed, sort_reports
 from .sl2trace import (DEFAULT_SEED, trace_poly, word_from_string,
                        word_to_string)
@@ -29,7 +29,6 @@ from .twobridge import (TwoBridgeKnot, character_polynomial,
                         leading_term_report, structural_reports)
 from . import verify
 
-RESULTANT_CLI_BOUND = 8
 # Input size caps: past them a query runs for minutes, so it is refused.
 TRACE_MAX_LETTERS = 120
 PRETZEL_N_MAX = 100
@@ -113,7 +112,9 @@ def _run_pretzel(args):
     _check_pretzel_n(n, "--n")
     knot = PretzelKnot(n)
     data = x0_slice(n)
-    reports = [x0_report(data), seidenberg_report(data)]
+    res = pq_resultant(n)
+    reports = [x0_report(data), seidenberg_report(data),
+               resultant_report(n, res=res)]
     if abs(n) <= TRACE_WORD_BOUND:
         reports.append(closed_form_report(n))
     if n in (0, 1, 2):
@@ -125,10 +126,8 @@ def _run_pretzel(args):
         "q_n": defining_q(n).to_text(),
         "x0": {"a_n": data.a_n.to_text(), "b_n": data.b_n.to_text(),
                "u_n": data.u_n.to_text()},
+        "resultant": res.to_text(),
     }
-    if abs(n) <= RESULTANT_CLI_BOUND:
-        payload["resultant"] = pq_resultant(n).to_text()
-        reports.append(resultant_report(n))
     return knot.label(), payload, reports
 
 
@@ -152,7 +151,7 @@ def _run_qtorus(args):
     by_claim = {r.claim_id: r for r in reports}
     shape = by_claim["aj-shape-unknot"].details
     payload = {
-        "alpha": alpha_unknot().to_text(),
+        "alpha": qt_text(alpha_unknot()),
         "epsilon_alpha": shape["epsilon_alpha"],
         "aj_unknot": {"quotient_by_l_minus_1": shape["quotient_by_l_minus_1"],
                       "m_only": shape["m_only"]},

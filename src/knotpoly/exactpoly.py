@@ -47,7 +47,6 @@ from __future__ import annotations
 
 import struct
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from itertools import product
@@ -92,10 +91,6 @@ def _grlex_key(exp):
 # Fewer term products than this go through the dict double loop, whose
 # cost per product is lower than the packed path's fixed cost.
 _PACK_MIN_PRODUCTS = 64
-# The packed path runs only when the dense exponent box of the product has
-# at most this many slots per term product, which bounds the unpack loop
-# and the memory by those of the dict loop.
-_PACK_MAX_BOX_PER_PRODUCT = 1
 # Slot widths (bytes) that memoryview can read as native unsigned ints.
 _SLOT_FORMATS = {struct.calcsize(f): f for f in "BHIQ"}
 _ORDER = sys.byteorder
@@ -133,7 +128,9 @@ def _packed_product(a, b):
     ranges = [range(la + lb, ha + hb + 1)
               for la, ha, lb, hb in zip(lo_a, hi_a, lo_b, hi_b)]
     box = prod(map(len, ranges))
-    if box > _PACK_MAX_BOX_PER_PRODUCT * len(a) * len(b):
+    # At most one slot of the dense box per term product, which bounds the
+    # unpack loop and the memory by those of the dict loop.
+    if box > len(a) * len(b):
         return None
     strides = [1] * len(ranges)
     for i in range(len(ranges) - 1, 0, -1):
@@ -888,19 +885,13 @@ def _minor_det(mat, one) -> MultiPoly:
 # -- Newton polygon -------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class NewtonPolygon:
-    """Convex hull of a bivariate support, vertices counterclockwise."""
-
-    vertices: tuple
-
-
 def _cross(o, a, b):
     return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
 
 
-def newton_polygon(p: MultiPoly) -> NewtonPolygon:
-    """Monotone-chain hull of the support; collinear points are dropped."""
+def newton_polygon(p: MultiPoly) -> tuple:
+    """Vertices of the convex hull of a bivariate support,
+    counterclockwise, by monotone chain; collinear points are dropped."""
     if len(p.vars) != 2:
         raise ValueError("Newton polygon requires exactly two variables")
     if any(p.laurent):
@@ -909,7 +900,7 @@ def newton_polygon(p: MultiPoly) -> NewtonPolygon:
         raise EmptyPolynomialError("Newton polygon of 0 is undefined")
     pts = sorted(p.terms)
     if len(pts) == 1:
-        return NewtonPolygon((pts[0],))
+        return (pts[0],)
     lower = []
     for pt in pts:
         while len(lower) >= 2 and _cross(lower[-2], lower[-1], pt) <= 0:
@@ -922,7 +913,7 @@ def newton_polygon(p: MultiPoly) -> NewtonPolygon:
         upper.append(pt)
     # two or more distinct points give each chain two distinct ends, so
     # the hull has at least two vertices and does not repeat its first
-    return NewtonPolygon(tuple(lower[:-1] + upper[:-1]))
+    return tuple(lower[:-1] + upper[:-1])
 
 
 # -- rational functions ---------------------------------------------------

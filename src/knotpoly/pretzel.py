@@ -156,13 +156,16 @@ def resultant_closed_rhs(n: int) -> MultiPoly:
     return const_part + x ** 2 * x2_part + x ** 4 * x4_part
 
 
-def resultant_report(n: int, check_identity: bool = True) -> VerificationReport:
+def resultant_report(n: int, check_identity: bool = True,
+                     res: MultiPoly = None) -> VerificationReport:
     """Leading coefficient, degree, and closed-form identity of Res_z(P, Q_n).
 
     The degree claims are stated only for n >= 4 and n <= -5; in between the
-    report records the observed degree without judging it.
+    report records the observed degree without judging it.  res is
+    pq_resultant(n), built here unless the caller has built it already.
     """
-    res = pq_resultant(n)
+    if res is None:
+        res = pq_resultant(n)
     lead = res.leading_coeff_in("y")
     monic_ok = lead == 1
     deg = res.degree_in("y")

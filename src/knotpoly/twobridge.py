@@ -167,10 +167,10 @@ def newton_vertex_report(knot: TwoBridgeKnot,
     of the knot's even-form character polynomial gamma."""
     hull = newton_polygon(gamma)
     want = [(0, knot.d), (knot.c, (knot.p - knot.m) // 2)]
-    present = [tuple(v) in hull.vertices for v in want]
+    present = [v in hull for v in want]
     return VerificationReport(
         "newton-vertices", knot.label(), status_of(all(present)),
-        {"vertices": [list(v) for v in hull.vertices],
+        {"vertices": [list(v) for v in hull],
          "expected": [list(v) for v in want]})
 
 
@@ -287,6 +287,7 @@ def structural_reports(knot: TwoBridgeKnot, phi: MultiPoly = None,
     try:
         if phi is None:
             phi = character_polynomial(knot)
+        if gamma is None:
             gamma = character_polynomial_even(knot, phi)
         reports.append(VerificationReport(
             "character-structure", knot.label(), STATUS_PASS,

@@ -13,9 +13,9 @@ import random
 
 from . import pretzel, twobridge
 from .exactpoly import MultiPoly, exact_div
-from .qtorus import (QTElem, VARS_ML, LAURENT_ML, alpha_unknot,
-                     annihilation_check, epsilon_eval, JONES_UNKNOT_SEQ,
-                     qt_mul, qt_sigma, sigma_symmetry_factor, tm_poly)
+from .qtorus import (LAURENT_ML, LAURENT_QT, VARS_ML, VARS_QT, alpha_unknot,
+                     annihilation_check, epsilon_eval, jones_unknot, qt_mul,
+                     qt_sigma, sigma_symmetry_factor)
 from .report import VerificationReport, sort_reports, status_of
 from .sl2trace import (DEFAULT_SEED, random_reduced_word, trace_matches,
                        word_to_string)
@@ -123,21 +123,22 @@ def check_irreducibility(p_max: int = IRREDUCIBILITY_P_MAX) -> list:
     return reports
 
 
-def _random_qt_elem(rng: random.Random) -> QTElem:
-    out = QTElem.zero()
+def _random_qt_elem(rng: random.Random) -> MultiPoly:
+    """Three random terms.  Each term draws its coefficient, then its t, M
+    and L exponents; that order fixes which elements a seed gives."""
+    terms: dict = {}
     for _ in range(3):
-        out = out + QTElem.term(rng.randint(-4, 4),
-                                t_exp=rng.randint(-3, 3),
-                                m_exp=rng.randint(-2, 2),
-                                l_exp=rng.randint(-2, 2))
-    return out
+        c = rng.randint(-4, 4)
+        e = (rng.randint(-3, 3), rng.randint(-2, 2), rng.randint(-2, 2))
+        terms[e] = terms.get(e, 0) + c
+    return MultiPoly._make(VARS_QT, LAURENT_QT, terms)
 
 
 def unknot_reports(window=QT_WINDOW) -> list:
     """The three headline unknot checks: annihilation of [n], the shape of
     the t = -1 specialization, and the symmetry factor."""
     alpha = alpha_unknot()
-    reports = [annihilation_check(alpha, JONES_UNKNOT_SEQ, window)]
+    reports = [annihilation_check(alpha, jones_unknot, window)]
 
     eps = epsilon_eval(alpha)
     m = MultiPoly.variable("M", VARS_ML, LAURENT_ML)
@@ -154,7 +155,8 @@ def unknot_reports(window=QT_WINDOW) -> list:
     factor = sigma_symmetry_factor(alpha)
     factor_ok = (factor is not None and factor.ordering == "LdLeft"
                  and factor.den == 1
-                 and factor.num == tm_poly({(2, 2): 1}))
+                 and factor.num == MultiPoly(VARS_QT, {(2, 2, 0): 1},
+                                             LAURENT_QT))
     reports.append(VerificationReport(
         "sigma-factor-unknot", "alpha", status_of(factor_ok),
         factor.as_dict() if factor else {"found": False}))

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from knotpoly import cli
+from knotpoly import cli, pretzel
 from knotpoly.cli import (QTORUS_N_MAX, TRACE_MAX_LETTERS, TWOBRIDGE_P_MAX,
                           VERIFY_P_MAX, main)
 from knotpoly.exactpoly import InexactDivisionError
@@ -243,6 +243,24 @@ def test_pretzel_json_payload(capsys):
     assert set(doc["x0"]) == {"a_n", "b_n", "u_n"}
     assert {r["claim_id"] for r in doc["reports"]} >= {
         "closed-vs-traced", "x0-slice", "resultant-structure"}
+
+
+def test_pretzel_reports_the_resultant_once_for_every_n(capsys, monkeypatch):
+    built = []
+    build = pretzel.pq_resultant
+
+    def counted(n):
+        built.append(n)
+        return build(n)
+
+    monkeypatch.setattr(cli, "pq_resultant", counted)
+    monkeypatch.setattr(pretzel, "pq_resultant", counted)
+    code, doc, _ = run_json(capsys, "pretzel", "--n", "-19")
+    assert code == 0
+    assert doc["resultant"] == build(-19).to_text()
+    assert ("resultant-structure", "n=-19", "pass") in {
+        (r["claim_id"], r["subject"], r["status"]) for r in doc["reports"]}
+    assert built == [-19]
 
 
 def test_version_flag(capsys):

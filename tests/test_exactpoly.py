@@ -646,13 +646,13 @@ def test_resultant_error_paths():
 def test_newton_polygon_vertices():
     p = poly({(0, 0): 1, (4, 0): 1, (0, 3): 2, (2, 1): 5})
     hull = newton_polygon(p)
-    assert set(hull.vertices) == {(0, 0), (4, 0), (0, 3)}
+    assert set(hull) == {(0, 0), (4, 0), (0, 3)}
 
 
 def test_newton_polygon_degenerate_segment():
     p = poly({(0, 0): 1, (3, 0): 1})
     hull = newton_polygon(p)
-    assert set(hull.vertices) == {(0, 0), (3, 0)}
+    assert set(hull) == {(0, 0), (3, 0)}
 
 
 # -- 2x2 matrices and rational functions ----------------------------------

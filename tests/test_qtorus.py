@@ -5,78 +5,105 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from knotpoly.exactpoly import MultiPoly, exact_div
-from knotpoly.qtorus import (DiscreteSeq, JONES_UNKNOT_SEQ, QTElem, VARS_ML,
-                             LAURENT_ML, act, alpha_unknot,
-                             annihilation_check, epsilon_eval, jones_unknot,
-                             qt_mul, qt_sigma, sigma_symmetry_factor, tm_poly)
+from knotpoly.exactpoly import AlignmentError, MultiPoly, exact_div
+from knotpoly.qtorus import (LAURENT_ML, LAURENT_QT, VARS_ML, VARS_QT, act,
+                             alpha_unknot, annihilation_check, epsilon_eval,
+                             jones_unknot, qt_mul, qt_sigma, qt_text,
+                             sigma_symmetry_factor)
 
-M = QTElem.term(1, m_exp=1)
-L = QTElem.term(1, l_exp=1)
-M_INV = QTElem.term(1, m_exp=-1)
-L_INV = QTElem.term(1, l_exp=-1)
+
+def qt(terms):
+    """Torus element from {(t_exp, m_exp, l_exp): coeff}."""
+    return MultiPoly(VARS_QT, terms, LAURENT_QT)
+
+
+def mono(coeff=1, t=0, m=0, l=0):
+    return qt({(t, m, l): coeff})
+
+
+ONE = mono()
+M = mono(m=1)
+L = mono(l=1)
+M_INV = mono(m=-1)
+L_INV = mono(l=-1)
 
 
 @st.composite
 def qt_elems(draw, max_terms=3):
-    out = QTElem.zero()
+    out = qt({})
     for _ in range(draw(st.integers(1, max_terms))):
-        out = out + QTElem.term(draw(st.integers(-4, 4)),
-                                t_exp=draw(st.integers(-3, 3)),
-                                m_exp=draw(st.integers(-2, 2)),
-                                l_exp=draw(st.integers(-2, 2)))
+        out = out + mono(draw(st.integers(-4, 4)),
+                         t=draw(st.integers(-3, 3)),
+                         m=draw(st.integers(-2, 2)),
+                         l=draw(st.integers(-2, 2)))
     return out
 
 
 # -- normal form and the commutation twist ---------------------------------
 
 def test_commutation_rule():
-    assert qt_mul(L, M) == QTElem({1: tm_poly({(2, 1): 1})})
-    assert qt_mul(M, L) == QTElem({1: tm_poly({(0, 1): 1})})
+    assert qt_mul(L, M) == mono(t=2, m=1, l=1)
+    assert qt_mul(M, L) == mono(m=1, l=1)
+    # * on a MultiPoly is the commutative product, not the torus product
+    assert qt_mul(L, M) != L * M
 
 
 def test_fraction_coefficients_are_type_errors():
     half = Fraction(1, 2)
-    for op in (lambda: M * half, lambda: half + L, lambda: QTElem({0: half}),
-               lambda: QTElem.term(half, m_exp=1)):
+    for op in (lambda: M * half, lambda: half + L,
+               lambda: qt({(0, 0, 0): half}), lambda: mono(half, m=1)):
         with pytest.raises(TypeError):
+            op()
+
+
+def test_operands_off_the_torus_variables_are_rejected():
+    ml = MultiPoly.variable("M", VARS_ML, LAURENT_ML)
+    polynomial = MultiPoly(VARS_QT, {(0, 1, 0): 1})
+    for op in (lambda: qt_mul(ml, ml), lambda: qt_mul(M, polynomial),
+               lambda: qt_sigma(ml), lambda: epsilon_eval(ml),
+               lambda: act(ml, jones_unknot, 0)):
+        with pytest.raises(AlignmentError):
             op()
 
 
 def test_twist_moves_l_powers_past_m_powers():
     for k in range(-2, 3):
         for m in range(-2, 3):
-            product = qt_mul(QTElem.term(1, l_exp=k), QTElem.term(1, m_exp=m))
-            assert product == QTElem({k: tm_poly({(2 * k * m, m): 1})})
+            product = qt_mul(mono(l=k), mono(m=m))
+            assert product == mono(t=2 * k * m, m=m, l=k)
 
 
 def test_ml_square():
-    assert qt_mul(M, L) ** 2 == QTElem({2: tm_poly({(2, 2): 1})})
+    ml = qt_mul(M, L)
+    assert qt_mul(ml, ml) == mono(t=2, m=2, l=2)
+    assert qt_mul(ml, ml) != ml ** 2
 
 
 def test_inverses():
-    one = QTElem.one()
-    assert qt_mul(M, M_INV) == one
-    assert qt_mul(L, L_INV) == one == qt_mul(L_INV, L)
+    assert qt_mul(M, M_INV) == ONE
+    assert qt_mul(L, L_INV) == ONE == qt_mul(L_INV, L)
 
 
 def test_zero_terms_dropped_on_construction():
-    assert QTElem({0: 0, 1: tm_poly({})}).is_zero()
+    assert qt({(0, 0, 0): 0, (1, 0, 1): 0}).is_zero()
     assert (M - M).is_zero()
+    assert qt_mul(M, L - L).is_zero()
 
 
 def test_scalar_coercion_and_pow():
     assert 2 * L == L + L
     assert (L + 1) - 1 == L
-    assert L ** 0 == QTElem.one()
-    with pytest.raises(TypeError):
-        L ** -1  # negative powers are spelled with explicit L^-1 terms
+    assert L ** 0 == ONE
+    # powers of one monomial commute with themselves, so ** agrees there
+    assert L ** -1 == L_INV
+    assert qt_mul(L, L) == L ** 2
 
 
 def test_to_text():
-    alpha = alpha_unknot()
-    assert alpha.to_text() == "(M^2 - 1)*L + (-t^2*M^2 + t^-2)"
-    assert QTElem.zero().to_text() == "0"
+    assert qt_text(alpha_unknot()) == "(M^2 - 1)*L + (-t^2*M^2 + t^-2)"
+    assert qt_text(qt({})) == "0"
+    assert qt_text(mono(3, t=1, l=-2) + mono(m=-1, l=2)) == \
+        "(M^-1)*L^2 + (3*t)*L^-2"
 
 
 @settings(max_examples=60, deadline=None)
@@ -84,6 +111,7 @@ def test_to_text():
 def test_associativity_and_distributivity(p, q, r):
     assert qt_mul(qt_mul(p, q), r) == qt_mul(p, qt_mul(q, r))
     assert qt_mul(p, q + r) == qt_mul(p, q) + qt_mul(p, r)
+    assert qt_mul(p + q, r) == qt_mul(p, r) + qt_mul(q, r)
 
 
 # -- sigma -----------------------------------------------------------------
@@ -97,8 +125,7 @@ def test_sigma_is_an_involutive_automorphism(p, q):
 
 
 def test_sigma_on_monomials():
-    elem = QTElem.term(3, t_exp=2, m_exp=1, l_exp=-2)
-    assert qt_sigma(elem) == QTElem.term(3, t_exp=2, m_exp=-1, l_exp=2)
+    assert qt_sigma(mono(3, t=2, m=1, l=-2)) == mono(3, t=2, m=-1, l=2)
 
 
 # -- specialization at t = -1 ----------------------------------------------
@@ -143,48 +170,46 @@ def test_jones_telescopes():
 def test_act_shifts_and_evaluates():
     # (a(t, M) L^j f)(n) = a(t, t^(2n)) f(n + j)
     t = MultiPoly.variable("t", ("t",), (True,))
-    f = JONES_UNKNOT_SEQ
+    f = jones_unknot
     assert act(L, f, 3) == jones_unknot(4)
     assert act(M, f, 3) == t ** 6 * jones_unknot(3)
-    assert act(QTElem.term(1, t_exp=1), f, -2) == t * jones_unknot(-2)
+    assert act(mono(t=1), f, -2) == t * jones_unknot(-2)
 
 
 def test_act_folds_m_into_a_power_of_t():
-    f = JONES_UNKNOT_SEQ
+    f = jones_unknot
     t = MultiPoly.variable("t", ("t",), (True,))
-    p = QTElem.term(5, t_exp=-1, m_exp=2, l_exp=1)
+    p = mono(5, t=-1, m=2, l=1)
     for n in range(-3, 4):
         assert act(p, f, n) == 5 * t ** (4 * n - 1) * jones_unknot(n + 1)
     # t^2 and M land on the same power of t at n = 1 and cancel.
-    q = QTElem.term(1, t_exp=2) - M
+    q = mono(t=2) - M
     assert act(q, f, 1).is_zero()
     assert act(q, f, 2) == (t ** 2 - t ** 4) * jones_unknot(2)
 
 
 def test_act_composes_with_multiplication():
-    p = QTElem({1: tm_poly({(1, 1): 2}), 0: tm_poly({(0, -1): 1})})
-    q = QTElem({-1: tm_poly({(0, 2): 1}), 2: tm_poly({(2, 0): -3})})
-    f = JONES_UNKNOT_SEQ
-    qf = DiscreteSeq(lambda m: act(q, f, m))
+    p = qt({(1, 1, 1): 2, (0, -1, 0): 1})
+    q = qt({(0, 2, -1): 1, (2, 0, 2): -3})
+    f = jones_unknot
     for n in (-3, 0, 2):
-        assert act(qt_mul(p, q), f, n) == act(p, qf, n)
+        assert act(qt_mul(p, q), f, n) == act(p, lambda m: act(q, f, m), n)
 
 
 def test_alpha_annihilates_jones():
-    rep = annihilation_check(alpha_unknot(), JONES_UNKNOT_SEQ, (-20, 20))
+    rep = annihilation_check(alpha_unknot(), jones_unknot, (-20, 20))
     assert rep.status == "pass"
     assert rep.details["nonzero_at"] == []
 
 
 def test_annihilation_negative_control():
-    rep = annihilation_check(L, JONES_UNKNOT_SEQ, (-5, 5))
+    rep = annihilation_check(L, jones_unknot, (-5, 5))
     assert rep.status == "fail"
     assert rep.details["nonzero_at"]
 
 
 def test_constant_sequence():
-    ones = DiscreteSeq(lambda n: 1)
-    assert act(L - 1, ones, 7).is_zero()
+    assert act(L - 1, lambda n: 1, 7).is_zero()
 
 
 # -- sigma symmetry factor -------------------------------------------------
@@ -194,9 +219,9 @@ def test_sigma_factor_of_alpha():
     assert factor is not None
     assert factor.ordering == "LdLeft"
     assert factor.den == 1
-    assert factor.num == tm_poly({(2, 2): 1})
-    assert factor.h_text() == "t^2*M^2"
-    assert not factor.m_only
+    assert factor.num == mono(t=2, m=2)
+    assert factor.as_dict() == {"ordering": "LdLeft", "h": "t^2*M^2",
+                                "m_only": False}
 
 
 def test_sigma_factor_of_l_minus_one():
@@ -208,7 +233,7 @@ def test_sigma_factor_of_l_minus_one():
 
 def test_sigma_factor_of_m():
     factor = sigma_symmetry_factor(M)
-    assert factor.num == tm_poly({(0, 2): 1}) and factor.den == 1
+    assert factor.num == mono(m=2) and factor.den == 1
     assert factor.m_only
 
 
@@ -218,6 +243,6 @@ def test_sigma_factor_absent():
 
 def test_sigma_factor_preconditions():
     with pytest.raises(ValueError):
-        sigma_symmetry_factor(QTElem.zero())
+        sigma_symmetry_factor(qt({}))
     with pytest.raises(ValueError):
         sigma_symmetry_factor(qt_mul(L, alpha_unknot()))

@@ -162,7 +162,7 @@ def test_newton_vertices_present():
         assert rep.status == "pass", rep.details
     phi = character_polynomial(knot(7, 3))
     hull = newton_polygon(character_polynomial_even(knot(7, 3), phi))
-    assert (0, 3) in hull.vertices and (1, 2) in hull.vertices
+    assert (0, 3) in hull and (1, 2) in hull
 
 
 def test_leading_terms_of_nested_words():
@@ -184,7 +184,18 @@ def test_structural_reports_bundle(monkeypatch):
     phi = build(knot(7, 3))
     gamma = character_polynomial_even(knot(7, 3), phi)
     assert structural_reports(knot(7, 3), phi, gamma) == reports
+    assert structural_reports(knot(7, 3), phi) == reports
     assert built == [knot(7, 3)]
+
+
+def test_structural_reports_reject_a_phi_of_another_knot():
+    # gamma is built from the given phi inside the check, so a phi whose
+    # top part does not fit the knot becomes a failing report
+    phi = character_polynomial(knot(5, 1))
+    reports = structural_reports(knot(7, 3), phi)
+    assert [(r.claim_id, r.status) for r in reports] == [
+        ("character-structure", "fail")]
+    assert "error" in reports[0].details
 
 
 # -- irreducibility --------------------------------------------------------
