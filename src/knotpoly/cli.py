@@ -173,7 +173,17 @@ def _run_trace(args):
     return payload["word"], payload, []
 
 
+# The suites that read each verify option; elsewhere it is a usage error.
+_VERIFY_OPTION_SUITES = {"n_range": ("pretzel", "all"),
+                         "p": ("twobridge", "all")}
+
+
 def _run_verify(args):
+    for option, suites in _VERIFY_OPTION_SUITES.items():
+        if getattr(args, option) is not None and args.suite not in suites:
+            flag = "--" + option.replace("_", "-")
+            raise ValueError(f"{flag} applies to --suite "
+                             f"{' or '.join(suites)}, not {args.suite}")
     n_range = _n_range(args)
     for n in n_range or ():
         _check_pretzel_n(n, "--n-range")

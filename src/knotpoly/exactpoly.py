@@ -1,13 +1,29 @@
 """Exact sparse multivariate polynomial arithmetic over the integers.
 
 A polynomial carries a fixed, ordered tuple of variable names and a sparse
-term map from exponent tuples to coefficients.  Every stored coefficient
-is a nonzero ``int``; the public constructor raises ``TypeError`` for any
-other coefficient, a rational one included.  Equality is therefore plain
-dict comparison, and ``+``, ``-`` and a product by one term build their
-result directly, dropping zeros as they merge.  Per-variable Laurent flags
-admit negative exponents; only a monomial with coefficient +1 or -1 is a
-unit.
+term map from packed monomial keys to coefficients.  Every stored
+coefficient is a nonzero ``int``; the public constructor takes
+``{exponent tuple: coefficient}`` and raises ``TypeError`` for any other
+coefficient, a rational one included, or for an exponent that is not an
+``int``.  Equality is therefore plain dict comparison, and ``+``, ``-``
+and a product by one term build their result directly, dropping zeros as
+they merge.  Per-variable Laurent flags admit negative exponents; only a
+monomial with coefficient +1 or -1 is a unit.
+
+Monomial keys (Monagan & Pearce, CASC 2007).  Over n variables the key of
+x_0^e_0 ... x_(n-1)^e_(n-1) is one int: a field of ``_FIELD_BITS`` = 16
+bits per variable, variable 0 in the highest, holding e_i + 2^14, and
+above them the total degree sum(e_i), signed and unbounded.  So every
+exponent lies in [-2^14, 2^14); the top bit of each field is a guard
+that a valid key leaves clear.  Key order is graded-lex order, ties broken
+lexicographically on the exponent tuple; the product of two monomials is
+the sum of their keys less the key of 1; and multiplying by v^k adds k
+times the step of v, the field's unit plus the degree's.  An operation
+whose result leaves a field raises ``OverflowError``, never wraps: the
+constructor checks every exponent, and a product or shift checks the
+guard bits of every key it makes.  ``MultiPoly.exponent_terms`` is the
+one accessor that reads exponent tuples back; code outside this module
+never decodes keys itself.
 
 A product with at least ``_PACK_MIN_PRODUCTS`` term products is computed
 by Kronecker substitution (Harvey, J. Symb. Comput. 2009) when the dense
@@ -26,7 +42,7 @@ determinant one), gcds, Bezout-matrix resultants, Newton polygons via
 monotone chain, and a canonical text form.
 
 Exact division, which the gcds lean on, takes leading terms from a heap of
-the remainder's monomials and divides over Z: a leading coefficient that
+the remainder's keys and divides over Z: a leading coefficient that
 does not divide is a remainder.  Every division in the package is by a
 primitive or monic polynomial, so by Gauss's lemma it divides over Z
 whenever it divides over Q.
@@ -48,10 +64,11 @@ from __future__ import annotations
 import struct
 import sys
 from fractions import Fraction
+from functools import cache, reduce
 from heapq import heapify, heappop, heappush
-from itertools import product
+from itertools import chain, product, repeat
 from math import gcd as _int_gcd, prod
-from operator import add as _add, mul as _mul, neg as _neg, sub as _sub
+from operator import mul as _mul, or_ as _or
 from typing import Mapping, Sequence
 
 class AlignmentError(ValueError):
@@ -82,8 +99,71 @@ class EvaluationError(ValueError):
     """Raised when a numeric evaluation point misses a variable."""
 
 
-def _grlex_key(exp):
-    return (sum(exp), exp)
+# -- packed monomial keys -------------------------------------------------
+
+_FIELD_BITS = 16
+_FIELD_MASK = (1 << _FIELD_BITS) - 1
+# Every exponent lies in [-EXPONENT_BOUND, EXPONENT_BOUND).
+EXPONENT_BOUND = 1 << (_FIELD_BITS - 2)
+# Field value of exponent 0.
+_BIAS = EXPONENT_BOUND
+
+
+@cache
+def _one_key(n: int) -> int:
+    """Key of the monomial 1 over n variables: _BIAS in every field.
+    Twice it is the mask of the guard bits."""
+    return _BIAS * (((1 << (_FIELD_BITS * n)) - 1) // _FIELD_MASK)
+
+
+def _field_shifts(n: int) -> range:
+    """Bit offset of each variable's field, variable 0 first."""
+    return range(_FIELD_BITS * (n - 1), -1, -_FIELD_BITS)
+
+
+def _step(i: int, n: int) -> int:
+    """What multiplying by the i-th of n variables adds to a key."""
+    return (1 << (_FIELD_BITS * (n - 1 - i))) + (1 << (_FIELD_BITS * n))
+
+
+def monomial_key(exps) -> int:
+    """The key of an exponent tuple, for key arithmetic on hot paths: the
+    key of a product of monomials is the sum of their keys less the key
+    of 1, so the keys of one variable's powers step evenly.  Raises
+    OverflowError outside the field range."""
+    if exps and (min(exps) < -_BIAS or max(exps) >= _BIAS):
+        raise OverflowError(
+            f"exponent {tuple(exps)} is outside [{-_BIAS}, {_BIAS})")
+    k = d = 0
+    for e in exps:
+        k = (k << _FIELD_BITS) + e + _BIAS
+        d += e
+    return (d << (_FIELD_BITS * len(exps))) + k
+
+
+def _exponents(key: int, n: int) -> tuple:
+    """Exponent tuple of a key over n variables."""
+    return tuple([((key >> s) & _FIELD_MASK) - _BIAS
+                  for s in _field_shifts(n)])
+
+
+def _check_fields(keys, one: int) -> None:
+    """Raise OverflowError when a key made by adding or shifting valid keys
+    (one = _one_key(n)) has left a field: the lowest field that did holds
+    a guard bit, whether it overflowed or borrowed."""
+    if reduce(_or, keys, 0) & (one << 1):
+        raise OverflowError(
+            f"an exponent left the field range [{-_BIAS}, {_BIAS})")
+
+
+def _used_vars(vars, *term_maps) -> list:
+    """The variables with a nonzero exponent in some key of the term maps:
+    a key's field differs from the bias exactly where its exponent is not
+    zero, so one pass of XOR with the key of 1 and OR finds them all."""
+    one = _one_key(len(vars))
+    used = reduce(_or, map(one.__xor__, chain(*term_maps)), 0)
+    return [v for v, s in zip(vars, _field_shifts(len(vars)))
+            if (used >> s) & _FIELD_MASK]
 
 
 # -- Kronecker-packed products of integer term maps -------------------------
@@ -96,15 +176,15 @@ _SLOT_FORMATS = {struct.calcsize(f): f for f in "BHIQ"}
 _ORDER = sys.byteorder
 
 
-def _pack(terms, lo, hi, strides, width):
-    """One int holding every coefficient of terms, each in its own
-    width-byte slot at sum((e - lo) * strides); negative coefficients are
-    packed apart and subtracted."""
+def _pack(rows, coeffs, lo, hi, strides, width):
+    """One int holding every coefficient, each in its own width-byte slot
+    at sum((f - lo) * strides) for its row f of fields; negative
+    coefficients are packed apart and subtracted."""
     off = sum(map(_mul, lo, strides))
     size = (sum(map(_mul, hi, strides)) - off + 1) * width
     pos, neg = bytearray(size), bytearray(size)
-    for e, c in terms.items():
-        i = (sum(map(_mul, e, strides)) - off) * width
+    for f, c in zip(rows, coeffs):
+        i = (sum(map(_mul, f, strides)) - off) * width
         if c > 0:
             pos[i:i + width] = c.to_bytes(width, _ORDER)
         else:
@@ -112,21 +192,27 @@ def _pack(terms, lo, hi, strides, width):
     return int.from_bytes(pos, _ORDER) - int.from_bytes(neg, _ORDER)
 
 
-def _packed_product(a, b):
-    """Product of two term maps by Kronecker substitution
+def _packed_product(a, b, n):
+    """Product of two term maps over n variables by Kronecker substitution
     (one big-int multiplication), or None when the dense box is too large.
 
-    Exponents are shifted so that each variable starts at 0 in each
-    operand.  A product coefficient is bounded by max|a| * max|b| *
-    min(#a, #b), so a slot of that many bits plus a sign bit cannot carry;
-    adding half a slot to every slot makes each digit nonnegative, and a
-    slot that reads exactly half is a zero coefficient.
+    Each operand's fields are read from its keys and shifted so that each
+    variable starts at 0.  A product coefficient is bounded by max|a| *
+    max|b| * min(#a, #b), so a slot of that many bits plus a sign bit
+    cannot carry; adding half a slot to every slot makes each digit
+    nonnegative, and a slot that reads exactly half is a zero coefficient.
     """
-    cols_a, cols_b = list(zip(*a)), list(zip(*b))
+    shifts = _field_shifts(n)
+    cols_a = [[(k >> s) & _FIELD_MASK for k in a] for s in shifts]
+    cols_b = [[(k >> s) & _FIELD_MASK for k in b] for s in shifts]
     lo_a, hi_a = list(map(min, cols_a)), list(map(max, cols_a))
     lo_b, hi_b = list(map(min, cols_b)), list(map(max, cols_b))
-    ranges = [range(la + lb, ha + hb + 1)
+    # exponent ranges of the product, variable by variable
+    ranges = [range(la + lb - 2 * _BIAS, ha + hb - 2 * _BIAS + 1)
               for la, ha, lb, hb in zip(lo_a, hi_a, lo_b, hi_b)]
+    if any(r.start < -_BIAS or r.stop > _BIAS for r in ranges):
+        raise OverflowError(
+            f"an exponent left the field range [{-_BIAS}, {_BIAS})")
     box = prod(map(len, ranges))
     # At most one slot of the dense box per term product, which bounds the
     # unpack loop and the memory by those of the dict loop.
@@ -142,56 +228,86 @@ def _packed_product(a, b):
                  (bits + 7) // 8)
     half = 1 << (8 * width - 1)
     bias = int.from_bytes(half.to_bytes(width, _ORDER) * box, _ORDER)
-    packed = _pack(a, lo_a, hi_a, strides, width) \
-        * _pack(b, lo_b, hi_b, strides, width)
+    packed = _pack(zip(*cols_a), a.values(), lo_a, hi_a, strides, width) \
+        * _pack(zip(*cols_b), b.values(), lo_b, hi_b, strides, width)
     raw = (packed + bias).to_bytes(box * width, _ORDER)
     if width in _SLOT_FORMATS:
         slots = memoryview(raw).cast(_SLOT_FORMATS[width])
     else:
         slots = (int.from_bytes(raw[i:i + width], _ORDER)
                  for i in range(0, len(raw), width))
-    return {e: v - half for e, v in zip(product(*ranges), slots)
-            if v != half}
+    # the keys of the box in slot order: the key of the box's lowest
+    # corner plus each variable's offset times its step.  The variables
+    # with one exponent only shift that corner, and the fastest of the
+    # others gives each run of consecutive slots a range of keys.
+    steps = [_step(i, n) for i in range(n)]
+    corner = _one_key(n) + sum(map(_mul, (r.start for r in ranges), steps))
+    *heads, last = [range(0, len(r) * s, s)
+                    for r, s in zip(ranges, steps) if len(r) > 1] or [range(1)]
+    starts = [corner + sum(t) for t in product(*heads)]
+    stops = [h + last.stop for h in starts]
+    keys = chain.from_iterable(map(range, starts, stops, repeat(last.step)))
+    return {k: v - half for k, v in zip(keys, slots) if v != half}
 
 
 class MultiPoly:
     """Sparse polynomial with int coefficients over an ordered variable
-    tuple."""
+    tuple, keyed by packed monomials (see the module docstring)."""
 
     __slots__ = ("vars", "laurent", "terms")
 
     def __init__(self, vars: Sequence[str], terms: Mapping | None = None,
                  laurent: Sequence[bool] | None = None):
         vars = tuple(vars)
-        if len(set(vars)) != len(vars):
-            raise ValueError(f"duplicate variable names in {vars}")
-        laurent = tuple(bool(b) for b in laurent) if laurent is not None \
-            else (False,) * len(vars)
-        if len(laurent) != len(vars):
-            raise ValueError("laurent flags must match the variable list")
-        tt = {}
         n = len(vars)
+        if len(set(vars)) != n:
+            raise ValueError(f"duplicate variable names in {vars}")
+        laurent = (False,) * n if laurent is None \
+            else tuple(map(bool, laurent))
+        if len(laurent) != n:
+            raise ValueError("laurent flags must match the variable list")
+        one, degree_shift = _one_key(n), _FIELD_BITS * n
+        tt = {}
         for exp, c in (terms or {}).items():
-            exp = tuple(int(e) for e in exp)
             if len(exp) != n:
                 raise ValueError(f"exponent {exp} does not match {vars}")
-            if not isinstance(c, int):
-                raise TypeError(f"coefficient {c!r} is not an int")
-            c = int(c)
-            if c == 0:
+            if type(c) is not int:
+                if not isinstance(c, int):
+                    raise TypeError(f"coefficient {c!r} is not an int")
+                c = int(c)
+            key = degree = 0
+            try:
+                for e in exp:
+                    key = (key << _FIELD_BITS) + e
+                    degree += e
+            except TypeError:
+                degree = None
+            # a float, Fraction or str exponent leaves no int sum
+            if type(degree) is not int:
+                raise TypeError(f"exponent {exp!r} is not all ints")
+            if not c:
                 continue
-            for e, flag in zip(exp, laurent):
-                if e < 0 and not flag:
-                    raise LaurentInputError(
-                        f"negative exponent {exp} without Laurent flag")
-            tt[exp] = tt.get(exp, 0) + c
+            if n and min(exp) < 0:
+                for e, flag in zip(exp, laurent):
+                    if e < 0 and not flag:
+                        raise LaurentInputError(
+                            f"negative exponent {exp} without Laurent flag")
+                if min(exp) < -_BIAS:
+                    raise OverflowError(
+                        f"exponent {exp} is outside [{-_BIAS}, {_BIAS})")
+            if n and max(exp) >= _BIAS:
+                raise OverflowError(
+                    f"exponent {exp} is outside [{-_BIAS}, {_BIAS})")
+            # the signed fields plus the key of 1 are the biased fields;
+            # distinct exponent tuples have distinct keys
+            tt[key + one + (degree << degree_shift)] = c
         self.vars = vars
         self.laurent = laurent
-        self.terms = {e: c for e, c in tt.items() if c != 0}
+        self.terms = tt
 
     @classmethod
     def _make(cls, vars, laurent, terms):
-        """Fast internal constructor; trusts exponent validity and int
+        """Fast internal constructor; trusts the keys and int
         coefficients, and drops zeros."""
         return cls._new(vars, laurent,
                         {e: c for e, c in terms.items() if c})
@@ -223,13 +339,20 @@ class MultiPoly:
             raise ValueError(f"{name!r} not in {vars}")
         return cls(vars, {exp: 1}, laurent)
 
+    def exponent_terms(self) -> dict:
+        """The term map keyed by exponent tuples, as the constructor takes
+        it: MultiPoly(p.vars, p.exponent_terms(), p.laurent) == p."""
+        n = len(self.vars)
+        return {_exponents(k, n): c for k, c in self.terms.items()}
+
     # -- predicates and shape helpers ------------------------------------
 
     def is_zero(self) -> bool:
         return not self.terms
 
     def is_constant(self) -> bool:
-        return all(all(e == 0 for e in exp) for exp in self.terms)
+        return not self.terms or (len(self.terms) == 1 and
+                                  _one_key(len(self.vars)) in self.terms)
 
     def constant_value(self):
         if self.is_zero():
@@ -244,32 +367,38 @@ class MultiPoly:
         except ValueError:
             raise AlignmentError(f"{var!r} not in {self.vars}") from None
 
+    def _field(self, var):
+        """(bit offset of var's field, step of var) in this layout."""
+        i = self._index(var)
+        n = len(self.vars)
+        return _FIELD_BITS * (n - 1 - i), _step(i, n)
+
     def degree_in(self, var):
         """Largest exponent of var, or None for the zero polynomial."""
         if not self.terms:
             return None
-        i = self._index(var)
-        return max(e[i] for e in self.terms)
+        s = self._field(var)[0]
+        return max((k >> s) & _FIELD_MASK for k in self.terms) - _BIAS
 
     def min_degree_in(self, var):
         if not self.terms:
             return None
-        i = self._index(var)
-        return min(e[i] for e in self.terms)
+        s = self._field(var)[0]
+        return min((k >> s) & _FIELD_MASK for k in self.terms) - _BIAS
 
     def total_degree(self):
         if not self.terms:
             return None
-        return max(sum(e) for e in self.terms)
+        return max(self.terms) >> (_FIELD_BITS * len(self.vars))
 
     def coeff_in(self, var, k: int) -> "MultiPoly":
         """Coefficient of var**k, on the same variable list (var zeroed)."""
-        i = self._index(var)
-        out = {}
-        for exp, c in self.terms.items():
-            if exp[i] == k:
-                out[exp[:i] + (0,) + exp[i + 1:]] = c
-        return MultiPoly._make(self.vars, self.laurent, out)
+        s, step = self._field(var)
+        field = k + _BIAS
+        drop = k * step
+        return MultiPoly._new(self.vars, self.laurent,
+                              {e - drop: c for e, c in self.terms.items()
+                               if (e >> s) & _FIELD_MASK == field})
 
     def leading_coeff_in(self, var) -> "MultiPoly":
         d = self.degree_in(var)
@@ -279,12 +408,16 @@ class MultiPoly:
 
     def as_univariate(self, var) -> dict:
         """Split into {exponent of var: coefficient polynomial}."""
-        i = self._index(var)
+        s, step = self._field(var)
         buckets: dict[int, dict] = {}
-        for exp, c in self.terms.items():
-            buckets.setdefault(exp[i], {})[exp[:i] + (0,) + exp[i + 1:]] = c
-        return {k: MultiPoly._make(self.vars, self.laurent, t)
-                for k, t in sorted(buckets.items())}
+        for e, c in self.terms.items():
+            f = (e >> s) & _FIELD_MASK
+            bucket = buckets.get(f)
+            if bucket is None:
+                buckets[f] = bucket = {}
+            bucket[e - (f - _BIAS) * step] = c
+        return {f - _BIAS: MultiPoly._new(self.vars, self.laurent, t)
+                for f, t in sorted(buckets.items())}
 
     # -- arithmetic ------------------------------------------------------
 
@@ -296,7 +429,7 @@ class MultiPoly:
             return other
         if isinstance(other, int):
             return MultiPoly._make(self.vars, self.laurent,
-                                   {(0,) * len(self.vars): int(other)})
+                                   {_one_key(len(self.vars)): int(other)})
         return None
 
     def __eq__(self, other):
@@ -343,25 +476,30 @@ class MultiPoly:
             return MultiPoly._new(self.vars, self.laurent, {})
         if len(a) > len(b):
             a, b = b, a
+        one = _one_key(len(self.vars))
         if len(a) == 1:
-            (ea, ca), = a.items()
-            if any(ea):
-                out = {tuple(map(_add, ea, e)): ca * c for e, c in b.items()}
+            (ka, ca), = a.items()
+            shift = ka - one
+            if shift:
+                out = {k + shift: ca * c for k, c in b.items()}
+                _check_fields(out, one)
             else:
-                out = {e: ca * c for e, c in b.items()}
+                out = {k: ca * c for k, c in b.items()}
             return MultiPoly._new(self.vars, self.laurent, out)
         if len(a) * len(b) >= _PACK_MIN_PRODUCTS:
-            out = _packed_product(a, b)
+            out = _packed_product(a, b, len(self.vars))
             if out is not None:
                 return MultiPoly._new(self.vars, self.laurent, out)
         out = {}
         get = out.get
         b = list(b.items())
-        for ea, ca in a.items():
-            for eb, cb in b:
-                e = tuple(map(_add, ea, eb))
+        for ka, ca in a.items():
+            shift = ka - one
+            for kb, cb in b:
+                e = kb + shift
                 v = get(e)
                 out[e] = ca * cb if v is None else v + ca * cb
+        _check_fields(out, one)
         return MultiPoly._make(self.vars, self.laurent, out)
 
     __rmul__ = __mul__
@@ -386,57 +524,66 @@ class MultiPoly:
         if len(self.terms) != 1 or abs(next(iter(self.terms.values()))) != 1:
             raise InexactDivisionError(
                 f"{self.to_text()} is not an invertible monomial")
-        (exp, c), = self.terms.items()
-        inv_exp = tuple(-e for e in exp)
-        for e, flag in zip(inv_exp, self.laurent):
-            if e < 0 and not flag:
+        (key, c), = self.terms.items()
+        for e, flag in zip(_exponents(key, len(self.vars)), self.laurent):
+            if e > 0 and not flag:
                 raise LaurentInputError(
                     "monomial inverse needs a Laurent variable")
-        return MultiPoly._new(self.vars, self.laurent, {inv_exp: c})
+        one = _one_key(len(self.vars))
+        inverse = 2 * one - key
+        _check_fields((inverse,), one)
+        return MultiPoly._new(self.vars, self.laurent, {inverse: c})
 
     def mul_var_power(self, var, k: int) -> "MultiPoly":
         """Multiply by var**k (k may be negative on a Laurent variable)."""
         if k == 0 or not self.terms:
             return self
-        i = self._index(var)
-        if k < 0 and not self.laurent[i]:
+        s, step = self._field(var)
+        if k < 0 and not self.laurent[self._index(var)]:
             if self.min_degree_in(var) + k < 0:
                 raise LaurentInputError(
                     f"shift by {var}^{k} leaves the polynomial ring")
-        out = {e[:i] + (e[i] + k,) + e[i + 1:]: c
-               for e, c in self.terms.items()}
-        return MultiPoly._make(self.vars, self.laurent, out)
+        # a shift by 2 * _BIAS or more leaves the field from any exponent;
+        # a smaller one lands in the guard bit or borrows from it
+        if not -2 * _BIAS < k < 2 * _BIAS:
+            raise OverflowError(
+                f"shift by {var}^{k} leaves the field range "
+                f"[{-_BIAS}, {_BIAS})")
+        shift = k * step
+        out = {e + shift: c for e, c in self.terms.items()}
+        _check_fields(out, _one_key(len(self.vars)))
+        return MultiPoly._new(self.vars, self.laurent, out)
 
     # -- calculus and substitution ---------------------------------------
 
     def derivative(self, var) -> "MultiPoly":
         """Formal derivative; rejects negative exponents in var."""
-        i = self._index(var)
+        s, step = self._field(var)
         out = {}
-        for exp, c in self.terms.items():
-            e = exp[i]
+        for key, c in self.terms.items():
+            e = ((key >> s) & _FIELD_MASK) - _BIAS
             if e < 0:
                 raise LaurentInputError(
                     f"derivative in {var} undefined for exponent {e}")
-            if e == 0:
-                continue
-            out[exp[:i] + (e - 1,) + exp[i + 1:]] = c * e
-        return MultiPoly._make(self.vars, self.laurent, out)
+            if e:
+                out[key - step] = c * e
+        return MultiPoly._new(self.vars, self.laurent, out)
 
     def substitute_square(self, var, new_name) -> "MultiPoly":
         """Rewrite even powers var**(2k) as new_name**k."""
-        i = self._index(var)
+        s, step = self._field(var)
         if new_name in self.vars:
             raise ValueError(f"{new_name!r} already present")
         out = {}
-        for exp, c in self.terms.items():
-            e = exp[i]
+        for key, c in self.terms.items():
+            e = ((key >> s) & _FIELD_MASK) - _BIAS
             if e % 2 != 0:
                 raise ValueError(
                     f"odd exponent of {var} in {self.to_text()}")
-            out[exp[:i] + (e // 2,) + exp[i + 1:]] = c
+            out[key - (e // 2) * step] = c
+        i = self._index(var)
         vars = self.vars[:i] + (new_name,) + self.vars[i + 1:]
-        return MultiPoly._make(vars, self.laurent, out)
+        return MultiPoly._new(vars, self.laurent, out)
 
     def extend_to(self, vars, laurent=None) -> "MultiPoly":
         """Re-express over a superset (or reordering) of the variables."""
@@ -444,40 +591,42 @@ class MultiPoly:
         laurent = tuple(laurent) if laurent is not None else \
             tuple(self.laurent[self.vars.index(v)] if v in self.vars else False
                   for v in vars)
-        positions = []
         for v in self.vars:
             if v not in vars:
                 raise AlignmentError(f"{v!r} missing from target {vars}")
-            positions.append(vars.index(v))
         for v, old_flag in zip(self.vars, self.laurent):
             if old_flag and not laurent[vars.index(v)]:
                 if self.min_degree_in(v) is not None and \
                         self.min_degree_in(v) < 0:
                     raise LaurentInputError(
                         f"cannot drop Laurent flag on {v!r}")
-        n = len(vars)
-        out = {}
-        for exp, c in self.terms.items():
-            new = [0] * n
-            for pos, e in zip(positions, exp):
-                new[pos] = e
-            out[tuple(new)] = c
-        return MultiPoly._make(vars, laurent, out)
+        return MultiPoly._new(vars, laurent, self._relayout(vars))
 
     def restrict(self, vars) -> "MultiPoly":
         """Drop variables that appear with exponent zero everywhere."""
         vars = tuple(vars)
-        keep = []
-        for v in self.vars:
-            if v in vars:
-                keep.append(self.vars.index(v))
-            elif any(exp[self.vars.index(v)] != 0 for exp in self.terms):
+        for v in _used_vars(self.vars, self.terms):
+            if v not in vars:
                 raise ValueError(f"{v!r} occurs with nonzero exponent")
         laurent = tuple(self.laurent[self.vars.index(v)] for v in vars)
+        return MultiPoly._new(vars, laurent, self._relayout(vars))
+
+    def _relayout(self, vars) -> dict:
+        """The term map over vars: each variable that vars lists keeps its
+        exponent, moved to its field there; the others are dropped, and a
+        variable new in vars has exponent 0."""
+        n = len(vars)
+        moves = [(s, _step(vars.index(v), n))
+                 for s, v in zip(_field_shifts(len(self.vars)), self.vars)
+                 if v in vars]
+        one = _one_key(n)
         out = {}
-        for exp, c in self.terms.items():
-            out[tuple(exp[self.vars.index(v)] for v in vars)] = c
-        return MultiPoly._make(vars, laurent, out)
+        for key, c in self.terms.items():
+            new = one
+            for s, step in moves:
+                new += (((key >> s) & _FIELD_MASK) - _BIAS) * step
+            out[new] = c
+        return out
 
     # -- evaluation -------------------------------------------------------
 
@@ -488,40 +637,47 @@ class MultiPoly:
             if v not in point:
                 raise EvaluationError(f"no value for {v!r}")
 
+        if not self.terms:
+            return 0
+        values = [point[v] for v in self.vars]
+        shifts = _field_shifts(len(self.vars))
+        last = len(self.vars) - 1
+        if last < 0:
+            return self.constant_value()
+
         def rec(items, depth):
-            if depth == len(self.vars):
-                return items[0][1]
+            # Horner in the depth-th variable over the items' fields; at the
+            # last variable each field holds a single term
+            s = shifts[depth]
             groups: dict[int, list] = {}
-            for exp, c in items:
-                groups.setdefault(exp[depth], []).append((exp, c))
-            z = point[self.vars[depth]]
-            exps = sorted(groups, reverse=True)
+            for key, c in items:
+                groups.setdefault((key >> s) & _FIELD_MASK, []).append(
+                    (key, c))
+            z = values[depth]
             acc = 0
             prev = None
-            for e in exps:
+            for f in sorted(groups, reverse=True):
                 if prev is not None:
-                    acc *= z ** (prev - e)
-                acc += rec(groups[e], depth + 1)
-                prev = e
-            low = exps[-1]
+                    acc *= z ** (prev - f)
+                group = groups[f]
+                acc += group[0][1] if depth == last else rec(group, depth + 1)
+                prev = f
+            low = prev - _BIAS
             return acc * (z ** low if low >= 0 else Fraction(1) / z ** -low)
 
-        return rec(list(self.terms.items()), 0) if self.terms else 0
+        return rec(list(self.terms.items()), 0)
 
     # -- serialization ---------------------------------------------------
-
-    def _sorted_terms(self):
-        return sorted(self.terms.items(), key=lambda kv: _grlex_key(kv[0]),
-                      reverse=True)
 
     def to_text(self) -> str:
         """Canonical text form, descending graded-lexicographic order."""
         if not self.terms:
             return "0"
+        n = len(self.vars)
         parts = []
-        for exp, c in self._sorted_terms():
-            factors = [f"{v}^{e}" if e not in (0, 1) else v
-                       for v, e in zip(self.vars, exp) if e != 0]
+        for key, c in sorted(self.terms.items(), reverse=True):
+            factors = [f"{v}^{e}" if e != 1 else v
+                       for v, e in zip(self.vars, _exponents(key, n)) if e]
             mono = "*".join(factors)
             if not mono:
                 body = str(abs(c))
@@ -559,22 +715,31 @@ def _merge(a, b, negate):
 # -- exact division and gcd ----------------------------------------------
 
 
-def _laurent_shifts(p: MultiPoly):
-    """Per-variable shifts making all exponents nonnegative."""
-    shifts = [0] * len(p.vars)
-    for exp in p.terms:
-        for i, e in enumerate(exp):
-            if e < shifts[i]:
-                shifts[i] = e
-    return tuple(shifts)
+def _laurent_mins(p: MultiPoly) -> list:
+    """Least exponent of each Laurent variable over p's terms (p nonzero),
+    and 0 for each other variable, whose exponents are never negative."""
+    return [min((k >> s) & _FIELD_MASK for k in p.terms) - _BIAS
+            if flag else 0
+            for s, flag in zip(_field_shifts(len(p.vars)), p.laurent)]
 
 
-def _shift_all(p: MultiPoly, shifts):
-    if all(s == 0 for s in shifts):
+def _divide_monomial(p: MultiPoly, exps) -> MultiPoly:
+    """p divided by the monomial with exponent tuple exps."""
+    n = len(p.vars)
+    shift = sum(e * _step(i, n) for i, e in enumerate(exps))
+    if not shift:
         return p
-    out = {tuple(e - s for e, s in zip(exp, shifts)): c
-           for exp, c in p.terms.items()}
-    return MultiPoly._make(p.vars, p.laurent, out)
+    out = {k - shift: c for k, c in p.terms.items()}
+    _check_fields(out, _one_key(n))
+    return MultiPoly._new(p.vars, p.laurent, out)
+
+
+def _nonnegative(p: MultiPoly) -> MultiPoly:
+    """p shifted by a Laurent monomial so that no exponent is negative and
+    each variable with a negative exponent gets least exponent 0."""
+    if not p.terms:
+        return p
+    return _divide_monomial(p, [min(e, 0) for e in _laurent_mins(p)])
 
 
 def exact_div(p: MultiPoly, q: MultiPoly) -> MultiPoly:
@@ -582,13 +747,14 @@ def exact_div(p: MultiPoly, q: MultiPoly) -> MultiPoly:
     remainder.
 
     Division by leading terms in graded-lex order, with the remainder's
-    monomials kept in a max-heap (Monagan & Pearce, CASC 2007), so each
-    step finds its leading term without scanning the remainder.  An entry
+    keys kept in a max-heap (Monagan & Pearce, CASC 2007), so each step
+    finds its leading term without scanning the remainder.  An entry
     whose monomial has since cancelled out of the remainder is skipped.
     A remainder whose leading coefficient is not a multiple of q's is not
     divisible over Z: exact_div(x + 1, 2x + 2) raises.  A Laurent variable
     is a unit, so q is first divided by its least power of each Laurent
-    variable, positive or not: exact_div(1, t) is t^-1.
+    variable, positive or not: exact_div(1, t) is t^-1.  A remainder term
+    outside the field range raises OverflowError.
     """
     if not isinstance(q, MultiPoly):
         q = MultiPoly.const(p.vars, q, p.laurent)
@@ -598,49 +764,56 @@ def exact_div(p: MultiPoly, q: MultiPoly) -> MultiPoly:
         raise ZeroDivisionError("division by the zero polynomial")
     if p.is_zero():
         return p
-    sq = tuple(min(col) if flag else 0
-               for col, flag in zip(zip(*q.terms), q.laurent))
-    sp = _laurent_shifts(p)
-    p0, q0 = _shift_all(p, sp), _shift_all(q, sq)
-    shift = tuple(a - b for a, b in zip(sp, sq))
-    for s, flag in zip(shift, p.laurent):
-        if s < 0 and not flag:
-            raise InexactDivisionError("quotient leaves the polynomial ring")
+    sq = _laurent_mins(q)
+    sp = [min(e, 0) for e in _laurent_mins(p)]
+    shift = [a - b for a, b in zip(sp, sq)]
+    if any(s < 0 and not flag for s, flag in zip(shift, p.laurent)):
+        raise InexactDivisionError("quotient leaves the polynomial ring")
+    p0, q0 = _divide_monomial(p, sp), _divide_monomial(q, sq)
 
-    lead_q = max(q0.terms, key=_grlex_key)
+    one = _one_key(len(p.vars))
+    guards = one << 1
+    lead_q = max(q0.terms)
     cq = q0.terms[lead_q]
-    tail_q = [(e, c) for e, c in q0.terms.items() if e != lead_q]
+    # tail keys less the key of 1, so that a tail term times a quotient
+    # monomial is one addition
+    tail_q = [(e - one, c) for e, c in q0.terms.items() if e != lead_q]
     quot: dict = {}
     rem = dict(p0.terms)
-    # max-heap on the grlex key: (-total degree, negated exponents, exponent)
-    heap = [(-sum(e), tuple(map(_neg, e)), e) for e in rem]
+    heap = [-e for e in rem]
     heapify(heap)
     while rem:
-        lead_r = heappop(heap)[2]
+        lead_r = -heappop(heap)
         cr = rem.pop(lead_r, None)
         if cr is None:
             continue
-        diff = tuple(map(_sub, lead_r, lead_q))
+        # every field of lead_r and lead_q lies in [_BIAS, 2 * _BIAS), so
+        # each field of diff is positive and is at least _BIAS exactly
+        # when that exponent of the quotient monomial is nonnegative
+        diff = lead_r - lead_q + one
         c, r = divmod(cr, cq)
-        if r or any(d < 0 for d in diff):
+        if r or diff & one != one:
             raise InexactDivisionError(
                 f"{q.to_text()} does not divide {p.to_text()}")
         quot[diff] = c
         for eq, cc in tail_q:
-            e = tuple(map(_add, diff, eq))
+            e = diff + eq
             v = rem.get(e)
             if v is None:
+                if e & guards:
+                    raise OverflowError(
+                        f"dividing {p.to_text()} by {q.to_text()} leaves "
+                        f"the field range [{-_BIAS}, {_BIAS})")
                 rem[e] = -c * cc
-                heappush(heap, (-sum(e), tuple(map(_neg, e)), e))
+                heappush(heap, -e)
                 continue
             v -= c * cc
             if v:
                 rem[e] = v
             else:
                 del rem[e]
-    if any(shift):
-        quot = {tuple(map(_add, exp, shift)): c for exp, c in quot.items()}
-    return MultiPoly._make(p.vars, p.laurent, quot)
+    quot = MultiPoly._new(p.vars, p.laurent, quot)
+    return _divide_monomial(quot, [-s for s in shift])
 
 
 def _scalar_content(p: MultiPoly) -> int:
@@ -661,7 +834,7 @@ def rational_normalize(p: MultiPoly) -> MultiPoly:
     if p.is_zero():
         return p
     content = _scalar_content(p)
-    if p.terms[max(p.terms, key=_grlex_key)] < 0:
+    if p.terms[max(p.terms)] < 0:
         content = -content
     return _divide_scalar(p, content)
 
@@ -680,8 +853,7 @@ def poly_gcd(p: MultiPoly, q: MultiPoly) -> MultiPoly:
         raise AlignmentError(f"variable mismatch: {p.vars} vs {q.vars}")
     if p.is_zero() and q.is_zero():
         raise UndefinedGcdError("gcd(0, 0) is undefined")
-    p = _shift_all(p, _laurent_shifts(p))
-    q = _shift_all(q, _laurent_shifts(q))
+    p, q = _nonnegative(p), _nonnegative(q)
     if p.is_zero() or q.is_zero():
         return rational_normalize(q if p.is_zero() else p)
     g = _heuristic_gcd(p, q)
@@ -755,14 +927,13 @@ def _heuristic_gcd(p: MultiPoly, q: MultiPoly):
     them; the heuristic applies when together they involve exactly one
     variable, read off their exponents.
     """
-    live = [i for i, col in enumerate(zip(*p.terms, *q.terms)) if any(col)]
+    live = _used_vars(p.vars, p.terms, q.terms)
     if len(live) != 1:
         return None
-    i = live[0]
+    one, step = _one_key(len(p.vars)), p._field(live[0])[1]
     a, b = rational_normalize(p), rational_normalize(q)
     xi = 2 * min(max(map(abs, a.terms.values())),
                  max(map(abs, b.terms.values()))) + 2
-    before, after = (0,) * i, (0,) * (len(p.vars) - i - 1)
     for _ in range(_GCDHEU_TRIES):
         point = dict.fromkeys(p.vars, xi)
         gamma = _int_gcd(a.evaluate(point), b.evaluate(point))
@@ -775,7 +946,7 @@ def _heuristic_gcd(p: MultiPoly, q: MultiPoly):
                 d -= xi
                 gamma += 1
             if d:
-                digits[before + (k,) + after] = d
+                digits[one + k * step] = d
             k += 1
         g = rational_normalize(MultiPoly._new(p.vars, p.laurent, digits))
         try:
@@ -898,7 +1069,7 @@ def newton_polygon(p: MultiPoly) -> tuple:
         raise LaurentInputError("Newton polygon requires ordinary exponents")
     if p.is_zero():
         raise EmptyPolynomialError("Newton polygon of 0 is undefined")
-    pts = sorted(p.terms)
+    pts = sorted(p.exponent_terms())
     if len(pts) == 1:
         return (pts[0],)
     lower = []
@@ -956,7 +1127,7 @@ class RationalFunction:
                     num = num.mul_var_power(var, -shift)
                     den = den.mul_var_power(var, -shift)
         content = _int_gcd(_scalar_content(num), _scalar_content(den))
-        if den.terms[max(den.terms, key=_grlex_key)] < 0:
+        if den.terms[max(den.terms)] < 0:
             content = -content
         self.num = _divide_scalar(num, content)
         self.den = _divide_scalar(den, content)

@@ -286,9 +286,9 @@ def _slice_root_angles(n: int) -> list:
 def _reflect_y(p: MultiPoly) -> MultiPoly:
     """p(-y): the terms of odd degree in y change sign."""
     i = p.vars.index("y")
-    return MultiPoly._new(p.vars, p.laurent,
-                          {e: -c if e[i] % 2 else c
-                           for e, c in p.terms.items()})
+    return MultiPoly(p.vars, {e: -c if e[i] % 2 else c
+                              for e, c in p.exponent_terms().items()},
+                     p.laurent)
 
 
 def shared_square_factor(n: int):
@@ -407,16 +407,18 @@ def membership_certificate(target: MultiPoly, gens,
         for g in gens:
             for e in mons:
                 cols.append(g * MultiPoly(vars, {e: 1}))
-        support = set(target.terms)
-        for col in cols:
-            support.update(col.terms)
+        col_terms = [col.exponent_terms() for col in cols]
+        target_terms = target.exponent_terms()
+        support = set(target_terms)
+        for terms in col_terms:
+            support.update(terms)
         index = {e: i for i, e in enumerate(sorted(support))}
         rows = [[0] * len(cols) for _ in index]
-        for ci, col in enumerate(cols):
-            for e, c in col.terms.items():
+        for ci, terms in enumerate(col_terms):
+            for e, c in terms.items():
                 rows[index[e]][ci] = c
         rhs = [0] * len(index)
-        for e, c in target.terms.items():
+        for e, c in target_terms.items():
             rhs[index[e]] = c
         sol = _fraction_solve(rows, rhs)
         if sol is None:

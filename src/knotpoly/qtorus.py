@@ -22,7 +22,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
-from .exactpoly import AlignmentError, MultiPoly, RationalFunction
+from .exactpoly import (EXPONENT_BOUND, AlignmentError, MultiPoly,
+                        RationalFunction, monomial_key)
 from .report import VerificationReport, status_of
 
 VARS_QT = ("t", "M", "L")
@@ -32,10 +33,29 @@ LAURENT_ML = (True, True)
 VARS_T = ("t",)
 LAURENT_T = (True,)
 
+# Monomial keys (exactpoly.monomial_key): t^a M^b L^k has the key
+# _ONE + a * _T + b * _M + k * _L, and M^b L^k over VARS_ML the key
+# _ONE_ML + b * _M_ML + k * _L_ML.
+_ONE = monomial_key((0, 0, 0))
+_T, _M, _L = (monomial_key(e) - _ONE
+              for e in ((1, 0, 0), (0, 1, 0), (0, 0, 1)))
+_ONE_ML = monomial_key((0, 0))
+_M_ML, _L_ML = (monomial_key(e) - _ONE_ML for e in ((1, 0), (0, 1)))
+
 
 def _check_qt(p: MultiPoly) -> None:
     if p.vars != VARS_QT or p.laurent != LAURENT_QT:
         raise AlignmentError(f"{p.vars} is not the quantum torus {VARS_QT}")
+
+
+def _qt_key(a: int, b: int, k: int) -> int:
+    """The key of t^a M^b L^k; OverflowError past EXPONENT_BOUND."""
+    bound = EXPONENT_BOUND
+    if not (-bound <= a < bound and -bound <= b < bound
+            and -bound <= k < bound):
+        raise OverflowError(f"t^{a} M^{b} L^{k} is outside the field range "
+                            f"[{-bound}, {bound})")
+    return _ONE + a * _T + b * _M + k * _L
 
 
 def qt_mul(p: MultiPoly, q: MultiPoly) -> MultiPoly:
@@ -45,11 +65,11 @@ def qt_mul(p: MultiPoly, q: MultiPoly) -> MultiPoly:
     _check_qt(q)
     out: dict = {}
     get = out.get
-    right = list(q.terms.items())
-    for (a, b, k), cp in p.terms.items():
+    right = list(q.exponent_terms().items())
+    for (a, b, k), cp in p.exponent_terms().items():
         s = 2 * k
         for (c, d, l), cq in right:
-            e = (a + c + s * d, b + d, k + l)
+            e = _qt_key(a + c + s * d, b + d, k + l)
             v = get(e)
             out[e] = cp * cq if v is None else v + cp * cq
     return MultiPoly._make(VARS_QT, LAURENT_QT, out)
@@ -59,7 +79,8 @@ def qt_sigma(p: MultiPoly) -> MultiPoly:
     """The involution t^c M^k L^l -> t^c M^-k L^-l, linear over t."""
     _check_qt(p)
     return MultiPoly._new(VARS_QT, LAURENT_QT,
-                          {(a, -b, -k): c for (a, b, k), c in p.terms.items()})
+                          {_qt_key(a, -b, -k): c for (a, b, k), c
+                           in p.exponent_terms().items()})
 
 
 def epsilon_eval(p: MultiPoly) -> MultiPoly:
@@ -67,8 +88,9 @@ def epsilon_eval(p: MultiPoly) -> MultiPoly:
     Laurent polynomial in (M, L)."""
     _check_qt(p)
     terms: dict = {}
-    for (a, b, k), c in p.terms.items():
-        terms[b, k] = terms.get((b, k), 0) + (-c if a % 2 else c)
+    for (a, b, k), c in p.exponent_terms().items():
+        e = _ONE_ML + b * _M_ML + k * _L_ML
+        terms[e] = terms.get(e, 0) + (-c if a % 2 else c)
     return MultiPoly._make(VARS_ML, LAURENT_ML, terms)
 
 
@@ -98,21 +120,25 @@ def act(p: MultiPoly, f: Callable, n: int) -> MultiPoly:
     _check_qt(p)
     s = 2 * n
     by_shift: dict = {}
-    for (a, b, j), c in p.terms.items():
+    for (a, b, j), c in p.exponent_terms().items():
         folded = by_shift.setdefault(j, {})
         e = (a + s * b,)
         folded[e] = folded.get(e, 0) + c
     total = MultiPoly.zero(VARS_T, LAURENT_T)
     for j, folded in by_shift.items():
-        total = total + MultiPoly._make(VARS_T, LAURENT_T, folded) * f(n + j)
+        total = total + MultiPoly(VARS_T, folded, LAURENT_T) * f(n + j)
     return total
 
 
 def jones_unknot(n: int) -> MultiPoly:
-    """[n] = (t^2n - t^-2n) / (t^2 - t^-2), expanded exactly."""
+    """[n] = (t^2n - t^-2n) / (t^2 - t^-2), expanded exactly: sign(n)
+    times the sum of t^2k over k = 1 - |n|, 3 - |n|, ..., |n| - 1."""
     sign, m = (1, n) if n >= 0 else (-1, -n)
+    # the keys of those powers step by the key of t^4 less that of 1
+    step = monomial_key((4,)) - monomial_key((0,))
+    first, last = monomial_key((2 - 2 * m,)), monomial_key((2 * m - 2,))
     return MultiPoly._new(VARS_T, LAURENT_T,
-                          {(2 * k,): sign for k in range(1 - m, m, 2)})
+                          dict.fromkeys(range(first, last + 1, step), sign))
 
 
 def alpha_unknot() -> MultiPoly:
@@ -170,7 +196,7 @@ def sigma_symmetry_factor(p: MultiPoly):
         raise ValueError("minimal L-exponent must be 0")
     d = p.degree_in("L")
     sp = qt_sigma(p)
-    ld = MultiPoly._new(VARS_QT, LAURENT_QT, {(0, 0, d): 1})
+    ld = MultiPoly(VARS_QT, {(0, 0, d): 1}, LAURENT_QT)
     slices = p.as_univariate("L")
     for ordering, s in (("LdRight", qt_mul(sp, ld)),
                         ("LdLeft", qt_mul(ld, sp))):

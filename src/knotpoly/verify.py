@@ -131,7 +131,7 @@ def _random_qt_elem(rng: random.Random) -> MultiPoly:
         c = rng.randint(-4, 4)
         e = (rng.randint(-3, 3), rng.randint(-2, 2), rng.randint(-2, 2))
         terms[e] = terms.get(e, 0) + c
-    return MultiPoly._make(VARS_QT, LAURENT_QT, terms)
+    return MultiPoly(VARS_QT, terms, LAURENT_QT)
 
 
 def unknot_reports(window=QT_WINDOW) -> list:

@@ -4,10 +4,10 @@ import json
 
 import pytest
 
-from knotpoly import cli, pretzel
+from knotpoly import cli, pretzel, verify
 from knotpoly.cli import (QTORUS_N_MAX, TRACE_MAX_LETTERS, TWOBRIDGE_P_MAX,
                           VERIFY_P_MAX, main)
-from knotpoly.exactpoly import InexactDivisionError
+from knotpoly.exactpoly import EXPONENT_BOUND, InexactDivisionError, MultiPoly
 from knotpoly.report import InternalInconsistencyError
 
 
@@ -173,6 +173,31 @@ def test_verify_rejects_p_over_the_cap(capsys):
     assert code == 2
     assert "error:" in captured.err
     assert str(VERIFY_P_MAX) in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("args", [
+    ("--suite", "qtorus", "--n-range", "-5", "5"),
+    ("--suite", "twobridge", "--n-range", "-5", "5"),
+    ("--suite", "pretzel", "--p", "71"),
+    ("--suite", "qtorus", "--p", "71"),
+])
+def test_verify_option_its_suite_never_reads_is_a_usage_error(capsys, args):
+    code, captured = run(capsys, "verify", *args, "--json")
+    assert code == 2
+    assert "error:" in captured.err
+    assert "applies to --suite" in captured.err
+    assert captured.out == ""
+
+
+def test_exponent_overflow_exits_three(capsys, monkeypatch):
+    # [n] replaced by a sequence at the top of the exponent range: the
+    # action multiplies it by t^(2 + 4n), which leaves the field
+    top = MultiPoly(("t",), {(EXPONENT_BOUND - 1,): 1}, (True,))
+    monkeypatch.setattr(verify, "jones_unknot", lambda n: top)
+    code, captured = run(capsys, "qtorus", "--n-range", "1", "2", "--json")
+    assert code == 3
+    assert captured.err.startswith("internal error: OverflowError:")
     assert captured.out == ""
 
 

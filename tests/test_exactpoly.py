@@ -4,12 +4,13 @@ import itertools
 import math
 import tracemalloc
 from fractions import Fraction
+from math import prod
 from unittest.mock import patch
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from knotpoly import exactpoly
+from knotpoly import cli, exactpoly
 from knotpoly.exactpoly import (AlignmentError, EvaluationError,
                                 InexactDivisionError, LaurentInputError,
                                 Matrix2, MultiPoly,
@@ -17,6 +18,11 @@ from knotpoly.exactpoly import (AlignmentError, EvaluationError,
                                 is_squarefree_in, newton_polygon, poly_gcd,
                                 UndefinedResultantError, rational_normalize,
                                 resultant_in, squarefree_part_in)
+from knotpoly.pretzel import pq_resultant
+from knotpoly.qtorus import (LAURENT_T, VARS_T, act, alpha_unknot,
+                             jones_unknot)
+from knotpoly.sl2trace import trace_poly, word_from_string
+from knotpoly.twobridge import TwoBridgeKnot, character_polynomial
 
 XY = ("x", "y")
 
@@ -53,7 +59,7 @@ def laurent_polys(draw, coeffs=st.integers(-9, 9), max_terms=4):
 # -- construction and canonical form --------------------------------------
 
 def test_zero_coefficients_are_dropped():
-    assert poly({(1, 0): 0, (0, 1): 2}).terms == {(0, 1): 2}
+    assert poly({(1, 0): 0, (0, 1): 2}).exponent_terms() == {(0, 1): 2}
     assert poly({}).is_zero()
 
 
@@ -70,7 +76,7 @@ def test_fraction_coefficients_and_scalars_are_type_errors():
                lambda: RationalFunction.from_poly(x) * half):
         with pytest.raises(TypeError):
             op()
-    assert poly({(1, 0): True}).terms == {(1, 0): 1}
+    assert poly({(1, 0): True}).exponent_terms() == {(1, 0): 1}
 
 
 def test_negative_exponent_requires_laurent_flag():
@@ -82,9 +88,213 @@ def test_negative_exponent_requires_laurent_flag():
 
 def test_variable_and_const_helpers():
     x = var("x")
-    assert x.terms == {(1, 0): 1}
-    assert MultiPoly.const(XY, 5).terms == {(0, 0): 5}
+    assert x.exponent_terms() == {(1, 0): 1}
+    assert MultiPoly.const(XY, 5).exponent_terms() == {(0, 0): 5}
     assert MultiPoly.const(XY, 0).is_zero()
+
+
+# -- packed monomial keys ----------------------------------------------------
+
+LIMIT = exactpoly.EXPONENT_BOUND
+
+
+def test_non_int_exponents_are_type_errors():
+    for vars, terms in ((("x",), {(1.5,): 1}), (XY, {(2.9, "3"): 4}),
+                        (XY, {(2.0, 1): 1}), (XY, {(Fraction(1), 0): 1}),
+                        (("x",), {(1.5,): 0})):
+        with pytest.raises(TypeError):
+            MultiPoly(vars, terms)
+    assert MultiPoly(("x",), {(True,): 1}) == MultiPoly.variable("x", ("x",))
+
+
+def test_exponents_past_the_field_raise_overflow_error():
+    x = MultiPoly.variable("x", ("x",))
+    t = MultiPoly.variable("t", ("t",), (True,))
+    top = MultiPoly(("x",), {(LIMIT - 1,): 1})
+    bottom = MultiPoly(("t",), {(-LIMIT,): 1}, (True,))
+    assert top.degree_in("x") == LIMIT - 1
+    assert bottom * MultiPoly(("t",), {(LIMIT - 1,): 1}, (True,)) == t ** -1
+    with pytest.raises(OverflowError):
+        MultiPoly(("x",), {(LIMIT,): 1})
+    with pytest.raises(OverflowError):
+        MultiPoly(("t",), {(-LIMIT - 1,): 1}, (True,))
+    # products: by one term, through the dict loop, and Kronecker-packed
+    dense = sum((x ** i for i in range(12)), x * 0)
+    for overflow in (lambda: top * x, lambda: (top + 1) * (x + 1),
+                     lambda: (top + dense) * dense,
+                     lambda: bottom * t ** -1,
+                     lambda: (bottom + t) * (t ** -1 + 1),
+                     lambda: MultiPoly(("x",), {(200,): 1}) ** 100,
+                     lambda: t ** -(LIMIT + 1),
+                     lambda: top.mul_var_power("x", 1),
+                     lambda: bottom.mul_var_power("t", -1),
+                     lambda: x.mul_var_power("x", 10 ** 9),
+                     lambda: t.mul_var_power("t", -10 ** 9),
+                     lambda: exact_div(bottom, t ** (LIMIT - 1))):
+        with pytest.raises(OverflowError):
+            overflow()
+
+
+def test_overflow_of_a_middle_field_is_not_carried_away():
+    vars = ("x", "y", "z")
+    x, y, z = (MultiPoly.variable(v, vars, (True,) * 3) for v in vars)
+    high = MultiPoly(vars, {(0, LIMIT - 1, 0): 1}, (True,) * 3)
+    low = MultiPoly(vars, {(0, -LIMIT, 0): 1}, (True,) * 3)
+    for overflow in (lambda: high * y, lambda: high * (x * y * z),
+                     lambda: low * y ** -1,
+                     lambda: low * x * z ** -1 * y ** -1):
+        with pytest.raises(OverflowError):
+            overflow()
+    assert high * low == y ** -1
+    assert (high * x * z ** -1).exponent_terms() == {
+        (1, LIMIT - 1, -1): 1}
+
+
+def test_keys_round_trip_at_the_cli_caps():
+    """Exponent tuples survive packing at the largest exponents the
+    command line lets a query reach."""
+    one = MultiPoly.const(VARS_T, 1, LAURENT_T)
+    reach = cli.QTORUS_N_MAX + 1
+    word = " ".join(["a b^-1"] * (cli.TRACE_MAX_LETTERS // 2))
+    polys = [jones_unknot(reach), jones_unknot(-reach),
+             act(alpha_unknot(), lambda n: one, cli.QTORUS_N_MAX),
+             act(alpha_unknot(), lambda n: one, -cli.QTORUS_N_MAX),
+             pq_resultant(cli.PRETZEL_N_MAX), pq_resultant(-cli.PRETZEL_N_MAX),
+             character_polynomial(TwoBridgeKnot(cli.TWOBRIDGE_P_MAX, 75)),
+             trace_poly(word_from_string(word)[0]),
+             trace_poly(word_from_string(f"a^{cli.TRACE_MAX_LETTERS}")[0])]
+    assert pq_resultant(-cli.PRETZEL_N_MAX).degree_in("y") == 301
+    assert jones_unknot(reach).degree_in("t") == 2 * reach - 2
+    for p in polys:
+        terms = p.exponent_terms()
+        assert MultiPoly(p.vars, terms, p.laurent) == p
+        for i, v in enumerate(p.vars):
+            assert max(e[i] for e in terms) == p.degree_in(v)
+            assert min(e[i] for e in terms) == p.min_degree_in(v)
+        assert max(map(sum, terms)) == p.total_degree()
+
+
+class TupleRef:
+    """Test-local reference: a term map keyed by exponent tuples, with a
+    dict double loop for products and a (sum(e), e) sort for text."""
+
+    def __init__(self, vars, terms, laurent):
+        self.vars, self.laurent = vars, laurent
+        self.terms = {e: c for e, c in terms.items() if c}
+
+    @classmethod
+    def of(cls, p):
+        return cls(p.vars, p.exponent_terms(), p.laurent)
+
+    def _new(self, terms):
+        return TupleRef(self.vars, terms, self.laurent)
+
+    def __add__(self, other):
+        out = dict(self.terms)
+        for e, c in other.terms.items():
+            out[e] = out.get(e, 0) + c
+        return self._new(out)
+
+    def __neg__(self):
+        return self._new({e: -c for e, c in self.terms.items()})
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __mul__(self, other):
+        out = {}
+        for ea, ca in self.terms.items():
+            for eb, cb in other.terms.items():
+                e = tuple(a + b for a, b in zip(ea, eb))
+                out[e] = out.get(e, 0) + ca * cb
+        return self._new(out)
+
+    def __pow__(self, n):
+        result = self._new({(0,) * len(self.vars): 1})
+        for _ in range(n):
+            result = result * self
+        return result
+
+    def coeff_in(self, i, k):
+        return self._new({e[:i] + (0,) + e[i + 1:]: c
+                          for e, c in self.terms.items() if e[i] == k})
+
+    def as_univariate(self, i):
+        return {k: self.coeff_in(i, k) for k in sorted({e[i] for e in self.terms})}
+
+    def mul_var_power(self, i, k):
+        return self._new({e[:i] + (e[i] + k,) + e[i + 1:]: c
+                          for e, c in self.terms.items()})
+
+    def evaluate(self, values):
+        return sum(c * prod(Fraction(v) ** e for v, e in zip(values, exp))
+                   for exp, c in self.terms.items())
+
+    def lead(self):
+        """The graded-lex leading exponent."""
+        return max(self.terms, key=lambda e: (sum(e), e))
+
+    def to_text(self):
+        parts = []
+        for exp in sorted(self.terms, key=lambda e: (sum(e), e),
+                          reverse=True):
+            c = self.terms[exp]
+            mono = "*".join(v if e == 1 else f"{v}^{e}"
+                            for v, e in zip(self.vars, exp) if e)
+            if not mono:
+                body = str(abs(c))
+            elif abs(c) == 1:
+                body = mono
+            else:
+                body = f"{abs(c)}*{mono}"
+            if parts:
+                parts.append(f"{'-' if c < 0 else '+'} {body}")
+            else:
+                parts.append(f"-{body}" if c < 0 else body)
+        return " ".join(parts) or "0"
+
+
+@st.composite
+def reference_pairs(draw):
+    """Two polynomials in 1-3 variables, some Laurent, with their tuple
+    references; coefficients small (for cancellation) or large."""
+    nvars = draw(st.integers(1, 3))
+    vars = ("x", "y", "z")[:nvars]
+    laurent = tuple(draw(st.booleans()) for _ in vars)
+    exps = st.tuples(*(st.integers(-3 if flag else 0, 3) for flag in laurent))
+    coeffs = st.one_of(st.integers(-4, 4), st.integers(-2 ** 70, 2 ** 70))
+
+    def one():
+        return MultiPoly(vars, draw(st.dictionaries(exps, coeffs, max_size=9)),
+                         laurent)
+    return one(), one()
+
+
+@settings(max_examples=200, deadline=None)
+@given(reference_pairs(), st.integers(0, 3), st.integers(-3, 3),
+       st.lists(st.integers(-3, 3).filter(bool), min_size=3, max_size=3))
+def test_packed_kernel_matches_the_tuple_reference(pair, n, k, point):
+    a, b = pair
+    ra, rb = TupleRef.of(a), TupleRef.of(b)
+    for got, want in ((a + b, ra + rb), (a - b, ra - rb), (a * b, ra * rb),
+                      (b * a, rb * ra), (-a, -ra), (a ** n, ra ** n)):
+        assert got.exponent_terms() == want.terms
+    assert a.to_text() == ra.to_text()
+    assert (a * b).to_text() == (ra * rb).to_text()
+    assert a.evaluate(dict(zip(a.vars, point))) == ra.evaluate(point)
+    for i, v in enumerate(a.vars):
+        assert a.coeff_in(v, k).exponent_terms() == ra.coeff_in(i, k).terms
+        assert {e: p.exponent_terms() for e, p in a.as_univariate(v).items()} \
+            == {e: p.terms for e, p in ra.as_univariate(i).items()}
+        if a.laurent[i] or k >= 0:
+            assert a.mul_var_power(v, k).exponent_terms() \
+                == ra.mul_var_power(i, k).terms
+    if not b.is_zero():
+        assert exact_div(a * b, b).exponent_terms() == ra.terms
+    if not (a * b).is_zero():
+        # rational_normalize makes the key-order leading term positive
+        lead = (ra * rb).lead()
+        assert rational_normalize(a * b).exponent_terms()[lead] > 0
 
 
 # -- ring laws -------------------------------------------------------------
@@ -180,7 +390,7 @@ def test_packed_product_matches_dict_loop(pair):
     a, b = pair
     expected = dict_product(a, b)
     assert a * b == expected
-    packed = exactpoly._packed_product(a.terms, b.terms)
+    packed = exactpoly._packed_product(a.terms, b.terms, len(a.vars))
     if packed is not None:
         assert packed == expected.terms
         assert all(type(c) is int for c in packed.values())
@@ -196,7 +406,7 @@ def test_packed_product_with_bound_next_to_a_byte_boundary(bits, step, m):
         ca = sa * (2 ** bits // m + step)
         a = MultiPoly(("x",), {(i,): ca for i in range(m)})
         b = MultiPoly(("x",), {(j,): sb for j in range(max(m, 2))})
-        packed = exactpoly._packed_product(a.terms, b.terms)
+        packed = exactpoly._packed_product(a.terms, b.terms, 1)
         assert packed == dict_product(a, b).terms
         assert max(map(abs, packed.values())) == 2 ** bits + step * m
         assert a * b == dict_product(a, b)
@@ -204,11 +414,11 @@ def test_packed_product_with_bound_next_to_a_byte_boundary(bits, step, m):
 
 def test_sparse_high_degree_product_skips_the_dense_box():
     vars = ("x", "y", "z")
-    a = MultiPoly(vars, {(10 ** 9 * i, 7 * i, 10 ** 6 - i): i + 1
+    a = MultiPoly(vars, {(800 * i, 7 * i, 8000 - i): i + 1
                          for i in range(10)})
-    b = MultiPoly(vars, {(i, 10 ** 8 * i, i * i): 1 - 2 * i
+    b = MultiPoly(vars, {(i, 700 * i, i * i): 1 - 2 * i
                          for i in range(10)})
-    assert exactpoly._packed_product(a.terms, b.terms) is None
+    assert exactpoly._packed_product(a.terms, b.terms, 3) is None
     tracemalloc.start()
     try:
         result = a * b
@@ -257,7 +467,7 @@ def test_substitute_square_collapses_even_part():
 def test_restrict_drops_unused_variable():
     p = poly({(0, 2): 3})
     q = p.restrict(("y",))
-    assert q.vars == ("y",) and q.terms == {(2,): 3}
+    assert q.vars == ("y",) and q.exponent_terms() == {(2,): 3}
     with pytest.raises(ValueError):
         poly({(1, 1): 1}).restrict(("y",))
 
@@ -503,7 +713,9 @@ def test_rational_normalize_is_scale_invariant(p, k):
     coeffs = list(r.terms.values())
     assert all(type(c) is int for c in coeffs)
     assert math.gcd(*coeffs) == 1
-    assert r.terms[max(r.terms, key=exactpoly._grlex_key)] > 0
+    lead = max(r.exponent_terms().items(),
+               key=lambda item: (sum(item[0]), item[0]))
+    assert lead[1] > 0
 
 
 def test_squarefree_detection():

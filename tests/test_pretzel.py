@@ -67,7 +67,7 @@ def test_resultant_leading_coefficient_and_degree():
         res = pq_resultant(n)
         d = res.degree_in("y")
         assert d == 3 * n - 2
-        top = {e: c for e, c in res.terms.items() if e[1] == d}
+        top = {e: c for e, c in res.exponent_terms().items() if e[1] == d}
         assert top == {(0, d): 1}
     res = pq_resultant(-5)
     assert res.degree_in("y") == 16

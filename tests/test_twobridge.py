@@ -133,7 +133,8 @@ def test_even_form_substitutes_back():
         assert gamma.vars[:i] + ("x",) + gamma.vars[i + 1:] == phi.vars
         lifted = MultiPoly(phi.vars,
                            {e[:i] + (2 * e[i],) + e[i + 1:]: c
-                            for e, c in gamma.terms.items()}, phi.laurent)
+                            for e, c in gamma.exponent_terms().items()},
+                           phi.laurent)
         assert lifted == phi
 
 
@@ -143,10 +144,10 @@ def test_character_polynomial_structure():
         d = k.d
         assert phi.degree_in("z") == d
         # monic in z: coefficient of z^d is 1
-        top = {e: c for e, c in phi.terms.items() if e[1] == d}
+        top = {e: c for e, c in phi.exponent_terms().items() if e[1] == d}
         assert top == {(0, d): 1}
         # only even x powers
-        assert all(e[0] % 2 == 0 for e in phi.terms)
+        assert all(e[0] % 2 == 0 for e in phi.exponent_terms())
 
 
 def test_x_zero_slice_is_chebyshev_difference():
