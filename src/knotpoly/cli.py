@@ -78,7 +78,7 @@ def _parser() -> argparse.ArgumentParser:
                     help="pretzel parameter range override")
     vf.add_argument("--p", type=int, default=None,
                     help="two-bridge p cap override")
-    vf.add_argument("--seed", type=int, default=DEFAULT_SEED,
+    vf.add_argument("--seed", type=int, default=None,
                     help="seed for the random oracles")
     return parser
 
@@ -175,7 +175,8 @@ def _run_trace(args):
 
 # The suites that read each verify option; elsewhere it is a usage error.
 _VERIFY_OPTION_SUITES = {"n_range": ("pretzel", "all"),
-                         "p": ("twobridge", "all")}
+                         "p": ("twobridge", "all"),
+                         "seed": ("qtorus", "all")}
 
 
 def _run_verify(args):
@@ -193,14 +194,15 @@ def _run_verify(args):
     if p_max > VERIFY_P_MAX:
         raise ValueError(f"--p {p_max} is out of range: p must be at most "
                          f"{VERIFY_P_MAX}")
+    seed = DEFAULT_SEED if args.seed is None else args.seed
     if args.suite == "twobridge":
         reports = verify.suite_twobridge(p_max)
     elif args.suite == "pretzel":
         reports = verify.suite_pretzel(n_range)
     elif args.suite == "qtorus":
-        reports = verify.suite_qtorus(args.seed)
+        reports = verify.suite_qtorus(seed)
     else:
-        reports = verify.suite_all(n_range, p_max, args.seed)
+        reports = verify.suite_all(n_range, p_max, seed)
     return f"suite:{args.suite}", {"suite": args.suite}, reports
 
 

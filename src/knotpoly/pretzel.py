@@ -8,7 +8,9 @@ letter by letter through the trace calculus.  It also verifies the
 z-resultant structure, the radicality certificates on the x = 0 slice, and
 the representation-witness matrices for each branch of y, all in exact
 arithmetic except the two float checks flagged as numeric: Seidenberg root
-separation and the cosine-root residuals, both against RESIDUAL_TOL.
+separation and the cosine-root residuals, both against RESIDUAL_TOL.  A
+witness r satisfies the relation when r(w)^n r(E) - r(F) r(w)^n, which is
+r(w^n E) - r(F w^n) since r is a homomorphism, is zero.
 
 Every polynomial here has integer coefficients.  The paper's y = -2
 witness has the denominators 2 and 4(x + z); it is conjugated by
@@ -475,11 +477,18 @@ def radical_slice_report(data: X0SliceData) -> VerificationReport:
 # -- representation witnesses ---------------------------------------------
 
 
-def _relation_words(n: int):
-    """The freely reduced words w^n E and F w^n."""
-    wn = ((GENERATOR_B, n),) if n else ()
-    return (reduce_word(wn + word_e().letters),
-            reduce_word(word_f().letters + wn))
+def _relation_parts(ra: Matrix2, rw: Matrix2, n: int):
+    """r(E), r(F), r(w)^n and r(w)^n r(E) - r(F) r(w)^n for r(a) = ra,
+    r(w) = rw; r satisfies the relation exactly when the last is zero."""
+    mats = (ra, rw)
+    e = matrix_of_word(word_e(), mats)
+    f = matrix_of_word(word_f(), mats)
+    wn = rw ** n
+    return e, f, wn, wn * e - f * wn
+
+
+def _relation_holds(ra: Matrix2, rw: Matrix2, n: int) -> bool:
+    return _relation_parts(ra, rw, n)[3] == Matrix2(0, 0, 0, 0)
 
 
 VARS_SUV = ("s", "u", "v")
@@ -489,8 +498,8 @@ LAURENT_SUV = (True, False, False)
 def witness_generic_y(n: int) -> VerificationReport:
     """Branch y^2 != 4: r(a) = [[u, 1], [uv-1, v]], r(w) = diag(s, 1/s).
 
-    Checks the product matrices for E and F against the H-entry closed
-    forms and r(w^n E - F w^n) against the (P', Q'_n) matrix, exactly.
+    Checks r(E) and r(F) against the H-entry closed forms and
+    r(w)^n r(E) - r(F) r(w)^n against the (P', Q'_n) matrix, exactly.
     """
     _check_bound(n, WITNESS_BOUND, "witness")
     s = MultiPoly.variable("s", VARS_SUV, LAURENT_SUV)
@@ -509,14 +518,12 @@ def witness_generic_y(n: int) -> VerificationReport:
     h21 = -s4 - s2 * u * v + s4 * u * v - v ** 2 + s2 * v ** 2
     h22 = (-s4 * u + v - s2 * v - s2 * u ** 2 * v + s4 * u ** 2 * v
            - u * v ** 2 + s2 * u * v ** 2)
-    mats = (ra, rw)
+    e, f, _, diff = _relation_parts(ra, rw, n)
     si1, si2, si3 = s ** -1, s ** -2, s ** -3
-    ef_ok = (matrix_of_word(word_e(), mats)
-             == Matrix2(si2 * h11, -(si2 * h12),
-                        si2 * (u * v - 1) * h21, -(si2 * h22))
-             and matrix_of_word(word_f(), mats)
-             == Matrix2(-(si3 * h22), -(si1 * h21),
-                        si3 * (u * v - 1) * h12, si1 * h11))
+    ef_ok = (e == Matrix2(si2 * h11, -(si2 * h12),
+                          si2 * (u * v - 1) * h21, -(si2 * h22))
+             and f == Matrix2(-(si3 * h22), -(si1 * h21),
+                              si3 * (u * v - 1) * h12, si1 * h11))
 
     pp = (s ** 3 * u - s ** 4 * u - s ** 5 * u + v + s * v - s ** 2 * v
           - s ** 2 * u ** 2 * v - s ** 3 * u ** 2 * v + s ** 4 * u ** 2 * v
@@ -526,8 +533,6 @@ def witness_generic_y(n: int) -> VerificationReport:
     qp = (s ** 5 + s2n - s2n * s ** 2 * u ** 2 + s2n * s ** 4 * u ** 2
           + s ** 3 * u * v - s ** 5 * u * v - s2n * u * v
           + s2n * s ** 2 * u * v + s * v ** 2 - s ** 3 * v ** 2)
-    left, right = _relation_words(n)
-    diff = matrix_of_word(left, mats) - matrix_of_word(right, mats)
     difference_ok = diff == Matrix2(
         s ** (n - 3) * pp, -(s ** (-2 - n) * qp),
         -(s ** (-3 - n) * (u * v - 1) * qp), -(s ** (-2 - n) * pp))
@@ -538,17 +543,9 @@ def witness_generic_y(n: int) -> VerificationReport:
          "difference_ok": difference_ok})
 
 
-def _constant_pair_ok(a_sign: int, w_sign: int, n: int) -> bool:
-    ra = Matrix2(a_sign, 0, 0, a_sign)
-    rw = Matrix2(w_sign, 0, 0, w_sign)
-    left, right = _relation_words(n)
-    return (matrix_of_word(left, (ra, rw))
-            == matrix_of_word(right, (ra, rw)))
-
-
 def witness_y_two(n: int) -> VerificationReport:
     """Branch y = 2: parabolic r(w) plus the two scalar subcases x = z = 2
-    and x = z = -2."""
+    and x = z = -2; each checks r(w)^n r(E) - r(F) r(w)^n."""
     _check_bound(n, WITNESS_BOUND, "witness")
     z = MultiPoly.variable("z", ("z",), (True,))
     one = z ** 0
@@ -556,36 +553,21 @@ def witness_y_two(n: int) -> VerificationReport:
     ra = Matrix2(z, zero, -(z ** -1), z ** -1)
     rw = Matrix2(one, one, zero, one)
     det_ok = ra.det() == 1 and rw.det() == 1
-    mats = (ra, rw)
-    ef_ok = (matrix_of_word(word_e(), mats)
-             == Matrix2(z, z ** 3 - 2 * z, zero, z ** -1)
-             and matrix_of_word(word_f(), mats)
-             == Matrix2(z, z ** -1 - z, zero, z ** -1))
-    wn_word = FreeWord(((GENERATOR_B, n),)) if n else FreeWord(())
-    power_ok = matrix_of_word(wn_word, mats) == Matrix2(one, n * one,
-                                                        zero, one)
-    left, right = _relation_words(n)
-    diff = matrix_of_word(left, mats) - matrix_of_word(right, mats)
+    e, f, wn, diff = _relation_parts(ra, rw, n)
+    ef_ok = (e == Matrix2(z, z ** 3 - 2 * z, zero, z ** -1)
+             and f == Matrix2(z, z ** -1 - z, zero, z ** -1))
+    power_ok = wn == Matrix2(one, n * one, zero, one)
     upper = z ** -1 * ((n - 1) * one - (n + 1) * z ** 2 + z ** 4)
     difference_ok = diff == Matrix2(zero, upper, zero, zero)
-    scalars_ok = _constant_pair_ok(1, 1, n) and _constant_pair_ok(-1, 1, n)
+    ident = Matrix2(1, 0, 0, 1)
+    scalars_ok = (_relation_holds(ident, ident, n)
+                  and _relation_holds(-ident, ident, n))
     ok = det_ok and ef_ok and power_ok and difference_ok and scalars_ok
     return VerificationReport(
         "witness-y-two", f"n={n}", status_of(ok),
         {"det_ok": det_ok, "product_matrices_ok": ef_ok,
          "unipotent_power_ok": power_ok, "difference_ok": difference_ok,
          "scalar_subcases_ok": scalars_ok})
-
-
-def _diagonal_subcase_ok(n: int) -> bool:
-    # x = z = 0 representation r(a) = diag(i, -i), r(w) = -Id, with r(a)
-    # conjugated over Q to the int matrix [[0, 1], [-1, 0]]; conjugation
-    # keeps the relation
-    ra = Matrix2(0, 1, -1, 0)
-    rw = Matrix2(-1, 0, 0, -1)
-    left, right = _relation_words(n)
-    return (matrix_of_word(left, (ra, rw))
-            == matrix_of_word(right, (ra, rw)))
 
 
 def y_minus_two_generators():
@@ -603,13 +585,15 @@ def witness_y_minus_two(n: int) -> VerificationReport:
     to clear the denominators of the paper's r(a) = [[x/2, (4 - x^2)/(4(x+z))],
     [-(x+z), x/2]]; r(w) = [[-1, -1], [0, -1]] keeps integer entries.
     Conjugation keeps products and equality, so each check over these
-    matrices over Z[x, z] means the same as in the fraction field."""
+    matrices over Z[x, z] means the same as in the fraction field.  The
+    relation is checked as r(w)^n r(E) - r(F) r(w)^n, here and in the
+    x = z = 0 diagonal subcase."""
     _check_bound(n, WITNESS_BOUND, "witness")
     x = MultiPoly.variable("x", VARS_XZ)
     z = MultiPoly.variable("z", VARS_XZ)
     one = x ** 0
     zero = x * 0
-    ra, rw = mats = y_minus_two_generators()
+    ra, rw = y_minus_two_generators()
     det_ok = ra.det() == 1 and rw.det() == 1
     lower_ef = x * z + z ** 2 + 1
     expect_e = Matrix2(-z, -one, lower_ef, x + z)
@@ -619,16 +603,12 @@ def witness_y_minus_two(n: int) -> VerificationReport:
           + 4 * x * z + z ** 2 + 1),
         lower_ef,
         -(2 * x ** 2 * z + 3 * x * z ** 2 + z ** 3 + 3 * x + 2 * z))
-    ef_ok = (matrix_of_word(word_e(), mats) == expect_e
-             and matrix_of_word(word_f(), mats) == expect_f)
+    e, f, wn, diff = _relation_parts(ra, rw, n)
+    ef_ok = e == expect_e and f == expect_f
     sign = 1 if n % 2 == 0 else -1
-    wn_word = FreeWord(((GENERATOR_B, n),)) if n else FreeWord(())
-    power_ok = matrix_of_word(wn_word, mats) == Matrix2(
-        sign * one, sign * n * (x + z), zero, sign * one)
+    power_ok = wn == Matrix2(sign * one, sign * n * (x + z), zero, sign * one)
     p3 = 3 * x + z + x ** 2 * z + 2 * x * z ** 2 + z ** 3
     qpp = x + 2 * n * x + 2 * z + x ** 2 * z + x * z ** 2
-    left, right = _relation_words(n)
-    diff = matrix_of_word(left, mats) - matrix_of_word(right, mats)
     # twice the upper right entry has the closed form over Z, so no
     # division by 2 is needed
     difference_ok = (
@@ -636,7 +616,11 @@ def witness_y_minus_two(n: int) -> VerificationReport:
         and 2 * diff.b == sign * ((3 * x + z) * qpp - (2 * n - 1) * x * p3)
         and diff.c.is_zero()
         and diff.d == sign * (qpp - (n - 1) * p3))
-    diagonal_ok = _diagonal_subcase_ok(n)
+    # x = z = 0 subcase: r(a) = diag(i, -i), r(w) = -Id, with r(a)
+    # conjugated over Q to the int matrix [[0, 1], [-1, 0]]; conjugation
+    # keeps the relation
+    diagonal_ok = _relation_holds(Matrix2(0, 1, -1, 0),
+                                  Matrix2(-1, 0, 0, -1), n)
     ok = det_ok and ef_ok and power_ok and difference_ok and diagonal_ok
     return VerificationReport(
         "witness-y-minus-two", f"n={n}", status_of(ok),

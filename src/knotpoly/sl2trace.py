@@ -79,23 +79,6 @@ def reduce_word(letters: Iterable) -> FreeWord:
     return FreeWord(tuple((g, e) for g, e in stack))
 
 
-def reverse_word(word: FreeWord) -> FreeWord:
-    return FreeWord(tuple(reversed(word.letters)))
-
-
-def inverse_word(word: FreeWord) -> FreeWord:
-    return FreeWord(tuple((g, -e) for g, e in reversed(word.letters)))
-
-
-def rotate_word(word: FreeWord, k: int) -> FreeWord:
-    """Cyclic rotation by k letters (re-reduced at the seam)."""
-    letters = word.letters
-    if not letters:
-        return word
-    k %= len(letters)
-    return reduce_word(letters[k:] + letters[:k])
-
-
 def word_from_string(text: str) -> tuple[FreeWord, tuple[str, ...]]:
     """Parse a word like "a b^-1 a" with caller-chosen generator names.
 

@@ -15,10 +15,11 @@ from knotpoly.pretzel import (ExpansionBoundError, PretzelKnot,
                               slice_p, slice_q, traced_p, traced_q, u_poly,
                               witness_reports, x0_report, x0_slice,
                               a_root_residuals, u_root_residuals,
-                              y_minus_two_generators, _relation_words)
+                              word_e, word_f, y_minus_two_generators,
+                              _relation_parts)
 from knotpoly.report import InternalInconsistencyError
 from knotpoly.sl2trace import (FreeWord, GENERATOR_A, GENERATOR_B,
-                               matrix_of_word)
+                               matrix_of_word, reduce_word)
 
 VARS_XYZ = ("x", "y", "z")
 VARS_XY = ("x", "y")
@@ -229,6 +230,43 @@ def test_witness_details_include_determinants():
     assert by_claim["witness-y-minus-two"].details["diagonal_subcase_ok"]
 
 
+def _spelled_relation_words(n):
+    # w^n E and F w^n as words, freely reduced
+    wn = ((GENERATOR_B, n),)
+    return (reduce_word(wn + word_e().letters),
+            reduce_word(word_f().letters + wn))
+
+
+def _witness_generator_pairs():
+    # (r(a), r(w)) of every branch and subcase the witnesses check
+    suv, laurent = ("s", "u", "v"), (True, False, False)
+    s, u, v = (MultiPoly.variable(name, suv, laurent) for name in suv)
+    one, zero = s ** 0, s * 0
+    z = MultiPoly.variable("z", ("z",), (True,))
+    ident = Matrix2(1, 0, 0, 1)
+    return [(Matrix2(u, one, u * v - 1, v), Matrix2(s, zero, zero, s ** -1)),
+            (Matrix2(z, z * 0, -(z ** -1), z ** -1),
+             Matrix2(z ** 0, z ** 0, z * 0, z ** 0)),
+            y_minus_two_generators(),
+            (ident, ident), (-ident, ident),
+            (Matrix2(0, 1, -1, 0), -ident)]
+
+
+@pytest.mark.parametrize("pair", range(6))
+def test_relation_parts_match_the_spelled_words(pair):
+    # r is a homomorphism, so r(w)^n r(E) - r(F) r(w)^n is
+    # r(w^n E) - r(F w^n) however the words reduce
+    ra, rw = mats = _witness_generator_pairs()[pair]
+    for n in range(-8, 9):
+        e, f, wn, diff = _relation_parts(ra, rw, n)
+        left, right = _spelled_relation_words(n)
+        assert e == matrix_of_word(word_e(), mats)
+        assert f == matrix_of_word(word_f(), mats)
+        assert wn == matrix_of_word(reduce_word(((GENERATOR_B, n),)), mats)
+        assert diff == (matrix_of_word(left, mats)
+                        - matrix_of_word(right, mats)), n
+
+
 def _paper_y_minus_two_generators():
     # the y = -2 pair as the paper writes it, over the fraction field
     vars = ("x", "z")
@@ -257,7 +295,7 @@ def test_y_minus_two_conjugation_matches_the_paper(n):
 
     c = Matrix2(rf(2 * (x + z)), rf(x), rf(0), rf(2))
     words = [FreeWord(((GENERATOR_A, 1),)), FreeWord(((GENERATOR_B, 1),)),
-             *_relation_words(n)]
+             *_spelled_relation_words(n)]
     for word in words:
         m = matrix_of_word(word, paper)
         ints = matrix_of_word(word, y_minus_two_generators())

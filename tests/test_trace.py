@@ -10,10 +10,9 @@ from knotpoly import sl2trace
 from knotpoly.exactpoly import Matrix2, MultiPoly
 from knotpoly.sl2trace import (DEFAULT_SEED, FreeWord, GENERATOR_A,
                                GENERATOR_B, _mul_left, _mul_right,
-                               chebyshev_s, chebyshev_t, inverse_word,
-                               matrix_of_word, nested_slice_traces,
-                               random_reduced_word, random_sl2z, reduce_word,
-                               reverse_word, rotate_word, trace_matches,
+                               chebyshev_s, chebyshev_t, matrix_of_word,
+                               nested_slice_traces, random_reduced_word,
+                               random_sl2z, reduce_word, trace_matches,
                                trace_poly, trace_poly_with, word_from_string,
                                word_to_string)
 from knotpoly.verify import check_trace_oracle
@@ -111,6 +110,23 @@ def test_power_traces_are_chebyshev():
 
 
 # -- invariance properties -------------------------------------------------
+
+def reverse_word(word: FreeWord) -> FreeWord:
+    return FreeWord(tuple(reversed(word.letters)))
+
+
+def inverse_word(word: FreeWord) -> FreeWord:
+    return FreeWord(tuple((g, -e) for g, e in reversed(word.letters)))
+
+
+def rotate_word(word: FreeWord, k: int) -> FreeWord:
+    """Cyclic rotation by k letters (re-reduced at the seam)."""
+    letters = word.letters
+    if not letters:
+        return word
+    k %= len(letters)
+    return reduce_word(letters[k:] + letters[:k])
+
 
 @settings(max_examples=50, deadline=None)
 @given(words())
