@@ -16,10 +16,10 @@ import json
 import sys
 
 from . import __version__
-from .pretzel import (PretzelKnot, TRACE_WORD_BOUND, WITNESS_BOUND,
-                      closed_form_report, defining_p, defining_q,
-                      pq_resultant, radical_slice_report, resultant_report,
-                      seidenberg_report, witness_reports, x0_report, x0_slice)
+from .pretzel import (PretzelKnot, closed_form_report, defining_p,
+                      defining_q, pq_resultant, radical_slice_report,
+                      resultant_report, seidenberg_report, witness_reports,
+                      x0_report, x0_slice)
 from .qtorus import alpha_unknot, qt_text
 from .report import InternalInconsistencyError, all_passed, sort_reports
 from .sl2trace import (DEFAULT_SEED, trace_poly, word_from_string,
@@ -114,13 +114,10 @@ def _run_pretzel(args):
     data = x0_slice(n)
     res = pq_resultant(n)
     reports = [x0_report(data), seidenberg_report(data),
-               resultant_report(n, res=res)]
-    if abs(n) <= TRACE_WORD_BOUND:
-        reports.append(closed_form_report(n))
+               resultant_report(n, res=res), closed_form_report(n),
+               *witness_reports(n)]
     if n in (0, 1, 2):
         reports.append(radical_slice_report(data))
-    if abs(n) <= WITNESS_BOUND:
-        reports.extend(witness_reports(n))
     payload = {
         "p": defining_p().to_text(),
         "q_n": defining_q(n).to_text(),
@@ -162,8 +159,10 @@ def _run_qtorus(args):
 
 def _run_trace(args):
     word, names = word_from_string(args.word)
-    if len(word) > TRACE_MAX_LETTERS:
-        raise ValueError(f"--word has {len(word)} letters, more than "
+    # len(word) overflows an index-sized int on a huge exponent
+    letters = sum(abs(exp) for _, exp in word.letters)
+    if letters > TRACE_MAX_LETTERS:
+        raise ValueError(f"--word has {letters} letters, more than "
                          f"{TRACE_MAX_LETTERS}")
     names = tuple(names) + ("a", "b")[len(names):]
     payload = {

@@ -4,19 +4,20 @@ The knot group is <a, w | w^n E = F w^n> with E = a w a^-1 w^-1 a^-1 and
 F = a^-1 w^-1 a w a w^-1.  In the trace coordinates x = tr a, y = tr w,
 z = tr aw the character variety is cut out by two polynomials P and Q_n.
 This module builds both from closed Chebyshev forms and, as a cross check,
-letter by letter through the trace calculus.  It also verifies the
-z-resultant structure, the radicality certificates on the x = 0 slice, and
-the representation-witness matrices for each branch of y, all in exact
-arithmetic except the two float checks flagged as numeric: Seidenberg root
-separation and the cosine-root residuals, both against RESIDUAL_TOL.  A
-witness r satisfies the relation when r(w)^n r(E) - r(F) r(w)^n, which is
-r(w^n E) - r(F w^n) since r is a homomorphism, is zero.
+letter by letter through the trace calculus, for every integer n.  It also
+verifies the z-resultant structure, the radicality certificates on the
+x = 0 slice, and the representation-witness matrices for each branch of y,
+all in exact arithmetic except the two float checks flagged as numeric:
+Seidenberg root separation and the cosine-root residuals, both against
+RESIDUAL_TOL.  A witness r satisfies the relation when
+r(w)^n r(E) - r(F) r(w)^n, which is r(w^n E) - r(F w^n) since r is a
+homomorphism, is zero.
 
 Every polynomial here has integer coefficients.  The paper's y = -2
 witness has the denominators 2 and 4(x + z); it is conjugated by
 C = [[2(x+z), x], [0, 2]] to matrices over Z[x, z] (see
-witness_y_minus_two).  Only the membership solver works over the
-rationals, on scalars, and it returns integer cofactors.
+witness_y_minus_two).  The membership solver eliminates over Z as well,
+fraction-free, and returns integer cofactors.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 
@@ -33,23 +33,18 @@ from .exactpoly import (Matrix2, MultiPoly, is_squarefree_in, poly_gcd,
 from .report import (InternalInconsistencyError, VerificationReport,
                      status_of)
 from .sl2trace import (FreeWord, GENERATOR_A, GENERATOR_B, chebyshev_s,
-                       chebyshev_t, reduce_word, matrix_of_word, trace_poly)
+                       chebyshev_t, matrix_of_word, power_trace, reduce_word,
+                       trace_poly)
 
 VARS_XYZ = ("x", "y", "z")
 VARS_XY = ("x", "y")
 VARS_YZ = ("y", "z")
 VARS_XZ = ("x", "z")
 
-TRACE_WORD_BOUND = 8
-WITNESS_BOUND = 6
 RESIDUAL_TOL = 1e-9
 
 # degree bounds (deg_y, deg_z) tried by the membership solver, in order
 MEMBERSHIP_DEGREE_STEPS = ((4, 4), (6, 6), (9, 9))
-
-
-class ExpansionBoundError(ValueError):
-    """Literal word expansion of w^n was asked beyond the configured bound."""
 
 
 @dataclass(frozen=True)
@@ -99,25 +94,19 @@ def word_f() -> FreeWord:
                      (GENERATOR_B, 1), (GENERATOR_A, 1), (GENERATOR_B, -1)))
 
 
-def _check_bound(n: int, bound: int, what: str) -> None:
-    if abs(n) > bound:
-        raise ExpansionBoundError(
-            f"|n| = {abs(n)} exceeds the {what} bound {bound}")
-
-
 def traced_p() -> MultiPoly:
     """P rebuilt from first principles as tr(E) - tr(F)."""
     return trace_poly(word_e()) - trace_poly(word_f())
 
 
-def traced_q(n: int, bound: int = TRACE_WORD_BOUND) -> MultiPoly:
-    """Q_n rebuilt as tr(w^n E a) - tr(F w^n a) with w^n spelled out."""
-    _check_bound(n, bound, "word expansion")
-    wn = ((GENERATOR_B, n),) if n else ()
-    tail = ((GENERATOR_A, 1),)
-    left = reduce_word(wn + word_e().letters + tail)
-    right = reduce_word(word_f().letters + wn + tail)
-    return trace_poly(left) - trace_poly(right)
+def traced_q(n: int) -> MultiPoly:
+    """Q_n rebuilt as tr(w^n E a) - tr(w^n a F), which is tr(F w^n a) by
+    cyclicity; E a and a F are folded once, and w^n one letter per n."""
+    a = ((GENERATOR_A, 1),)
+    left = reduce_word(word_e().letters + a)
+    right = reduce_word(a + word_f().letters)
+    return (power_trace(GENERATOR_B, n, left)
+            - power_trace(GENERATOR_B, n, right))
 
 
 def closed_form_report(n: int) -> VerificationReport:
@@ -357,15 +346,19 @@ def seidenberg_report(data: X0SliceData) -> VerificationReport:
 # -- direct radical check for n in {0, 1, 2} ------------------------------
 
 
-def _fraction_solve(rows, rhs):
-    """Solve rows * c = rhs over Fraction; free unknowns are set to zero.
+def _integer_solve(rows, rhs):
+    """Solve rows * c = rhs over Z by fraction-free Gauss-Jordan elimination.
 
-    Returns a solution list or None when the system is inconsistent.
+    Pivots are chosen as rational elimination chooses them, the first
+    nonzero entry of each column at or below the current row, and every
+    row stays a nonzero multiple of its rational counterpart; so the
+    solution is the reduced echelon one, with free unknowns set to zero.
+    Returns None when the system is inconsistent, and raises
+    InternalInconsistencyError when that solution is not integral.
     """
     m = len(rows)
     ncols = len(rows[0]) if m else 0
-    aug = [[Fraction(v) for v in row] + [Fraction(b)]
-           for row, b in zip(rows, rhs)]
+    aug = [list(row) + [b] for row, b in zip(rows, rhs)]
     pivots = []
     r = 0
     for c in range(ncols):
@@ -373,13 +366,17 @@ def _fraction_solve(rows, rhs):
         if pivot is None:
             continue
         aug[r], aug[pivot] = aug[pivot], aug[r]
-        lead = aug[r][c]
+        row_r = aug[r]
+        lead = row_r[c]
         for i in range(m):
-            if i != r and aug[i][c] != 0:
-                f = aug[i][c] / lead
-                row_i, row_r = aug[i], aug[r]
-                for j in range(c, ncols + 1):
-                    row_i[j] -= f * row_r[j]
+            row_i = aug[i]
+            if i != r and row_i[c] != 0:
+                g = math.gcd(lead, row_i[c])
+                a, b = lead // g, row_i[c] // g
+                row_i[:] = [a * vi - b * vr for vi, vr in zip(row_i, row_r)]
+                content = math.gcd(*row_i)
+                if content > 1:
+                    row_i[:] = [v // content for v in row_i]
         pivots.append((r, c))
         r += 1
         if r == m:
@@ -387,9 +384,14 @@ def _fraction_solve(rows, rhs):
     for i in range(r, m):
         if aug[i][ncols] != 0:
             return None
-    sol = [Fraction(0)] * ncols
+    sol = [0] * ncols
     for rr, cc in pivots:
-        sol[cc] = aug[rr][ncols] / aug[rr][cc]
+        value, rest = divmod(aug[rr][ncols], aug[rr][cc])
+        if rest:
+            raise InternalInconsistencyError(
+                "membership solver found the non-integral cofactor "
+                f"coefficient {aug[rr][ncols]}/{aug[rr][cc]}")
+        sol[cc] = value
     return sol
 
 
@@ -397,8 +399,8 @@ def membership_certificate(target: MultiPoly, gens,
                            bounds=MEMBERSHIP_DEGREE_STEPS):
     """Cofactors u_i with sum u_i g_i = target, found by bounded ansatz.
 
-    The linear system is solved over the rationals; a cofactor that is not
-    integral raises InternalInconsistencyError.  The returned cofactors
+    The linear system is solved over Z; a cofactor that is not integral
+    raises InternalInconsistencyError.  The returned cofactors
     are re-checked exactly; None means no solution within the tried degree
     bounds (not a proof of non-membership).
     """
@@ -422,21 +424,12 @@ def membership_certificate(target: MultiPoly, gens,
         rhs = [0] * len(index)
         for e, c in target_terms.items():
             rhs[index[e]] = c
-        sol = _fraction_solve(rows, rhs)
+        sol = _integer_solve(rows, rhs)
         if sol is None:
             continue
-        out = []
         per = len(mons)
-        for gi in range(len(gens)):
-            terms = {}
-            for mi, e in enumerate(mons):
-                c = sol[gi * per + mi]
-                if c.denominator != 1:
-                    raise InternalInconsistencyError(
-                        "membership solver found the non-integral "
-                        f"cofactor coefficient {c}")
-                terms[e] = c.numerator
-            out.append(MultiPoly(vars, terms))
+        out = [MultiPoly(vars, dict(zip(mons, sol[gi * per:(gi + 1) * per])))
+               for gi in range(len(gens))]
         check = MultiPoly.zero(vars)
         for cof, g in zip(out, gens):
             check = check + cof * g
@@ -477,34 +470,35 @@ def radical_slice_report(data: X0SliceData) -> VerificationReport:
 # -- representation witnesses ---------------------------------------------
 
 
-def _relation_parts(ra: Matrix2, rw: Matrix2, n: int):
-    """r(E), r(F), r(w)^n and r(w)^n r(E) - r(F) r(w)^n for r(a) = ra,
-    r(w) = rw; r satisfies the relation exactly when the last is zero."""
+def _relation_parts(ra: Matrix2, rw: Matrix2):
+    """(r(w), r(E), r(F)) for r(a) = ra, r(w) = rw; none depends on n."""
     mats = (ra, rw)
-    e = matrix_of_word(word_e(), mats)
-    f = matrix_of_word(word_f(), mats)
+    return rw, matrix_of_word(word_e(), mats), matrix_of_word(word_f(), mats)
+
+
+def _relation_difference(parts, n: int):
+    """r(w)^n and r(w)^n r(E) - r(F) r(w)^n from _relation_parts; r
+    satisfies the relation exactly when the difference is zero."""
+    rw, e, f = parts
     wn = rw ** n
-    return e, f, wn, wn * e - f * wn
+    return wn, wn * e - f * wn
 
 
-def _relation_holds(ra: Matrix2, rw: Matrix2, n: int) -> bool:
-    return _relation_parts(ra, rw, n)[3] == Matrix2(0, 0, 0, 0)
+def _relation_holds(parts, n: int) -> bool:
+    return _relation_difference(parts, n)[1] == Matrix2(0, 0, 0, 0)
 
 
 VARS_SUV = ("s", "u", "v")
 LAURENT_SUV = (True, False, False)
 
 
-def witness_generic_y(n: int) -> VerificationReport:
-    """Branch y^2 != 4: r(a) = [[u, 1], [uv-1, v]], r(w) = diag(s, 1/s).
-
-    Checks r(E) and r(F) against the H-entry closed forms and
-    r(w)^n r(E) - r(F) r(w)^n against the (P', Q'_n) matrix, exactly.
-    """
-    _check_bound(n, WITNESS_BOUND, "witness")
-    s = MultiPoly.variable("s", VARS_SUV, LAURENT_SUV)
-    u = MultiPoly.variable("u", VARS_SUV, LAURENT_SUV)
-    v = MultiPoly.variable("v", VARS_SUV, LAURENT_SUV)
+@lru_cache(maxsize=None)
+def _generic_y_parts():
+    """The n-free parts of witness_generic_y: s, the relation parts, the
+    det_ok and product_matrices_ok verdicts, P', uv - 1, and q_free and
+    H_12 with Q'_n = q_free + s^(2n) H_12."""
+    s, u, v = (MultiPoly.variable(name, VARS_SUV, LAURENT_SUV)
+               for name in VARS_SUV)
     one = MultiPoly.const(VARS_SUV, 1, LAURENT_SUV)
     zero = MultiPoly.zero(VARS_SUV, LAURENT_SUV)
     ra = Matrix2(u, one, u * v - 1, v)
@@ -518,7 +512,8 @@ def witness_generic_y(n: int) -> VerificationReport:
     h21 = -s4 - s2 * u * v + s4 * u * v - v ** 2 + s2 * v ** 2
     h22 = (-s4 * u + v - s2 * v - s2 * u ** 2 * v + s4 * u ** 2 * v
            - u * v ** 2 + s2 * u * v ** 2)
-    e, f, _, diff = _relation_parts(ra, rw, n)
+    parts = _relation_parts(ra, rw)
+    _, e, f = parts
     si1, si2, si3 = s ** -1, s ** -2, s ** -3
     ef_ok = (e == Matrix2(si2 * h11, -(si2 * h12),
                           si2 * (u * v - 1) * h21, -(si2 * h22))
@@ -529,45 +524,63 @@ def witness_generic_y(n: int) -> VerificationReport:
           - s ** 2 * u ** 2 * v - s ** 3 * u ** 2 * v + s ** 4 * u ** 2 * v
           + s ** 5 * u ** 2 * v - u * v ** 2 - s * u * v ** 2
           + s ** 2 * u * v ** 2 + s ** 3 * u * v ** 2)
-    s2n = s ** (2 * n)
-    qp = (s ** 5 + s2n - s2n * s ** 2 * u ** 2 + s2n * s ** 4 * u ** 2
-          + s ** 3 * u * v - s ** 5 * u * v - s2n * u * v
-          + s2n * s ** 2 * u * v + s * v ** 2 - s ** 3 * v ** 2)
-    difference_ok = diff == Matrix2(
+    q_free = (s ** 5 + s ** 3 * u * v - s ** 5 * u * v + s * v ** 2
+              - s ** 3 * v ** 2)
+    fixed = {"det_ok": det_ok, "product_matrices_ok": ef_ok}
+    return s, parts, fixed, pp, u * v - 1, q_free, h12
+
+
+def witness_generic_y(n: int) -> VerificationReport:
+    """Branch y^2 != 4: r(a) = [[u, 1], [uv-1, v]], r(w) = diag(s, 1/s).
+
+    Checks r(E) and r(F) against the H-entry closed forms and
+    r(w)^n r(E) - r(F) r(w)^n against the (P', Q'_n) matrix, exactly.
+    """
+    s, parts, fixed, pp, uv1, q_free, h12 = _generic_y_parts()
+    qp = q_free + s ** (2 * n) * h12
+    difference_ok = _relation_difference(parts, n)[1] == Matrix2(
         s ** (n - 3) * pp, -(s ** (-2 - n) * qp),
-        -(s ** (-3 - n) * (u * v - 1) * qp), -(s ** (-2 - n) * pp))
-    ok = det_ok and ef_ok and difference_ok
-    return VerificationReport(
-        "witness-generic-y", f"n={n}", status_of(ok),
-        {"det_ok": det_ok, "product_matrices_ok": ef_ok,
-         "difference_ok": difference_ok})
+        -(s ** (-3 - n) * uv1 * qp), -(s ** (-2 - n) * pp))
+    checks = {**fixed, "difference_ok": difference_ok}
+    return VerificationReport("witness-generic-y", f"n={n}",
+                              status_of(all(checks.values())), checks)
 
 
-def witness_y_two(n: int) -> VerificationReport:
-    """Branch y = 2: parabolic r(w) plus the two scalar subcases x = z = 2
-    and x = z = -2; each checks r(w)^n r(E) - r(F) r(w)^n."""
-    _check_bound(n, WITNESS_BOUND, "witness")
+@lru_cache(maxsize=None)
+def _y_two_parts():
+    """The n-free parts of witness_y_two: z, the relation parts of the
+    parabolic pair and of the two scalar pairs, and the det_ok and
+    product_matrices_ok verdicts."""
     z = MultiPoly.variable("z", ("z",), (True,))
     one = z ** 0
     zero = z * 0
     ra = Matrix2(z, zero, -(z ** -1), z ** -1)
     rw = Matrix2(one, one, zero, one)
     det_ok = ra.det() == 1 and rw.det() == 1
-    e, f, wn, diff = _relation_parts(ra, rw, n)
+    parts = _relation_parts(ra, rw)
+    _, e, f = parts
     ef_ok = (e == Matrix2(z, z ** 3 - 2 * z, zero, z ** -1)
              and f == Matrix2(z, z ** -1 - z, zero, z ** -1))
-    power_ok = wn == Matrix2(one, n * one, zero, one)
-    upper = z ** -1 * ((n - 1) * one - (n + 1) * z ** 2 + z ** 4)
-    difference_ok = diff == Matrix2(zero, upper, zero, zero)
     ident = Matrix2(1, 0, 0, 1)
-    scalars_ok = (_relation_holds(ident, ident, n)
-                  and _relation_holds(-ident, ident, n))
-    ok = det_ok and ef_ok and power_ok and difference_ok and scalars_ok
-    return VerificationReport(
-        "witness-y-two", f"n={n}", status_of(ok),
-        {"det_ok": det_ok, "product_matrices_ok": ef_ok,
-         "unipotent_power_ok": power_ok, "difference_ok": difference_ok,
-         "scalar_subcases_ok": scalars_ok})
+    scalars = (_relation_parts(ident, ident), _relation_parts(-ident, ident))
+    return z, parts, scalars, {"det_ok": det_ok, "product_matrices_ok": ef_ok}
+
+
+def witness_y_two(n: int) -> VerificationReport:
+    """Branch y = 2: parabolic r(w) plus the two scalar subcases x = z = 2
+    and x = z = -2; each checks r(w)^n r(E) - r(F) r(w)^n."""
+    z, parts, scalars, fixed = _y_two_parts()
+    one = z ** 0
+    zero = z * 0
+    wn, diff = _relation_difference(parts, n)
+    upper = z ** -1 * ((n - 1) * one - (n + 1) * z ** 2 + z ** 4)
+    checks = {**fixed,
+              "unipotent_power_ok": wn == Matrix2(one, n * one, zero, one),
+              "difference_ok": diff == Matrix2(zero, upper, zero, zero),
+              "scalar_subcases_ok": all(_relation_holds(pair, n)
+                                        for pair in scalars)}
+    return VerificationReport("witness-y-two", f"n={n}",
+                              status_of(all(checks.values())), checks)
 
 
 def y_minus_two_generators():
@@ -580,19 +593,14 @@ def y_minus_two_generators():
     return (Matrix2(zero, one, -one, x), Matrix2(-one, -(x + z), zero, -one))
 
 
-def witness_y_minus_two(n: int) -> VerificationReport:
-    """Branch y = -2, conjugated by C = [[2(x+z), x], [0, 2]] (M -> C M C^-1)
-    to clear the denominators of the paper's r(a) = [[x/2, (4 - x^2)/(4(x+z))],
-    [-(x+z), x/2]]; r(w) = [[-1, -1], [0, -1]] keeps integer entries.
-    Conjugation keeps products and equality, so each check over these
-    matrices over Z[x, z] means the same as in the fraction field.  The
-    relation is checked as r(w)^n r(E) - r(F) r(w)^n, here and in the
-    x = z = 0 diagonal subcase."""
-    _check_bound(n, WITNESS_BOUND, "witness")
+@lru_cache(maxsize=None)
+def _y_minus_two_parts():
+    """The n-free parts of witness_y_minus_two: x, z, the relation parts
+    of the conjugated pair and of the x = z = 0 diagonal pair, and the
+    det_ok and product_matrices_ok verdicts."""
     x = MultiPoly.variable("x", VARS_XZ)
     z = MultiPoly.variable("z", VARS_XZ)
     one = x ** 0
-    zero = x * 0
     ra, rw = y_minus_two_generators()
     det_ok = ra.det() == 1 and rw.det() == 1
     lower_ef = x * z + z ** 2 + 1
@@ -603,10 +611,29 @@ def witness_y_minus_two(n: int) -> VerificationReport:
           + 4 * x * z + z ** 2 + 1),
         lower_ef,
         -(2 * x ** 2 * z + 3 * x * z ** 2 + z ** 3 + 3 * x + 2 * z))
-    e, f, wn, diff = _relation_parts(ra, rw, n)
-    ef_ok = e == expect_e and f == expect_f
+    parts = _relation_parts(ra, rw)
+    ef_ok = parts[1] == expect_e and parts[2] == expect_f
+    # x = z = 0 subcase: r(a) = diag(i, -i), r(w) = -Id, with r(a)
+    # conjugated over Q to the int matrix [[0, 1], [-1, 0]]; conjugation
+    # keeps the relation
+    diagonal = _relation_parts(Matrix2(0, 1, -1, 0), Matrix2(-1, 0, 0, -1))
+    return x, z, parts, diagonal, {"det_ok": det_ok,
+                                   "product_matrices_ok": ef_ok}
+
+
+def witness_y_minus_two(n: int) -> VerificationReport:
+    """Branch y = -2, conjugated by C = [[2(x+z), x], [0, 2]] (M -> C M C^-1)
+    to clear the denominators of the paper's r(a) = [[x/2, (4 - x^2)/(4(x+z))],
+    [-(x+z), x/2]]; r(w) = [[-1, -1], [0, -1]] keeps integer entries.
+    Conjugation keeps products and equality, so each check over these
+    matrices over Z[x, z] means the same as in the fraction field.  The
+    relation is checked as r(w)^n r(E) - r(F) r(w)^n, here and in the
+    x = z = 0 diagonal subcase."""
+    x, z, parts, diagonal, fixed = _y_minus_two_parts()
+    one = x ** 0
+    zero = x * 0
+    wn, diff = _relation_difference(parts, n)
     sign = 1 if n % 2 == 0 else -1
-    power_ok = wn == Matrix2(sign * one, sign * n * (x + z), zero, sign * one)
     p3 = 3 * x + z + x ** 2 * z + 2 * x * z ** 2 + z ** 3
     qpp = x + 2 * n * x + 2 * z + x ** 2 * z + x * z ** 2
     # twice the upper right entry has the closed form over Z, so no
@@ -616,17 +643,13 @@ def witness_y_minus_two(n: int) -> VerificationReport:
         and 2 * diff.b == sign * ((3 * x + z) * qpp - (2 * n - 1) * x * p3)
         and diff.c.is_zero()
         and diff.d == sign * (qpp - (n - 1) * p3))
-    # x = z = 0 subcase: r(a) = diag(i, -i), r(w) = -Id, with r(a)
-    # conjugated over Q to the int matrix [[0, 1], [-1, 0]]; conjugation
-    # keeps the relation
-    diagonal_ok = _relation_holds(Matrix2(0, 1, -1, 0),
-                                  Matrix2(-1, 0, 0, -1), n)
-    ok = det_ok and ef_ok and power_ok and difference_ok and diagonal_ok
-    return VerificationReport(
-        "witness-y-minus-two", f"n={n}", status_of(ok),
-        {"det_ok": det_ok, "product_matrices_ok": ef_ok,
-         "power_sign_ok": power_ok, "difference_ok": difference_ok,
-         "diagonal_subcase_ok": diagonal_ok})
+    checks = {**fixed,
+              "power_sign_ok": wn == Matrix2(sign * one, sign * n * (x + z),
+                                             zero, sign * one),
+              "difference_ok": difference_ok,
+              "diagonal_subcase_ok": _relation_holds(diagonal, n)}
+    return VerificationReport("witness-y-minus-two", f"n={n}",
+                              status_of(all(checks.values())), checks)
 
 
 def witness_reports(n: int) -> list:

@@ -238,6 +238,34 @@ def trace_poly(word) -> MultiPoly:
     return _trace_xyz(word.letters)
 
 
+@lru_cache(maxsize=None)
+def _power_vectors(gen: int, letters) -> dict:
+    """Coefficient vectors of g^k * word by k, filled in by power_trace."""
+    x, y, z = (MultiPoly.variable(v, VARS_XYZ) for v in VARS_XYZ)
+    return {0: _fold(letters, x, y, z)}
+
+
+def power_trace(gen: int, exp: int, word: FreeWord) -> MultiPoly:
+    """Trace polynomial in (x, y, z) of g^exp * word, g = gen.
+
+    The vectors of g^k * word are kept per (gen, word) for every k between
+    0 and the exponents asked so far; a new exponent is reached from the
+    nearest kept one with one left fold step g^(+-1) per power, so a run
+    over consecutive exponents costs one step each.
+    """
+    vectors = _power_vectors(gen, word.letters)
+    x, y, z = (MultiPoly.variable(v, VARS_XYZ) for v in VARS_XYZ)
+    step = 1 if exp > 0 else -1
+    k = exp
+    while k not in vectors:
+        k -= step
+    z_xy = z - x * y
+    while k != exp:
+        vectors[k + step] = _mul_left(gen, step, vectors[k], x, y, z, z_xy)
+        k += step
+    return _trace_of(vectors[exp], x, y, z)
+
+
 # -- Chebyshev-like polynomials ------------------------------------------
 
 

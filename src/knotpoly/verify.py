@@ -3,8 +3,8 @@
 Each check_* function covers one acceptance surface and returns a list of
 VerificationReport records; the suite_* functions compose them with the
 default ranges, so one call reproduces the full ledger.  Passing an
-explicit n_range narrows or widens a pretzel surface, clamped to the word
-and witness expansion bounds where those apply.
+explicit n_range narrows or widens every pretzel surface to exactly that
+range.
 """
 
 from __future__ import annotations
@@ -39,18 +39,15 @@ ORACLE_TRIALS = 20
 ORACLE_MAX_LEN = 12
 
 
-def _span(n_range, default, clamp=None):
+def _span(n_range, default):
     lo, hi = default if n_range is None else n_range
-    if clamp is not None:
-        lo, hi = max(lo, -clamp), min(hi, clamp)
     return range(lo, hi + 1)
 
 
 def check_closed_forms(n_range=None) -> list:
     """Closed P, Q_n against the trace-engine rebuilds."""
     return [pretzel.closed_form_report(n)
-            for n in _span(n_range, CLOSED_RANGE,
-                           clamp=pretzel.TRACE_WORD_BOUND)]
+            for n in _span(n_range, CLOSED_RANGE)]
 
 
 def check_resultants(n_range=None) -> list:
@@ -91,7 +88,7 @@ def check_witnesses(n_range=None) -> list:
     """All three representation-witness lemmas, exactly, including the
     determinant-one checks."""
     reports = []
-    for n in _span(n_range, WITNESS_RANGE, clamp=pretzel.WITNESS_BOUND):
+    for n in _span(n_range, WITNESS_RANGE):
         reports.extend(pretzel.witness_reports(n))
     return reports
 

@@ -96,10 +96,12 @@ def test_qtorus_rejects_n_range_over_the_cap(capsys, lo, hi):
 
 
 def test_trace_rejects_oversized_word(capsys):
-    code, captured = run(capsys, "trace", "--word", "a^10000")
-    assert code == 2
-    assert "error:" in captured.err
-    assert captured.out == ""
+    # the second letter count does not fit an index-sized int
+    for word in ("a^10000", "a^99999999999999999999"):
+        code, captured = run(capsys, "trace", "--word", word)
+        assert code == 2, word
+        assert "error:" in captured.err
+        assert captured.out == ""
 
 
 def test_pretzel_rejects_oversized_n(capsys):
@@ -288,6 +290,21 @@ def test_pretzel_reports_the_resultant_once_for_every_n(capsys, monkeypatch):
     assert ("resultant-structure", "n=-19", "pass") in {
         (r["claim_id"], r["subject"], r["status"]) for r in doc["reports"]}
     assert built == [-19]
+
+
+def test_pretzel_reports_closed_forms_and_witnesses_past_the_old_caps(
+        capsys):
+    # a silent cap on n would drop the closed-form and witness reports;
+    # n = 19 is 1 mod 3, so only its known distinctness report fails
+    code, doc, _ = run_json(capsys, "pretzel", "--n", "19")
+    assert code == 1
+    statuses = {r["claim_id"]: r["status"] for r in doc["reports"]
+                if r["subject"] == "n=19"}
+    assert [c for c, st in statuses.items() if st == "fail"] == [
+        "x0-seidenberg"]
+    for claim in ("closed-vs-traced", "witness-generic-y", "witness-y-two",
+                  "witness-y-minus-two"):
+        assert statuses.get(claim) == "pass", claim
 
 
 def test_version_flag(capsys):

@@ -1,25 +1,28 @@
 """Defining polynomials, slice certificates, and witnesses for the
 (-2, 3, 2n+1) pretzel family."""
 
+import random
+from fractions import Fraction
+
 import pytest
 
 from knotpoly.exactpoly import (Matrix2, MultiPoly, RationalFunction,
                                 exact_div, is_squarefree_in)
-from knotpoly.pretzel import (ExpansionBoundError, PretzelKnot,
-                              TRACE_WORD_BOUND, WITNESS_BOUND, a_poly,
-                              b_poly, closed_form_report, defining_p,
-                              defining_q, membership_certificate,
-                              pq_resultant, radical_slice_report,
-                              resultant_closed_rhs, resultant_report,
-                              seidenberg_report, shared_square_factor,
-                              slice_p, slice_q, traced_p, traced_q, u_poly,
-                              witness_reports, x0_report, x0_slice,
-                              a_root_residuals, u_root_residuals,
-                              word_e, word_f, y_minus_two_generators,
-                              _relation_parts)
+from knotpoly.pretzel import (PretzelKnot, a_poly, b_poly,
+                              closed_form_report, defining_p, defining_q,
+                              membership_certificate, pq_resultant,
+                              radical_slice_report, resultant_closed_rhs,
+                              resultant_report, seidenberg_report,
+                              shared_square_factor, slice_p, slice_q,
+                              traced_p, traced_q, u_poly, witness_reports,
+                              x0_report, x0_slice, a_root_residuals,
+                              u_root_residuals, word_e, word_f,
+                              y_minus_two_generators, _integer_solve,
+                              _relation_difference, _relation_parts)
 from knotpoly.report import InternalInconsistencyError
 from knotpoly.sl2trace import (FreeWord, GENERATOR_A, GENERATOR_B,
                                matrix_of_word, reduce_word)
+from knotpoly.verify import check_closed_forms, check_witnesses
 
 VARS_XYZ = ("x", "y", "z")
 VARS_XY = ("x", "y")
@@ -39,7 +42,7 @@ def test_defining_q_small_values():
 
 def test_closed_forms_match_traced_rebuild():
     assert traced_p() == defining_p()
-    for n in range(-6, 7):
+    for n in range(-100, 101):
         assert traced_q(n) == defining_q(n), n
 
 
@@ -49,11 +52,11 @@ def test_closed_form_report_passes():
     assert rep.details == {"p_ok": True, "q_ok": True}
 
 
-def test_word_expansion_bound():
-    with pytest.raises(ExpansionBoundError):
-        traced_q(TRACE_WORD_BOUND + 1)
-    with pytest.raises(ExpansionBoundError):
-        traced_q(-(TRACE_WORD_BOUND + 1))
+def test_closed_forms_past_the_old_word_cap():
+    # past |n| = 8: a silent cap on the range would drop these reports
+    reports = check_closed_forms((7, 12))
+    assert [r.subject for r in reports] == [f"n={n}" for n in range(7, 13)]
+    assert all(r.status == "pass" for r in reports)
 
 
 def test_label():
@@ -206,6 +209,83 @@ def test_membership_certificate_rejects_a_non_integral_cofactor():
         membership_certificate(z, (2 * z,), bounds=((1, 1),))
 
 
+def _fraction_solve(rows, rhs):
+    # the reference: Gauss-Jordan elimination over Fraction, free unknowns
+    # set to zero, None when the system is inconsistent
+    m = len(rows)
+    ncols = len(rows[0]) if m else 0
+    aug = [[Fraction(v) for v in row] + [Fraction(b)]
+           for row, b in zip(rows, rhs)]
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        pivot = next((i for i in range(r, m) if aug[i][c] != 0), None)
+        if pivot is None:
+            continue
+        aug[r], aug[pivot] = aug[pivot], aug[r]
+        lead = aug[r][c]
+        for i in range(m):
+            if i != r and aug[i][c] != 0:
+                f = aug[i][c] / lead
+                row_i, row_r = aug[i], aug[r]
+                for j in range(c, ncols + 1):
+                    row_i[j] -= f * row_r[j]
+        pivots.append((r, c))
+        r += 1
+        if r == m:
+            break
+    for i in range(r, m):
+        if aug[i][ncols] != 0:
+            return None
+    sol = [Fraction(0)] * ncols
+    for rr, cc in pivots:
+        sol[cc] = aug[rr][ncols] / aug[rr][cc]
+    return sol
+
+
+def _random_system(rng, kind):
+    # a small integer system: consistent (rhs = rows * c), inconsistent (a
+    # row repeated with another rhs), or rank-deficient (a row that is a
+    # combination of two others, and a zero column)
+    m, ncols = rng.randint(2, 6), rng.randint(2, 6)
+    rows = [[rng.randint(-5, 5) for _ in range(ncols)] for _ in range(m)]
+    if kind == "rank-deficient":
+        k = rng.randint(-2, 2)
+        rows.append([a + k * b for a, b in zip(rows[0], rows[1])])
+        zero_col = rng.randrange(ncols)
+        for row in rows:
+            row[zero_col] = 0
+    c = [rng.randint(-4, 4) for _ in range(ncols)]
+    rhs = [sum(a * b for a, b in zip(row, c)) for row in rows]
+    if kind == "inconsistent":
+        rows.append(list(rows[0]))
+        rhs.append(rhs[0] + rng.choice((-3, -1, 1, 2)))
+    return rows, rhs
+
+
+@pytest.mark.parametrize("kind", ["consistent", "inconsistent",
+                                  "rank-deficient"])
+def test_integer_solver_matches_the_fraction_reference(kind):
+    # equal solutions or both None; where the reduced echelon solution is
+    # not integral, the integer solver raises instead of returning it
+    rng = random.Random(kind)
+    seen = set()
+    for _ in range(300):
+        rows, rhs = _random_system(rng, kind)
+        want = _fraction_solve(rows, rhs)
+        if want is not None and any(v.denominator != 1 for v in want):
+            with pytest.raises(InternalInconsistencyError,
+                               match="non-integral"):
+                _integer_solve(rows, rhs)
+            seen.add("non-integral")
+        else:
+            assert _integer_solve(rows, rhs) == want, (rows, rhs)
+            seen.add("none" if want is None else "integral")
+    expected = {"inconsistent": {"none"}}.get(kind,
+                                              {"integral", "non-integral"})
+    assert seen >= expected
+
+
 def test_membership_certificate_returns_none_when_unreachable():
     p0 = slice_p()
     one = MultiPoly.const(("y", "z"), 1)
@@ -215,7 +295,7 @@ def test_membership_certificate_returns_none_when_unreachable():
 
 # -- representation witnesses ----------------------------------------------
 
-@pytest.mark.parametrize("n", [-2, 0, 1, 3])
+@pytest.mark.parametrize("n", [-100, -40, -7, -2, 0, 1, 3, 7, 40, 100])
 def test_witness_reports_pass(n):
     for rep in witness_reports(n):
         assert rep.status == "pass", (n, rep.claim_id, rep.details)
@@ -257,11 +337,12 @@ def test_relation_parts_match_the_spelled_words(pair):
     # r is a homomorphism, so r(w)^n r(E) - r(F) r(w)^n is
     # r(w^n E) - r(F w^n) however the words reduce
     ra, rw = mats = _witness_generator_pairs()[pair]
+    parts = _relation_parts(ra, rw)
+    assert parts[1] == matrix_of_word(word_e(), mats)
+    assert parts[2] == matrix_of_word(word_f(), mats)
     for n in range(-8, 9):
-        e, f, wn, diff = _relation_parts(ra, rw, n)
+        wn, diff = _relation_difference(parts, n)
         left, right = _spelled_relation_words(n)
-        assert e == matrix_of_word(word_e(), mats)
-        assert f == matrix_of_word(word_f(), mats)
         assert wn == matrix_of_word(reduce_word(((GENERATOR_B, n),)), mats)
         assert diff == (matrix_of_word(left, mats)
                         - matrix_of_word(right, mats)), n
@@ -302,9 +383,14 @@ def test_y_minus_two_conjugation_matches_the_paper(n):
         assert c * m == Matrix2(*map(rf, ints.entries())) * c
 
 
-def test_witness_bound_error():
-    with pytest.raises(ExpansionBoundError):
-        witness_reports(WITNESS_BOUND + 1)
+def test_witnesses_past_the_old_witness_cap():
+    # past |n| = 6: a silent cap on the range would drop these reports
+    reports = check_witnesses((-9, -7))
+    assert sorted((r.claim_id, r.subject) for r in reports) == sorted(
+        (claim, f"n={n}") for n in (-9, -8, -7)
+        for claim in ("witness-generic-y", "witness-y-two",
+                      "witness-y-minus-two"))
+    assert all(r.status == "pass" for r in reports)
 
 
 # -- slice products stay square-free where claimed -------------------------
