@@ -159,7 +159,7 @@ def _run_qtorus(args):
 
 def _run_trace(args):
     word, names = word_from_string(args.word)
-    # len(word) overflows an index-sized int on a huge exponent
+    # counted as an int before any fold step, so a huge exponent is refused
     letters = sum(abs(exp) for _, exp in word.letters)
     if letters > TRACE_MAX_LETTERS:
         raise ValueError(f"--word has {letters} letters, more than "

@@ -1,24 +1,27 @@
 """Trace polynomials of words in a rank-2 free group.
 
 For matrices A, B in SL2 every word trace is a polynomial in
-x = tr(A), y = tr(B), z = tr(AB).  Multiplication by a generator, on
-either side, maps the module spanned by {1, A, B, AB} to itself, so a word
-is folded one letter at a time through a 4-tuple of coefficient
-polynomials; the trace is then 2*alpha + x*beta + y*gamma + z*delta.
-
-The fold is two-sided.  trace_poly_with folds a word from the right end
-with the left-multiplication table, one step per letter.
-nested_slice_traces grows one coefficient vector from the centre of a word
-outwards, one left and one right step per level, and so yields the traces
-of all the nested slices word[j:len-j] in one pass over the letters.  The
-right-multiplication table follows from Cayley-Hamilton, A^2 = xA - 1,
+x = tr(A), y = tr(B), z = tr(AB).  Left multiplication by a generator maps
+the module spanned by {1, A, B, AB} to itself, so a word is folded one
+letter at a time, from its right end, through a 4-tuple of coefficient
+polynomials; the trace is then 2*alpha + x*beta + y*gamma + z*delta.  The
+one rewrite table follows from Cayley-Hamilton, A^2 = xA - 1,
 B^2 = yB - 1, and the Fricke identity AB + BA = yA + xB + (z - xy).
 
-Generators are indexed 0 ("a") and 1 ("b").  The rewrite tables are not
+trace_poly_with folds a whole word.  nested_slice_traces yields the traces
+of all the nested slices word[j:len-j] in one pass over the letters, for a
+word fixed by st, where t reverses a word and s swaps the generators (an
+even-length alternating word with palindromic exponents, such as a
+two-bridge word).  Each slice is then S_j = g_j * S_(j+1) * s(g_j) and is
+itself fixed by st, so S_j = g_j * st(g_j * S_(j+1)).  On a vector, t
+sends AB to BA and s sends BA back to AB while swapping x and y in the
+coefficients; with tr(B) bound to tr(A), st just swaps beta and gamma.
+
+Generators are indexed 0 ("a") and 1 ("b").  The rewrite table is not
 taken on faith.  The exact oracle, trace_matches, evaluates a word at
 random integer pairs (A, B) in SL2(Z) with matrix_of_word and compares
 the integer trace with the trace polynomial at (tr A, tr B, tr AB); no
-tolerance is involved.  The test suite checks both tables entry by entry
+tolerance is involved.  The test suite checks the table entry by entry
 against Matrix2 products at such pairs.
 """
 
@@ -54,9 +57,6 @@ class FreeWord:
         for (g1, _), (g2, _) in zip(self.letters, self.letters[1:]):
             if g1 == g2:
                 raise ValueError("adjacent letters share a generator")
-
-    def __len__(self):
-        return sum(abs(e) for _, e in self.letters)
 
     def is_empty(self) -> bool:
         return not self.letters
@@ -139,36 +139,6 @@ def _mul_left(gen: int, exp: int, coeffs, px, py, pz, z_xy):
     return al, be, ga, de
 
 
-def _mul_right(gen: int, exp: int, coeffs, px, py, pz, z_xy):
-    """Coefficients of E * g^exp on {1, A, B, AB}, for E given by coeffs.
-
-    E*A and E*B come from A^2 = xA - 1, B^2 = yB - 1 and
-    BA = -AB + yA + xB + (z - xy); the inverse rows are xE - E*A and
-    yE - E*B written out.
-    """
-    al, be, ga, de = coeffs
-    step = abs(exp)
-    if gen == GENERATOR_A and exp > 0:
-        for _ in range(step):
-            al, be, ga, de = (z_xy * ga - be - py * de,
-                              al + px * be + py * ga + pz * de,
-                              px * ga + de,
-                              -ga)
-    elif gen == GENERATOR_A:
-        for _ in range(step):
-            al, be, ga, de = (px * al + be - z_xy * ga + py * de,
-                              -al - py * ga - pz * de,
-                              -de,
-                              ga + px * de)
-    elif exp > 0:
-        for _ in range(step):
-            al, be, ga, de = -ga, -de, al + py * ga, be + py * de
-    else:
-        for _ in range(step):
-            al, be, ga, de = py * al + ga, py * be + de, -al, -be
-    return al, be, ga, de
-
-
 def _identity(px):
     """Coefficients of the empty word, in the ring of px."""
     zero = px * 0
@@ -195,30 +165,33 @@ def trace_poly_with(word: FreeWord, px: MultiPoly, py: MultiPoly,
     return _trace_of(_fold(word.letters, px, py, pz), px, py, pz)
 
 
-def nested_slice_traces(letters, px: MultiPoly, py: MultiPoly,
-                        pz: MultiPoly) -> tuple:
-    """Traces of the nested slices letters[j:len(letters)-j], outermost first.
+def nested_slice_traces(letters, px: MultiPoly, pz: MultiPoly) -> tuple:
+    """Traces of the nested slices letters[j:len(letters)-j], outermost
+    first, with tr(A) and tr(B) both bound to px.
 
-    One entry per nonempty slice, (len(letters) + 1) // 2 in all; an odd
-    word ends with its middle letter alone.  The coefficient vector starts
-    at the centre and each level multiplies letters[j] on the left and
-    letters[-1-j] on the right, so the whole list costs one fold step per
-    letter.  Slices of a reduced word are reduced.
+    The word must have even length and end in its first half reversed with
+    the generators swapped (for an alternating word: palindromic
+    exponents); else ValueError.  One entry per nonempty slice.  Each level
+    multiplies letters[j] on the left, swaps beta and gamma (the map st of
+    the module docstring) and multiplies letters[j] on the left again, so
+    the whole list costs one fold step per letter.
     """
     n = len(letters)
-    z_xy = pz - px * py
+    if n % 2:
+        raise ValueError(f"nested slices need an even-length word, got {n} "
+                         "letters")
+    z_xy = pz - px * px
     coeffs = _identity(px)
     traces = []
-    if n % 2:
-        gen, exp = letters[n // 2]
-        coeffs = _mul_left(gen, exp, coeffs, px, py, pz, z_xy)
-        traces.append(_trace_of(coeffs, px, py, pz))
     for j in range(n // 2 - 1, -1, -1):
-        gen, exp = letters[n - 1 - j]
-        coeffs = _mul_right(gen, exp, coeffs, px, py, pz, z_xy)
         gen, exp = letters[j]
-        coeffs = _mul_left(gen, exp, coeffs, px, py, pz, z_xy)
-        traces.append(_trace_of(coeffs, px, py, pz))
+        if letters[n - 1 - j] != (1 - gen, exp):
+            raise ValueError(f"letters {j} and {n - 1 - j} break the "
+                             "symmetry: the exponents are not a palindrome "
+                             "or the generators do not alternate")
+        al, be, ga, de = _mul_left(gen, exp, coeffs, px, px, pz, z_xy)
+        coeffs = _mul_left(gen, exp, (al, ga, be, de), px, px, pz, z_xy)
+        traces.append(_trace_of(coeffs, px, px, pz))
     return tuple(reversed(traces))
 
 

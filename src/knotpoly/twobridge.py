@@ -94,14 +94,16 @@ def _meridian_trace(letters) -> tuple:
     """Traces of the nested slices letters[j:len(letters)-j], outermost
     first, with both generator traces bound to x; entries in (x, z).
 
-    Binding y to x makes each trace symmetric under swapping the
-    generators, so a slice's trace does not depend on which generator it
-    starts with.  The cache holds a few bridge words: every report of one
-    knot reads the same entry.
+    A bridge word alternates a and b with palindromic signs, so
+    nested_slice_traces builds each slice from the next inner one by its
+    reversal symmetry.  Binding y to x also makes each trace symmetric
+    under swapping the generators, so a slice's trace does not depend on
+    which generator it starts with.  The cache holds a few bridge words:
+    every report of one knot reads the same entry.
     """
     x = MultiPoly.variable("x", VARS_XZ)
     z = MultiPoly.variable("z", VARS_XZ)
-    return nested_slice_traces(letters, x, x, z)
+    return nested_slice_traces(letters, x, z)
 
 
 def character_polynomial(knot: TwoBridgeKnot) -> MultiPoly:

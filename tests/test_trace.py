@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from knotpoly import sl2trace
 from knotpoly.exactpoly import Matrix2, MultiPoly
 from knotpoly.sl2trace import (DEFAULT_SEED, FreeWord, GENERATOR_A,
-                               GENERATOR_B, _mul_left, _mul_right,
+                               GENERATOR_B, _mul_left,
                                chebyshev_s, chebyshev_t, matrix_of_word,
                                nested_slice_traces, random_reduced_word,
                                random_sl2z, reduce_word, trace_matches,
@@ -148,15 +148,38 @@ def test_trace_invariant_under_rotation(word, k):
 
 # -- nested slices ---------------------------------------------------------
 
+@st.composite
+def symmetric_words(draw, max_half=7):
+    """Alternating words whose second half is the first reversed with the
+    generators swapped: even length, palindromic exponents."""
+    first = draw(st.sampled_from((GENERATOR_A, GENERATOR_B)))
+    exps = draw(st.lists(st.sampled_from((-3, -2, -1, 1, 2, 3)),
+                         max_size=max_half))
+    half = [((first + i) % 2, e) for i, e in enumerate(exps)]
+    return FreeWord(tuple(half) + tuple((1 - g, e) for g, e in half[::-1]))
+
+
 @settings(max_examples=60, deadline=None)
-@given(words(max_len=12, exponents=(-3, -2, -1, 1, 2, 3)))
+@given(symmetric_words())
 def test_nested_slice_traces_match_per_slice_folds(word):
     letters = word.letters
-    traces = nested_slice_traces(letters, X, Y, Z)
-    assert len(traces) == (len(letters) + 1) // 2
+    traces = nested_slice_traces(letters, X, Z)
+    assert len(traces) == len(letters) // 2
     for j, tr in enumerate(traces):
         sliced = FreeWord(letters[j:len(letters) - j])
-        assert tr == trace_poly_with(sliced, X, Y, Z)
+        assert tr == trace_poly_with(sliced, X, X, Z)
+
+
+@pytest.mark.parametrize("letters", [
+    ((0, 1),),                               # odd length: a
+    ((0, 1), (1, 1), (0, 1)),                # odd length, palindromic
+    ((0, 1), (1, 2), (0, 1), (1, -1)),       # exponents 1, 2, 1, -1
+    ((0, 2), (1, 1)),                        # exponents 2, 1
+    ((0, 1), (0, 1)),                        # raw letters, one generator
+])
+def test_nested_slice_traces_reject_asymmetric_words(letters):
+    with pytest.raises(ValueError):
+        nested_slice_traces(letters, X, Z)
 
 
 def _coeff_matrix(coeffs, ma, mb):
@@ -168,8 +191,8 @@ def _coeff_matrix(coeffs, ma, mb):
 
 
 def test_multiplication_tables_match_matrix_products():
-    # Each row of both tables, as an identity of integer matrices: the
-    # table's coefficients of E*g^k (g^k*E) against the product itself.
+    # Each row of the table, as an identity of integer matrices: the
+    # table's coefficients of g^k*E against the product itself.
     rng = random.Random(DEFAULT_SEED)
     for _ in range(20):
         ma, mb = random_sl2z(rng), random_sl2z(rng)
@@ -178,12 +201,9 @@ def test_multiplication_tables_match_matrix_products():
         e = _coeff_matrix(coeffs, ma, mb)
         for gen, base in ((GENERATOR_A, ma), (GENERATOR_B, mb)):
             for exp in (1, -1, 2, -3):
-                g = base ** exp
-                for table, product in ((_mul_right, e * g),
-                                       (_mul_left, g * e)):
-                    got = _coeff_matrix(
-                        table(gen, exp, coeffs, x, y, z, z - x * y), ma, mb)
-                    assert got == product, (table, gen, exp)
+                got = _coeff_matrix(
+                    _mul_left(gen, exp, coeffs, x, y, z, z - x * y), ma, mb)
+                assert got == (base ** exp) * e, (gen, exp)
 
 
 # -- chebyshev families ----------------------------------------------------
@@ -289,7 +309,7 @@ def test_random_reduced_word_respects_length_bound():
     rng = random.Random(1)
     for _ in range(200):
         word = random_reduced_word(rng, 12)
-        assert len(word) <= 12
+        assert sum(abs(exp) for _, exp in word.letters) <= 12
 
 
 # -- matrix evaluation -----------------------------------------------------

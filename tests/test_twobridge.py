@@ -91,15 +91,16 @@ def test_seven_three_character_polynomial():
 
 
 def test_bridge_word_slices_match_per_slice_folds():
-    # Differential check over the whole acceptance range: the inside-out
-    # fold against a fresh fold of every slice letters[j:2d-j].  Knots
-    # with equal p share many slices; each distinct one is folded once.
+    # Differential check over the whole acceptance range, plus two knots
+    # at the twobridge --p cap: the inside-out fold against a fresh fold
+    # of every slice letters[j:2d-j].  Knots with equal p share many
+    # slices; each distinct one is folded once.
     x = MultiPoly.variable("x", VARS_XZ)
     z = MultiPoly.variable("z", VARS_XZ)
     folded = {}
-    for k in all_knots(45):
+    for k in (*all_knots(45), knot(97, 41), knot(151, 1)):
         letters = bridge_word(k).letters
-        traces = nested_slice_traces(letters, x, x, z)
+        traces = nested_slice_traces(letters, x, z)
         assert len(traces) == k.d
         for j, tr in enumerate(traces):
             sliced = letters[j:2 * k.d - j]
