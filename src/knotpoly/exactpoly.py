@@ -31,7 +31,9 @@ box of its exponents has no more slots than there are term products: each
 operand is packed into one Python int, one slot of bytes per monomial of
 the box, and the two ints are multiplied once.  Other products, small or
 sparse, take the dict double loop.  The packing is private; the term map
-stays the only representation.
+stays the only representation.  ``from_kronecker`` reads a bivariate image
+packed elsewhere (the two-bridge slice fold) back into a polynomial,
+through the same unpack helper as the product.
 
 ``MultiPoly.evaluate`` runs Horner's scheme in the arithmetic of the
 point's values: exact at integer or rational values, complex at complex
@@ -199,8 +201,7 @@ def _packed_product(a, b, n):
     Each operand's fields are read from its keys and shifted so that each
     variable starts at 0.  A product coefficient is bounded by max|a| *
     max|b| * min(#a, #b), so a slot of that many bits plus a sign bit
-    cannot carry; adding half a slot to every slot makes each digit
-    nonnegative, and a slot that reads exactly half is a zero coefficient.
+    cannot carry, and _unpack reads the digits back.
     """
     shifts = _field_shifts(n)
     cols_a = [[(k >> s) & _FIELD_MASK for k in a] for s in shifts]
@@ -223,19 +224,9 @@ def _packed_product(a, b, n):
         strides[i - 1] = strides[i] * len(ranges[i])
     bound = max(map(abs, a.values())) * max(map(abs, b.values())) \
         * min(len(a), len(b))
-    bits = bound.bit_length() + 1
-    width = next((w for w in _SLOT_FORMATS if 8 * w >= bits),
-                 (bits + 7) // 8)
-    half = 1 << (8 * width - 1)
-    bias = int.from_bytes(half.to_bytes(width, _ORDER) * box, _ORDER)
+    width = slot_bytes(bound.bit_length() + 1)
     packed = _pack(zip(*cols_a), a.values(), lo_a, hi_a, strides, width) \
         * _pack(zip(*cols_b), b.values(), lo_b, hi_b, strides, width)
-    raw = (packed + bias).to_bytes(box * width, _ORDER)
-    if width in _SLOT_FORMATS:
-        slots = memoryview(raw).cast(_SLOT_FORMATS[width])
-    else:
-        slots = (int.from_bytes(raw[i:i + width], _ORDER)
-                 for i in range(0, len(raw), width))
     # the keys of the box in slot order: the key of the box's lowest
     # corner plus each variable's offset times its step.  The variables
     # with one exponent only shift that corner, and the fastest of the
@@ -247,7 +238,63 @@ def _packed_product(a, b, n):
     starts = [corner + sum(t) for t in product(*heads)]
     stops = [h + last.stop for h in starts]
     keys = chain.from_iterable(map(range, starts, stops, repeat(last.step)))
+    return _unpack(packed, width, box, keys)
+
+
+def slot_bytes(bits: int) -> int:
+    """Bytes of the slot that packs a signed digit of bits bits, sign
+    bit included: the narrowest width memoryview reads as a native int
+    when one is wide enough, else the exact byte count."""
+    return next((w for w in _SLOT_FORMATS if 8 * w >= bits),
+                (bits + 7) // 8)
+
+
+def _unpack(value: int, width: int, count: int, keys, stride: int = 1):
+    """Term map of a packed int: its first count balanced digits in base
+    2^(8 * width), every stride-th one read and paired with the next of
+    keys; zero digits are dropped.
+
+    Every digit must lie strictly between -half and half, half = 2^(8 *
+    width - 1).  Adding half to every slot then makes each digit
+    nonnegative without a carry, and a slot that reads exactly half is a
+    zero coefficient.  Native widths are read through memoryview, wider
+    ones by int.from_bytes.
+    """
+    half = 1 << (8 * width - 1)
+    bias = int.from_bytes(half.to_bytes(width, _ORDER) * count, _ORDER)
+    raw = (value + bias).to_bytes(count * width, _ORDER)
+    if width in _SLOT_FORMATS:
+        slots = memoryview(raw).cast(_SLOT_FORMATS[width])[::stride]
+    else:
+        slots = (int.from_bytes(raw[i:i + width], _ORDER)
+                 for i in range(0, len(raw), stride * width))
     return {k: v - half for k, v in zip(keys, slots) if v != half}
+
+
+def from_kronecker(value: int, vars, width: int, row: int) -> "MultiPoly":
+    """The polynomial in vars = (u, v), even in u, whose Kronecker image at
+    u = 2^s, v = 2^(s * row), s = 8 * width, row even, is value.
+
+    Every coefficient must lie strictly between -2^(s - 1) and 2^(s - 1),
+    every exponent must be nonnegative, and every u-exponent must be even
+    and less than row.  Only the slots of even u-exponents are read, so a
+    term with an odd one is never seen.  Reads exactly the rows
+    v^0 .. v^k, k the highest v-exponent of the image.
+    """
+    s = 8 * width
+    # the top digit sits in slot bit_length // s: the lower digits add up
+    # to less than half its unit, so they cannot move the bit length out
+    # of that slot
+    rows = (value.bit_length() // s) // row + 1
+    if row > _BIAS or rows > _BIAS:
+        raise OverflowError(
+            f"an exponent left the field range [{-_BIAS}, {_BIAS})")
+    su, sv = _step(0, 2), _step(1, 2)
+    one = _one_key(2)
+    keys = chain.from_iterable(range(r, r + row * su, 2 * su)
+                               for r in range(one, one + rows * sv, sv))
+    return MultiPoly._new(tuple(vars), (False, False),
+                          _unpack(value, width, rows * row, keys, 2))
 
 
 class MultiPoly:

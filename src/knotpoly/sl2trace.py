@@ -3,26 +3,34 @@
 For matrices A, B in SL2 every word trace is a polynomial in
 x = tr(A), y = tr(B), z = tr(AB).  Left multiplication by a generator maps
 the module spanned by {1, A, B, AB} to itself, so a word is folded one
-letter at a time, from its right end, through a 4-tuple of coefficient
-polynomials; the trace is then 2*alpha + x*beta + y*gamma + z*delta.  The
-one rewrite table follows from Cayley-Hamilton, A^2 = xA - 1,
-B^2 = yB - 1, and the Fricke identity AB + BA = yA + xB + (z - xy).
+letter at a time, from its right end, through a 4-tuple of coefficients;
+the trace is then 2*alpha + x*beta + y*gamma + z*delta.  The one rewrite
+table, _mul_left, follows from Cayley-Hamilton, A^2 = xA - 1,
+B^2 = yB - 1, and the Fricke identity AB + BA = yA + xB + (z - xy).  It
+takes multiplication by x, y and z as callables, so one table serves
+every ring it runs over: MultiPoly products, left shifts of Kronecker
+images, and the coefficient-norm bounds of _Norm.
 
-trace_poly_with folds a whole word.  nested_slice_traces yields the traces
-of all the nested slices word[j:len-j] in one pass over the letters, for a
-word fixed by st, where t reverses a word and s swaps the generators (an
-even-length alternating word with palindromic exponents, such as a
-two-bridge word).  Each slice is then S_j = g_j * S_(j+1) * s(g_j) and is
-itself fixed by st, so S_j = g_j * st(g_j * S_(j+1)).  On a vector, t
-sends AB to BA and s sends BA back to AB while swapping x and y in the
-coefficients; with tr(B) bound to tr(A), st just swaps beta and gamma.
+trace_poly_with folds a whole word over MultiPoly.  nested_slice_traces
+yields the traces of all the nested slices word[j:len-j] in one pass over
+the letters, for a word fixed by st, where t reverses a word and s swaps
+the generators (an even-length alternating word with palindromic
+exponents, such as a two-bridge word).  Each slice is then
+S_j = g_j * S_(j+1) * s(g_j) and is itself fixed by st, so
+S_j = g_j * st(g_j * S_(j+1)).  On a vector, t sends AB to BA and s sends
+BA back to AB while swapping x and y in the coefficients; with tr(B) bound
+to tr(A), st just swaps beta and gamma.  That fold runs on the Kronecker
+images x = 2^s, z = 2^(s*row) over Z (Harvey, J. Symb. Comput. 2009), with
+s taken from a proven bound on the slice coefficients, and each slice
+trace is decoded once.
 
 Generators are indexed 0 ("a") and 1 ("b").  The rewrite table is not
 taken on faith.  The exact oracle, trace_matches, evaluates a word at
-random integer pairs (A, B) in SL2(Z) with matrix_of_word and compares
-the integer trace with the trace polynomial at (tr A, tr B, tr AB); no
-tolerance is involved.  The test suite checks the table entry by entry
-against Matrix2 products at such pairs.
+random integer pairs (A, B) in SL2(Z), as row-major int 4-tuples
+multiplied by mat2_mul, and compares the integer trace with the trace
+polynomial at (tr A, tr B, tr AB); no tolerance is involved.  The test
+suite checks the table entry by entry against integer matrix products at
+such pairs.
 """
 
 from __future__ import annotations
@@ -32,9 +40,10 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Sequence
 
-from .exactpoly import Matrix2, MultiPoly
+from .exactpoly import Matrix2, MultiPoly, from_kronecker, slot_bytes
 
 VARS_XYZ = ("x", "y", "z")
+VARS_XZ = ("x", "z")
 
 DEFAULT_SEED = 20231115
 
@@ -114,60 +123,113 @@ def word_to_string(word: FreeWord, names=("a", "b")) -> str:
 # -- symbolic fold --------------------------------------------------------
 
 
-def _mul_left(gen: int, exp: int, coeffs, px, py, pz, z_xy):
-    """Coefficients of g^exp * E on {1, A, B, AB}, for E given by coeffs."""
+def _mul_left(gen: int, exp: int, coeffs, mx, my, mz):
+    """Coefficients of g^exp * E on {1, A, B, AB}, for E given by coeffs;
+    mx, my and mz multiply a coefficient by x, y and z."""
     al, be, ga, de = coeffs
     step = abs(exp)
     if gen == GENERATOR_A and exp > 0:
         for _ in range(step):
-            al, be, ga, de = -be, al + px * be, -de, ga + px * de
+            al, be, ga, de = -be, al + mx(be), -de, ga + mx(de)
     elif gen == GENERATOR_A:
         for _ in range(step):
-            al, be, ga, de = px * al + be, -al, px * ga + de, -ga
+            al, be, ga, de = mx(al) + be, -al, mx(ga) + de, -ga
     elif exp > 0:
+        # b*A = BA = yA + xB + (z - xy) - AB, by the Fricke identity
         for _ in range(step):
-            al, be, ga, de = (z_xy * be - ga - px * de,
-                              py * be + de,
-                              al + px * be + py * ga + pz * de,
+            al, be, ga, de = (mz(be) - mx(my(be)) - ga - mx(de),
+                              my(be) + de,
+                              al + mx(be) + my(ga) + mz(de),
                               -be)
     else:
         for _ in range(step):
-            al, be, ga, de = (py * al - z_xy * be + ga + px * de,
+            al, be, ga, de = (my(al) - mz(be) + mx(my(be)) + ga + mx(de),
                               -de,
-                              -al - px * be - pz * de,
-                              py * de + be)
+                              -al - mx(be) - mz(de),
+                              my(de) + be)
     return al, be, ga, de
 
 
-def _identity(px):
-    """Coefficients of the empty word, in the ring of px."""
-    zero = px * 0
-    return px ** 0, zero, zero, zero
-
-
-def _trace_of(coeffs, px, py, pz):
+def _trace_of(coeffs, mx, my, mz):
     al, be, ga, de = coeffs
-    return 2 * al + px * be + py * ga + pz * de
+    return 2 * al + mx(be) + my(ga) + mz(de)
 
 
 def _fold(letters, px: MultiPoly, py: MultiPoly, pz: MultiPoly):
     """Coefficients (alpha, beta, gamma, delta) of the word on {1,A,B,AB}."""
-    coeffs = _identity(px)
-    z_xy = pz - px * py
+    zero = px * 0
+    coeffs = px ** 0, zero, zero, zero
     for gen, exp in reversed(letters):
-        coeffs = _mul_left(gen, exp, coeffs, px, py, pz, z_xy)
+        coeffs = _mul_left(gen, exp, coeffs, px.__mul__, py.__mul__,
+                           pz.__mul__)
     return coeffs
 
 
 def trace_poly_with(word: FreeWord, px: MultiPoly, py: MultiPoly,
                     pz: MultiPoly) -> MultiPoly:
     """Trace of the word with tr(A), tr(B), tr(AB) bound to given polynomials."""
-    return _trace_of(_fold(word.letters, px, py, pz), px, py, pz)
+    return _trace_of(_fold(word.letters, px, py, pz), px.__mul__,
+                     py.__mul__, pz.__mul__)
 
 
-def nested_slice_traces(letters, px: MultiPoly, pz: MultiPoly) -> tuple:
-    """Traces of the nested slices letters[j:len(letters)-j], outermost
-    first, with tr(A) and tr(B) both bound to px.
+class _Norm:
+    """A bound on the sum of a polynomial's |coefficients|, folded in
+    place of the polynomial: a sum or difference adds the bounds, and
+    multiplying by a monomial keeps the bound."""
+
+    __slots__ = ("n",)
+
+    def __init__(self, n: int):
+        self.n = n
+
+    def __add__(self, other):
+        return _Norm(self.n + other.n)
+
+    __sub__ = __add__
+
+    def __neg__(self):
+        return self
+
+    def __rmul__(self, k: int):
+        return _Norm(abs(k) * self.n)
+
+
+def _nested_traces(letters, one, zero, mx, mz):
+    """Traces of the nested slices letters[j:len(letters)-j], innermost
+    first, in the ring of one and zero, with tr(A) = tr(B) = x and
+    tr(AB) = z; a generator, checking each pair of letters as it goes."""
+    n = len(letters)
+    if n % 2:
+        raise ValueError(f"nested slices need an even-length word, got {n} "
+                         "letters")
+    coeffs = one, zero, zero, zero
+    for j in range(n // 2 - 1, -1, -1):
+        gen, exp = letters[j]
+        if letters[n - 1 - j] != (1 - gen, exp):
+            raise ValueError(f"letters {j} and {n - 1 - j} break the "
+                             "symmetry: the exponents are not a palindrome "
+                             "or the generators do not alternate")
+        al, be, ga, de = _mul_left(gen, exp, coeffs, mx, mx, mz)
+        coeffs = _mul_left(gen, exp, (al, ga, be, de), mx, mx, mz)
+        yield _trace_of(coeffs, mx, mx, mz)
+
+
+def _keep(v):
+    """Multiplication by x or z on a _Norm: |x * a| = |a|."""
+    return v
+
+
+def _trace_norms(letters) -> list:
+    """A bound on the largest |coefficient| of each nested slice trace,
+    innermost first: the fold run over _Norm, so any edit to the table
+    moves the bound with it."""
+    return [t.n for t in _nested_traces(letters, _Norm(1), _Norm(0),
+                                        _keep, _keep)]
+
+
+def nested_slice_traces(letters) -> tuple:
+    """Traces in VARS_XZ of the nested slices letters[j:len(letters)-j],
+    outermost first, with tr(A) and tr(B) both bound to x.
 
     The word must have even length and end in its first half reversed with
     the generators swapped (for an alternating word: palindromic
@@ -175,24 +237,27 @@ def nested_slice_traces(letters, px: MultiPoly, pz: MultiPoly) -> tuple:
     multiplies letters[j] on the left, swaps beta and gamma (the map st of
     the module docstring) and multiplies letters[j] on the left again, so
     the whole list costs one fold step per letter.
+
+    The fold runs on Kronecker images over Z: x = 2^s and z = 2^(s*row),
+    row even and above the word's length L = sum |exponent|, so
+    multiplying by x or z is a left shift.  The int arithmetic is exact;
+    only the decoded traces must fit their slots.  A slice trace has
+    x-degree at most L, and only even powers of x, since each slice has
+    even exponent sum and so keeps its trace when A, B become -A, -B.  Its
+    coefficients are bounded by _trace_norms, and s is the slot of that
+    bound plus a sign bit.
     """
-    n = len(letters)
-    if n % 2:
-        raise ValueError(f"nested slices need an even-length word, got {n} "
-                         "letters")
-    z_xy = pz - px * px
-    coeffs = _identity(px)
-    traces = []
-    for j in range(n // 2 - 1, -1, -1):
-        gen, exp = letters[j]
-        if letters[n - 1 - j] != (1 - gen, exp):
-            raise ValueError(f"letters {j} and {n - 1 - j} break the "
-                             "symmetry: the exponents are not a palindrome "
-                             "or the generators do not alternate")
-        al, be, ga, de = _mul_left(gen, exp, coeffs, px, px, pz, z_xy)
-        coeffs = _mul_left(gen, exp, (al, ga, be, de), px, px, pz, z_xy)
-        traces.append(_trace_of(coeffs, px, px, pz))
-    return tuple(reversed(traces))
+    norms = _trace_norms(letters)
+    if not norms:
+        return ()
+    width = slot_bytes(max(norms).bit_length() + 1)
+    s = 8 * width
+    row = sum(abs(e) for _, e in letters) + 2
+    sz = s * row
+    images = list(_nested_traces(letters, 1, 0, lambda v: v << s,
+                                 lambda v: v << sz))
+    return tuple(from_kronecker(t, VARS_XZ, width, row)
+                 for t in reversed(images))
 
 
 @lru_cache(maxsize=None)
@@ -227,16 +292,15 @@ def power_trace(gen: int, exp: int, word: FreeWord) -> MultiPoly:
     over consecutive exponents costs one step each.
     """
     vectors = _power_vectors(gen, word.letters)
-    x, y, z = (MultiPoly.variable(v, VARS_XYZ) for v in VARS_XYZ)
+    muls = [MultiPoly.variable(v, VARS_XYZ).__mul__ for v in VARS_XYZ]
     step = 1 if exp > 0 else -1
     k = exp
     while k not in vectors:
         k -= step
-    z_xy = z - x * y
     while k != exp:
-        vectors[k + step] = _mul_left(gen, step, vectors[k], x, y, z, z_xy)
+        vectors[k + step] = _mul_left(gen, step, vectors[k], *muls)
         k += step
-    return _trace_of(vectors[exp], x, y, z)
+    return _trace_of(vectors[exp], *muls)
 
 
 # -- Chebyshev-like polynomials ------------------------------------------
@@ -278,13 +342,34 @@ def matrix_of_word(word: FreeWord, mats: Sequence[Matrix2]) -> Matrix2:
 # -- exact oracle ---------------------------------------------------------
 
 
-def random_sl2z(rng: random.Random) -> Matrix2:
+def mat2_mul(m, n) -> tuple:
+    """Product of two 2x2 matrices given as row-major 4-tuples."""
+    a, b, c, d = m
+    e, f, g, h = n
+    return a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h
+
+
+def random_sl2z(rng: random.Random) -> tuple:
     """A product of four elementary matrices [[1, k], [0, 1]] and
-    [[1, 0], [k, 1]], k in {-2, -1, 1, 2}: an integer matrix of det 1."""
-    m = Matrix2(1, 0, 0, 1)
+    [[1, 0], [k, 1]], k in {-2, -1, 1, 2}: an integer matrix of det 1, as
+    a row-major 4-tuple."""
+    m = (1, 0, 0, 1)
     for j in range(4):
         k = rng.choice((-2, -1, 1, 2))
-        m = m * (Matrix2(1, k, 0, 1) if j % 2 else Matrix2(1, 0, k, 1))
+        m = mat2_mul(m, (1, k, 0, 1) if j % 2 else (1, 0, k, 1))
+    return m
+
+
+def _word_matrix(letters, mats) -> tuple:
+    """The product of the letters at det-1 int matrices mats (4-tuples),
+    a letter's inverse being its adjugate."""
+    m = (1, 0, 0, 1)
+    for gen, exp in letters:
+        a, b, c, d = g = mats[gen]
+        if exp < 0:
+            g = d, -b, -c, a
+        for _ in range(abs(exp)):
+            m = mat2_mul(m, g)
     return m
 
 
@@ -296,8 +381,10 @@ def trace_matches(word: FreeWord, trials: int, rng: random.Random) -> bool:
     for _ in range(trials):
         ma = random_sl2z(rng)
         mb = random_sl2z(rng)
-        point = {"x": ma.trace(), "y": mb.trace(), "z": (ma * mb).trace()}
-        if matrix_of_word(word, (ma, mb)).trace() != poly.evaluate(point):
+        ab = mat2_mul(ma, mb)
+        point = {"x": ma[0] + ma[3], "y": mb[0] + mb[3], "z": ab[0] + ab[3]}
+        m = _word_matrix(word.letters, (ma, mb))
+        if m[0] + m[3] != poly.evaluate(point):
             return False
     return True
 

@@ -23,10 +23,8 @@ from math import gcd
 from .exactpoly import MultiPoly, exact_div, newton_polygon
 from .report import (InternalInconsistencyError, STATUS_FAIL, STATUS_PASS,
                      VerificationReport, status_of)
-from .sl2trace import (FreeWord, GENERATOR_A, GENERATOR_B, chebyshev_s,
-                       nested_slice_traces)
-
-VARS_XZ = ("x", "z")
+from .sl2trace import (FreeWord, GENERATOR_A, GENERATOR_B, VARS_XZ,
+                       chebyshev_s, mat2_mul, nested_slice_traces)
 
 MERIDIAN_CACHE_SIZE = 4
 
@@ -96,14 +94,13 @@ def _meridian_trace(letters) -> tuple:
 
     A bridge word alternates a and b with palindromic signs, so
     nested_slice_traces builds each slice from the next inner one by its
-    reversal symmetry.  Binding y to x also makes each trace symmetric
+    reversal symmetry, folding Kronecker images over Z and decoding each
+    slice's trace once.  Binding y to x also makes each trace symmetric
     under swapping the generators, so a slice's trace does not depend on
     which generator it starts with.  The cache holds a few bridge words:
     every report of one knot reads the same entry.
     """
-    x = MultiPoly.variable("x", VARS_XZ)
-    z = MultiPoly.variable("z", VARS_XZ)
-    return nested_slice_traces(letters, x, z)
+    return nested_slice_traces(letters)
 
 
 def character_polynomial(knot: TwoBridgeKnot) -> MultiPoly:
@@ -208,6 +205,43 @@ def leading_term_report(knot: TwoBridgeKnot) -> VerificationReport:
                               status_of(ok), {"per_j": per_j})
 
 
+def riley_check(knot: TwoBridgeKnot, gamma: MultiPoly) -> None:
+    """Check gamma against Riley's representation at one integer point;
+    InternalInconsistencyError on a mismatch.
+
+    With A = [[s, 1], [0, 1/s]], B = [[s, 0], [-u, 1/s]] and W the bridge
+    word's matrix, phi(s + 1/s, s^2 + s^-2 - u) = W11 + (1/s - s)*W12, the
+    (1,2) entry of WA - BW (R. Riley, Quart. J. Math. Oxford 35, 1984).
+    The letters s*A, s*A^-1, s*B, s*B^-1 are integer matrices, and their
+    product is M = s^(2d) W; so with X' = (s^2 + 1)^2, z' = s^4 + 1 - u s^2
+    and gamma = sum c_ij X^i z^j of total degree d, the identity times
+    s^(2d+1) is s * sum c_ij X'^i z'^j s^(2(d-i-j)) = s*M11 + (1 - s^2)*M12,
+    all in integers.  The point s = p, u = m depends on the knot alone.
+    """
+    s, u, d = knot.p, knot.m, knot.d
+    s2 = s * s
+    letter = {(GENERATOR_A, 1): (s2, s, 0, 1),
+              (GENERATOR_A, -1): (1, -s, 0, s2),
+              (GENERATOR_B, 1): (s2, 0, -u * s, 1),
+              (GENERATOR_B, -1): (1, 0, u * s, s2)}
+    m = (1, 0, 0, 1)
+    for key in bridge_word(knot).letters:
+        m = mat2_mul(m, letter[key])
+    cap_x, z = (s2 + 1) ** 2, s2 * s2 + 1 - u * s2
+    ix = gamma.vars.index("X")
+    value = 0
+    for exps, c in gamma.exponent_terms().items():
+        i, j = exps[ix], exps[1 - ix]
+        if i + j > d:
+            raise InternalInconsistencyError(
+                f"term X^{i}*z^{j} of {knot.label()} is above degree {d}")
+        value += c * cap_x ** i * z ** j * s2 ** (d - i - j)
+    if s * value != s * m[0] + (1 - s2) * m[1]:
+        raise InternalInconsistencyError(
+            f"gamma of {knot.label()} disagrees with Riley's representation "
+            f"at s={s}, u={u}")
+
+
 # -- irreducibility -------------------------------------------------------
 
 
@@ -290,6 +324,7 @@ def structural_reports(knot: TwoBridgeKnot, phi: MultiPoly = None,
             phi = character_polynomial(knot)
         if gamma is None:
             gamma = character_polynomial_even(knot, phi)
+        riley_check(knot, gamma)
         reports.append(VerificationReport(
             "character-structure", knot.label(), STATUS_PASS,
             {"phi": phi.to_text(), "gamma": gamma.to_text(),

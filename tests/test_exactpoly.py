@@ -412,6 +412,25 @@ def test_packed_product_with_bound_next_to_a_byte_boundary(bits, step, m):
         assert a * b == dict_product(a, b)
 
 
+@pytest.mark.parametrize("bits", [8, 64, 65, 150])
+def test_from_kronecker_reads_back_every_even_term(bits):
+    # coefficients up to one below half a slot, of both signs, at the
+    # memoryview widths and past them (int.from_bytes per slot)
+    width = exactpoly.slot_bytes(bits)
+    top = (1 << (8 * width - 1)) - 1
+    row = 6
+    terms = {(0, 0): -top, (2, 0): top, (4, 0): 1, (0, 1): -1,
+             (2, 3): top, (4, 3): -top}
+    s = 8 * width
+    value = sum(c << (s * (i + row * j)) for (i, j), c in terms.items())
+    got = exactpoly.from_kronecker(value, ("x", "z"), width, row)
+    assert got == MultiPoly(("x", "z"), terms)
+    assert exactpoly.from_kronecker(0, ("x", "z"), width, row) == 0
+    # a negative top digit borrows from the slots below it
+    assert exactpoly.from_kronecker(-value, ("x", "z"), width, row) \
+        == -got
+
+
 def test_sparse_high_degree_product_skips_the_dense_box():
     vars = ("x", "y", "z")
     a = MultiPoly(vars, {(800 * i, 7 * i, 8000 - i): i + 1

@@ -9,8 +9,9 @@ from hypothesis import given, settings, strategies as st
 from knotpoly import sl2trace
 from knotpoly.exactpoly import Matrix2, MultiPoly
 from knotpoly.sl2trace import (DEFAULT_SEED, FreeWord, GENERATOR_A,
-                               GENERATOR_B, _mul_left,
-                               chebyshev_s, chebyshev_t, matrix_of_word,
+                               GENERATOR_B, VARS_XZ, _mul_left,
+                               chebyshev_s, chebyshev_t, mat2_mul,
+                               matrix_of_word,
                                nested_slice_traces, random_reduced_word,
                                random_sl2z, reduce_word, trace_matches,
                                trace_poly, trace_poly_with, word_from_string,
@@ -163,11 +164,13 @@ def symmetric_words(draw, max_half=7):
 @given(symmetric_words())
 def test_nested_slice_traces_match_per_slice_folds(word):
     letters = word.letters
-    traces = nested_slice_traces(letters, X, Z)
+    x = MultiPoly.variable("x", VARS_XZ)
+    z = MultiPoly.variable("z", VARS_XZ)
+    traces = nested_slice_traces(letters)
     assert len(traces) == len(letters) // 2
     for j, tr in enumerate(traces):
         sliced = FreeWord(letters[j:len(letters) - j])
-        assert tr == trace_poly_with(sliced, X, X, Z)
+        assert tr == trace_poly_with(sliced, x, x, z)
 
 
 @pytest.mark.parametrize("letters", [
@@ -179,15 +182,14 @@ def test_nested_slice_traces_match_per_slice_folds(word):
 ])
 def test_nested_slice_traces_reject_asymmetric_words(letters):
     with pytest.raises(ValueError):
-        nested_slice_traces(letters, X, Z)
+        nested_slice_traces(letters)
 
 
 def _coeff_matrix(coeffs, ma, mb):
     """alpha*1 + beta*A + gamma*B + delta*AB as a Matrix2."""
     al, be, ga, de = coeffs
     return Matrix2(*(al * i + be * a + ga * b + de * ab for i, a, b, ab
-                     in zip((1, 0, 0, 1), ma.entries(), mb.entries(),
-                            (ma * mb).entries())))
+                     in zip((1, 0, 0, 1), ma, mb, mat2_mul(ma, mb))))
 
 
 def test_multiplication_tables_match_matrix_products():
@@ -196,14 +198,16 @@ def test_multiplication_tables_match_matrix_products():
     rng = random.Random(DEFAULT_SEED)
     for _ in range(20):
         ma, mb = random_sl2z(rng), random_sl2z(rng)
-        x, y, z = ma.trace(), mb.trace(), (ma * mb).trace()
+        ab = mat2_mul(ma, mb)
+        x, y, z = ma[0] + ma[3], mb[0] + mb[3], ab[0] + ab[3]
         coeffs = tuple(rng.randint(-9, 9) for _ in range(4))
         e = _coeff_matrix(coeffs, ma, mb)
         for gen, base in ((GENERATOR_A, ma), (GENERATOR_B, mb)):
             for exp in (1, -1, 2, -3):
                 got = _coeff_matrix(
-                    _mul_left(gen, exp, coeffs, x, y, z, z - x * y), ma, mb)
-                assert got == (base ** exp) * e, (gen, exp)
+                    _mul_left(gen, exp, coeffs, x.__mul__, y.__mul__,
+                              z.__mul__), ma, mb)
+                assert got == (Matrix2(*base) ** exp) * e, (gen, exp)
 
 
 # -- chebyshev families ----------------------------------------------------
@@ -245,12 +249,12 @@ def test_chebyshev_trigonometric_values():
 def test_random_sl2z_draws_varied_integer_matrices():
     rng = random.Random(DEFAULT_SEED)
     mats = [random_sl2z(rng) for _ in range(50)]
-    for m in mats:
-        assert m.det() == 1
-        assert all(type(e) is int for e in m.entries())
+    for a, b, c, d in mats:
+        assert a * d - b * c == 1
+        assert all(type(e) is int for e in (a, b, c, d))
     # a triangular or repeated sample would weaken every oracle verdict
-    assert any(m.b and m.c for m in mats)
-    assert len({m.trace() for m in mats}) > 5
+    assert any(m[1] and m[2] for m in mats)
+    assert len({m[0] + m[3] for m in mats}) > 5
 
 
 def test_rewrite_table_spot_check():
@@ -286,16 +290,16 @@ def fresh_trace_cache():
 
 def test_trace_oracle_catches_a_wrong_table_row(monkeypatch,
                                                 fresh_trace_cache):
-    def wrong_mul_left(gen, exp, coeffs, px, py, pz, z_xy):
+    def wrong_mul_left(gen, exp, coeffs, mx, my, mz):
         if gen == GENERATOR_A or exp > 0:
-            return _mul_left(gen, exp, coeffs, px, py, pz, z_xy)
+            return _mul_left(gen, exp, coeffs, mx, my, mz)
         al, be, ga, de = coeffs
         for _ in range(-exp):
-            # the b^-1 row with the sign of pz * de flipped
-            al, be, ga, de = (py * al - z_xy * be + ga + px * de,
+            # the b^-1 row with the sign of mz(de) flipped
+            al, be, ga, de = (my(al) - mz(be) + mx(my(be)) + ga + mx(de),
                               -de,
-                              -al - px * be + pz * de,
-                              py * de + be)
+                              -al - mx(be) + mz(de),
+                              my(de) + be)
         return al, be, ga, de
 
     monkeypatch.setattr(sl2trace, "_mul_left", wrong_mul_left)

@@ -9,9 +9,10 @@ from pathlib import Path
 import pytest
 
 from knotpoly import twobridge
-from knotpoly.exactpoly import MultiPoly, newton_polygon
+from knotpoly.exactpoly import MultiPoly, newton_polygon, slot_bytes
 from knotpoly.report import InternalInconsistencyError
 from knotpoly.sl2trace import (FreeWord, GENERATOR_A, GENERATOR_B,
+                               _nested_traces, _trace_norms,
                                nested_slice_traces, trace_poly_with)
 from knotpoly.twobridge import (IrreducibilityCertificate, TwoBridgeKnot,
                                 VARS_XZ, _meridian_trace, all_knots,
@@ -23,7 +24,8 @@ from knotpoly.twobridge import (IrreducibilityCertificate, TwoBridgeKnot,
                                 irreducibility_certificate,
                                 is_prime,
                                 leading_term_report, newton_vertex_report,
-                                sign_sequence, structural_reports,
+                                riley_check, sign_sequence,
+                                structural_reports,
                                 x_zero_profile)
 
 
@@ -100,7 +102,7 @@ def test_bridge_word_slices_match_per_slice_folds():
     folded = {}
     for k in (*all_knots(45), knot(97, 41), knot(151, 1)):
         letters = bridge_word(k).letters
-        traces = nested_slice_traces(letters, x, z)
+        traces = nested_slice_traces(letters)
         assert len(traces) == k.d
         for j, tr in enumerate(traces):
             sliced = letters[j:2 * k.d - j]
@@ -108,6 +110,28 @@ def test_bridge_word_slices_match_per_slice_folds():
                 folded[sliced] = trace_poly_with(FreeWord(sliced), x, x, z)
             assert tr == folded[sliced], (k.label(), j)
         assert _meridian_trace(letters) == traces
+
+
+def test_trace_norm_bound_covers_every_slice_coefficient():
+    # The slot width of the packed fold comes from _trace_norms.  Check
+    # each bound against its slice trace folded by the same table over
+    # MultiPoly, with no packing.  b(97,41) and b(151,1) take slots wider
+    # than 8 bytes, which memoryview cannot read.
+    x = MultiPoly.variable("x", VARS_XZ)
+    z = MultiPoly.variable("z", VARS_XZ)
+    widths = {}
+    for k in (*all_knots(45), knot(97, 41), knot(151, 1)):
+        letters = bridge_word(k).letters
+        norms = _trace_norms(letters)
+        traces = list(_nested_traces(letters, x ** 0, x * 0, x.__mul__,
+                                     z.__mul__))
+        assert len(norms) == len(traces) == k.d
+        for j, (bound, tr) in enumerate(zip(norms, traces)):
+            assert max(map(abs, tr.exponent_terms().values())) <= bound, \
+                (k.label(), j)
+        widths[k] = slot_bytes(max(norms).bit_length() + 1)
+    assert max(widths[k] for k in all_knots(45)) == 8
+    assert widths[knot(97, 41)] > 8 and widths[knot(151, 1)] > 8
 
 
 def test_leading_term_slices_are_cached_nested_slices():
@@ -198,6 +222,31 @@ def test_structural_reports_reject_a_phi_of_another_knot():
     assert [(r.claim_id, r.status) for r in reports] == [
         ("character-structure", "fail")]
     assert "error" in reports[0].details
+
+
+def test_riley_oracle_catches_a_perturbed_gamma():
+    # gamma + X*z differs from gamma at every point with X z != 0, and the
+    # oracle's point has X = (p^2 + 1)^2 and z = p^4 + 1 - m p^2 > 0
+    for k in (knot(5, 3), knot(7, 3), knot(13, 5), knot(45, 7)):
+        phi = character_polynomial(k)
+        gamma = character_polynomial_even(k, phi)
+        riley_check(k, gamma)
+        cap_x = MultiPoly.variable("X", gamma.vars)
+        z = MultiPoly.variable("z", gamma.vars)
+        with pytest.raises(InternalInconsistencyError, match="Riley"):
+            riley_check(k, gamma + cap_x * z)
+        reports = structural_reports(k, phi, gamma + cap_x * z)
+        assert [(r.claim_id, r.status) for r in reports] == [
+            ("character-structure", "fail")]
+        assert "Riley" in reports[0].details["error"]
+
+
+def test_riley_oracle_rejects_a_term_above_degree_d():
+    k = knot(7, 3)
+    gamma = character_polynomial_even(k, character_polynomial(k))
+    z = MultiPoly.variable("z", gamma.vars)
+    with pytest.raises(InternalInconsistencyError, match="above degree"):
+        riley_check(k, gamma + z ** (k.d + 1))
 
 
 # -- irreducibility --------------------------------------------------------
