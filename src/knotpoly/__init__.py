@@ -6,7 +6,7 @@ the quantum-torus recurrence picture with its t = -1 specialization.
 """
 
 from .exactpoly import (AlignmentError, InexactDivisionError, LaurentInputError,
-                        Matrix2, MultiPoly, RationalFunction, exact_div,
+                        MultiPoly, RationalFunction, exact_div,
                         is_squarefree_in, newton_polygon, poly_gcd,
                         rational_normalize, resultant_in, squarefree_part_in)
 from .pretzel import PretzelKnot
@@ -22,7 +22,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AlignmentError", "FreeWord", "InexactDivisionError", "LaurentInputError",
-    "Matrix2", "MultiPoly", "PretzelKnot", "RationalFunction", "TwoBridgeKnot",
+    "MultiPoly", "PretzelKnot", "RationalFunction", "TwoBridgeKnot",
     "VerificationReport", "act", "all_knots", "all_passed", "alpha_unknot",
     "annihilation_check", "character_polynomial", "chebyshev_s", "chebyshev_t",
     "epsilon_eval", "exact_div", "is_squarefree_in", "jones_unknot",

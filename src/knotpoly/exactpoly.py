@@ -38,10 +38,9 @@ through the same unpack helper as the product.
 ``MultiPoly.evaluate`` runs Horner's scheme in the arithmetic of the
 point's values: exact at integer or rational values, complex at complex
 ones.  The module also provides rational functions (integer numerator and
-denominator, always reduced, Laurent variables allowed), ``Matrix2``, a
-``__slots__`` 2x2 matrix over any ring-like entries (inverted only at
-determinant one), gcds, Bezout-matrix resultants, Newton polygons via
-monotone chain, and a canonical text form.
+denominator, always reduced, Laurent variables allowed), gcds,
+Bezout-matrix resultants, Newton polygons via monotone chain, and a
+canonical text form.
 
 Exact division, which the gcds lean on, takes leading terms from a heap of
 the remainder's keys and divides over Z: a leading coefficient that
@@ -1270,90 +1269,3 @@ class RationalFunction:
 
     def __repr__(self):
         return f"<{type(self).__name__} {self.to_text()}>"
-
-
-# -- 2x2 matrices ---------------------------------------------------------
-
-
-class Matrix2:
-    """2x2 matrix over any entries supporting ring arithmetic; only a
-    determinant-one matrix has an inverse here."""
-
-    __slots__ = ("a", "b", "c", "d")
-
-    def __init__(self, a, b, c, d):
-        self.a = a
-        self.b = b
-        self.c = c
-        self.d = d
-
-    def __eq__(self, other):
-        if not isinstance(other, Matrix2):
-            return NotImplemented
-        return (self.a == other.a and self.b == other.b
-                and self.c == other.c and self.d == other.d)
-
-    def __repr__(self):
-        return f"Matrix2({self.a!r}, {self.b!r}, {self.c!r}, {self.d!r})"
-
-    def __mul__(self, other):
-        if not isinstance(other, Matrix2):
-            return NotImplemented
-        return Matrix2(self.a * other.a + self.b * other.c,
-                       self.a * other.b + self.b * other.d,
-                       self.c * other.a + self.d * other.c,
-                       self.c * other.b + self.d * other.d)
-
-    def __add__(self, other):
-        if not isinstance(other, Matrix2):
-            return NotImplemented
-        return Matrix2(self.a + other.a, self.b + other.b,
-                       self.c + other.c, self.d + other.d)
-
-    def __sub__(self, other):
-        if not isinstance(other, Matrix2):
-            return NotImplemented
-        return Matrix2(self.a - other.a, self.b - other.b,
-                       self.c - other.c, self.d - other.d)
-
-    def __neg__(self):
-        return Matrix2(-self.a, -self.b, -self.c, -self.d)
-
-    def det(self):
-        return self.a * self.d - self.b * self.c
-
-    def trace(self):
-        return self.a + self.d
-
-    def adjugate(self) -> "Matrix2":
-        return Matrix2(self.d, -self.b, -self.c, self.a)
-
-    def inverse(self) -> "Matrix2":
-        """The adjugate, which is the inverse only at determinant one."""
-        if self.det() != 1:
-            raise InexactDivisionError(
-                "only a determinant-one matrix is inverted")
-        return self.adjugate()
-
-    def identity_like(self) -> "Matrix2":
-        one = self.a ** 0
-        zero = self.a * 0
-        return Matrix2(one, zero, zero, one)
-
-    def __pow__(self, n: int) -> "Matrix2":
-        if not isinstance(n, int):
-            return NotImplemented
-        if n < 0:
-            return self.inverse() ** (-n)
-        result = self.identity_like()
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            n >>= 1
-            if n:
-                base = base * base
-        return result
-
-    def entries(self):
-        return (self.a, self.b, self.c, self.d)

@@ -6,10 +6,11 @@ z = tr aw the character variety is cut out by two polynomials P and Q_n.
 This module builds both from closed Chebyshev forms and, as a cross check,
 letter by letter through the trace calculus, for every integer n.  It also
 verifies the z-resultant structure, the radicality certificates on the
-x = 0 slice, and the representation-witness matrices for each branch of y,
-all in exact arithmetic except the two float checks flagged as numeric:
-Seidenberg root separation and the cosine-root residuals, both against
-RESIDUAL_TOL.  A witness r satisfies the relation when
+x = 0 slice, and the representation-witness matrices, as row-major
+4-tuples (see sl2trace), for each branch of y, all in exact arithmetic
+except the two float checks flagged as numeric: Seidenberg root separation
+and the cosine-root residuals, both against RESIDUAL_TOL.  A witness r
+satisfies the relation when
 r(w)^n r(E) - r(F) r(w)^n, which is r(w^n E) - r(F w^n) since r is a
 homomorphism, is zero.
 
@@ -27,14 +28,15 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
+from operator import sub
 
-from .exactpoly import (Matrix2, MultiPoly, is_squarefree_in, poly_gcd,
-                        resultant_in, squarefree_part_in)
+from .exactpoly import (MultiPoly, is_squarefree_in, poly_gcd, resultant_in,
+                        squarefree_part_in)
 from .report import (InternalInconsistencyError, VerificationReport,
                      status_of)
 from .sl2trace import (FreeWord, GENERATOR_A, GENERATOR_B, chebyshev_s,
-                       chebyshev_t, matrix_of_word, power_trace, reduce_word,
-                       trace_poly)
+                       chebyshev_t, mat2_mul, mat2_pow, power_trace,
+                       reduce_word, trace_poly, word_matrix)
 
 VARS_XYZ = ("x", "y", "z")
 VARS_XY = ("x", "y")
@@ -470,22 +472,30 @@ def radical_slice_report(data: X0SliceData) -> VerificationReport:
 # -- representation witnesses ---------------------------------------------
 
 
-def _relation_parts(ra: Matrix2, rw: Matrix2):
-    """(r(w), r(E), r(F)) for r(a) = ra, r(w) = rw; none depends on n."""
+def _relation_parts(ra: tuple, rw: tuple):
+    """(r(w), r(E), r(F)) as row-major 4-tuples for r(a) = ra, r(w) = rw;
+    none depends on n."""
     mats = (ra, rw)
-    return rw, matrix_of_word(word_e(), mats), matrix_of_word(word_f(), mats)
+    return (rw, word_matrix(word_e().letters, mats),
+            word_matrix(word_f().letters, mats))
 
 
 def _relation_difference(parts, n: int):
     """r(w)^n and r(w)^n r(E) - r(F) r(w)^n from _relation_parts; r
     satisfies the relation exactly when the difference is zero."""
     rw, e, f = parts
-    wn = rw ** n
-    return wn, wn * e - f * wn
+    wn = mat2_pow(rw, n)
+    return wn, tuple(map(sub, mat2_mul(wn, e), mat2_mul(f, wn)))
 
 
 def _relation_holds(parts, n: int) -> bool:
-    return _relation_difference(parts, n)[1] == Matrix2(0, 0, 0, 0)
+    return _relation_difference(parts, n)[1] == (0, 0, 0, 0)
+
+
+def _unimodular(*mats) -> bool:
+    """Whether every given 4-tuple has determinant one: the det_ok guard,
+    since mat2_pow inverts by the adjugate, the inverse only then."""
+    return all(a * d - b * c == 1 for a, b, c, d in mats)
 
 
 VARS_SUV = ("s", "u", "v")
@@ -501,9 +511,9 @@ def _generic_y_parts():
                for name in VARS_SUV)
     one = MultiPoly.const(VARS_SUV, 1, LAURENT_SUV)
     zero = MultiPoly.zero(VARS_SUV, LAURENT_SUV)
-    ra = Matrix2(u, one, u * v - 1, v)
-    rw = Matrix2(s, zero, zero, s ** -1)
-    det_ok = ra.det() == 1 and rw.det() == 1
+    ra = (u, one, u * v - 1, v)
+    rw = (s, zero, zero, s ** -1)
+    det_ok = _unimodular(ra, rw)
 
     s2, s4 = s ** 2, s ** 4
     h11 = (s2 * u - s4 * u + v - s2 * u ** 2 * v + s4 * u ** 2 * v
@@ -515,10 +525,10 @@ def _generic_y_parts():
     parts = _relation_parts(ra, rw)
     _, e, f = parts
     si1, si2, si3 = s ** -1, s ** -2, s ** -3
-    ef_ok = (e == Matrix2(si2 * h11, -(si2 * h12),
-                          si2 * (u * v - 1) * h21, -(si2 * h22))
-             and f == Matrix2(-(si3 * h22), -(si1 * h21),
-                              si3 * (u * v - 1) * h12, si1 * h11))
+    ef_ok = (e == (si2 * h11, -(si2 * h12),
+                   si2 * (u * v - 1) * h21, -(si2 * h22))
+             and f == (-(si3 * h22), -(si1 * h21),
+                       si3 * (u * v - 1) * h12, si1 * h11))
 
     pp = (s ** 3 * u - s ** 4 * u - s ** 5 * u + v + s * v - s ** 2 * v
           - s ** 2 * u ** 2 * v - s ** 3 * u ** 2 * v + s ** 4 * u ** 2 * v
@@ -533,12 +543,13 @@ def _generic_y_parts():
 def witness_generic_y(n: int) -> VerificationReport:
     """Branch y^2 != 4: r(a) = [[u, 1], [uv-1, v]], r(w) = diag(s, 1/s).
 
-    Checks r(E) and r(F) against the H-entry closed forms and
-    r(w)^n r(E) - r(F) r(w)^n against the (P', Q'_n) matrix, exactly.
+    Checks r(E) and r(F), as row-major 4-tuples, against the H-entry
+    closed forms and r(w)^n r(E) - r(F) r(w)^n against the (P', Q'_n)
+    matrix, exactly.
     """
     s, parts, fixed, pp, uv1, q_free, h12 = _generic_y_parts()
     qp = q_free + s ** (2 * n) * h12
-    difference_ok = _relation_difference(parts, n)[1] == Matrix2(
+    difference_ok = _relation_difference(parts, n)[1] == (
         s ** (n - 3) * pp, -(s ** (-2 - n) * qp),
         -(s ** (-3 - n) * uv1 * qp), -(s ** (-2 - n) * pp))
     checks = {**fixed, "difference_ok": difference_ok}
@@ -554,29 +565,31 @@ def _y_two_parts():
     z = MultiPoly.variable("z", ("z",), (True,))
     one = z ** 0
     zero = z * 0
-    ra = Matrix2(z, zero, -(z ** -1), z ** -1)
-    rw = Matrix2(one, one, zero, one)
-    det_ok = ra.det() == 1 and rw.det() == 1
+    ra = (z, zero, -(z ** -1), z ** -1)
+    rw = (one, one, zero, one)
+    det_ok = _unimodular(ra, rw)
     parts = _relation_parts(ra, rw)
     _, e, f = parts
-    ef_ok = (e == Matrix2(z, z ** 3 - 2 * z, zero, z ** -1)
-             and f == Matrix2(z, z ** -1 - z, zero, z ** -1))
-    ident = Matrix2(1, 0, 0, 1)
-    scalars = (_relation_parts(ident, ident), _relation_parts(-ident, ident))
+    ef_ok = (e == (z, z ** 3 - 2 * z, zero, z ** -1)
+             and f == (z, z ** -1 - z, zero, z ** -1))
+    ident = (1, 0, 0, 1)
+    scalars = (_relation_parts(ident, ident),
+               _relation_parts((-1, 0, 0, -1), ident))
     return z, parts, scalars, {"det_ok": det_ok, "product_matrices_ok": ef_ok}
 
 
 def witness_y_two(n: int) -> VerificationReport:
     """Branch y = 2: parabolic r(w) plus the two scalar subcases x = z = 2
-    and x = z = -2; each checks r(w)^n r(E) - r(F) r(w)^n."""
+    and x = z = -2; each checks r(w)^n r(E) - r(F) r(w)^n on row-major
+    4-tuples."""
     z, parts, scalars, fixed = _y_two_parts()
     one = z ** 0
     zero = z * 0
     wn, diff = _relation_difference(parts, n)
     upper = z ** -1 * ((n - 1) * one - (n + 1) * z ** 2 + z ** 4)
     checks = {**fixed,
-              "unipotent_power_ok": wn == Matrix2(one, n * one, zero, one),
-              "difference_ok": diff == Matrix2(zero, upper, zero, zero),
+              "unipotent_power_ok": wn == (one, n * one, zero, one),
+              "difference_ok": diff == (zero, upper, zero, zero),
               "scalar_subcases_ok": all(_relation_holds(pair, n)
                                         for pair in scalars)}
     return VerificationReport("witness-y-two", f"n={n}",
@@ -584,13 +597,14 @@ def witness_y_two(n: int) -> VerificationReport:
 
 
 def y_minus_two_generators():
-    """r(a) = [[0, 1], [-1, x]] and r(w) = [[-1, -(x+z)], [0, -1]]: the
-    paper's y = -2 pair conjugated by C = [[2(x+z), x], [0, 2]]."""
+    """r(a) = [[0, 1], [-1, x]] and r(w) = [[-1, -(x+z)], [0, -1]] as
+    row-major 4-tuples: the paper's y = -2 pair conjugated by
+    C = [[2(x+z), x], [0, 2]]."""
     x = MultiPoly.variable("x", VARS_XZ)
     z = MultiPoly.variable("z", VARS_XZ)
     one = x ** 0
     zero = x * 0
-    return (Matrix2(zero, one, -one, x), Matrix2(-one, -(x + z), zero, -one))
+    return (zero, one, -one, x), (-one, -(x + z), zero, -one)
 
 
 @lru_cache(maxsize=None)
@@ -602,10 +616,10 @@ def _y_minus_two_parts():
     z = MultiPoly.variable("z", VARS_XZ)
     one = x ** 0
     ra, rw = y_minus_two_generators()
-    det_ok = ra.det() == 1 and rw.det() == 1
+    det_ok = _unimodular(ra, rw)
     lower_ef = x * z + z ** 2 + 1
-    expect_e = Matrix2(-z, -one, lower_ef, x + z)
-    expect_f = Matrix2(
+    expect_e = (-z, -one, lower_ef, x + z)
+    expect_f = (
         x ** 2 * z + x * z ** 2 + x + z,
         -(2 * x ** 3 * z + 3 * x ** 2 * z ** 2 + x * z ** 3 + 3 * x ** 2
           + 4 * x * z + z ** 2 + 1),
@@ -616,7 +630,7 @@ def _y_minus_two_parts():
     # x = z = 0 subcase: r(a) = diag(i, -i), r(w) = -Id, with r(a)
     # conjugated over Q to the int matrix [[0, 1], [-1, 0]]; conjugation
     # keeps the relation
-    diagonal = _relation_parts(Matrix2(0, 1, -1, 0), Matrix2(-1, 0, 0, -1))
+    diagonal = _relation_parts((0, 1, -1, 0), (-1, 0, 0, -1))
     return x, z, parts, diagonal, {"det_ok": det_ok,
                                    "product_matrices_ok": ef_ok}
 
@@ -626,26 +640,26 @@ def witness_y_minus_two(n: int) -> VerificationReport:
     to clear the denominators of the paper's r(a) = [[x/2, (4 - x^2)/(4(x+z))],
     [-(x+z), x/2]]; r(w) = [[-1, -1], [0, -1]] keeps integer entries.
     Conjugation keeps products and equality, so each check over these
-    matrices over Z[x, z] means the same as in the fraction field.  The
-    relation is checked as r(w)^n r(E) - r(F) r(w)^n, here and in the
-    x = z = 0 diagonal subcase."""
+    row-major 4-tuples over Z[x, z] means the same as in the fraction
+    field.  The relation is checked as r(w)^n r(E) - r(F) r(w)^n, here and
+    in the x = z = 0 diagonal subcase."""
     x, z, parts, diagonal, fixed = _y_minus_two_parts()
     one = x ** 0
     zero = x * 0
-    wn, diff = _relation_difference(parts, n)
+    wn, (d11, d12, d21, d22) = _relation_difference(parts, n)
     sign = 1 if n % 2 == 0 else -1
     p3 = 3 * x + z + x ** 2 * z + 2 * x * z ** 2 + z ** 3
     qpp = x + 2 * n * x + 2 * z + x ** 2 * z + x * z ** 2
     # twice the upper right entry has the closed form over Z, so no
     # division by 2 is needed
     difference_ok = (
-        diff.a == sign * (n * p3 - qpp)
-        and 2 * diff.b == sign * ((3 * x + z) * qpp - (2 * n - 1) * x * p3)
-        and diff.c.is_zero()
-        and diff.d == sign * (qpp - (n - 1) * p3))
+        d11 == sign * (n * p3 - qpp)
+        and 2 * d12 == sign * ((3 * x + z) * qpp - (2 * n - 1) * x * p3)
+        and d21 == 0
+        and d22 == sign * (qpp - (n - 1) * p3))
     checks = {**fixed,
-              "power_sign_ok": wn == Matrix2(sign * one, sign * n * (x + z),
-                                             zero, sign * one),
+              "power_sign_ok": wn == (sign * one, sign * n * (x + z),
+                                      zero, sign * one),
               "difference_ok": difference_ok,
               "diagonal_subcase_ok": _relation_holds(diagonal, n)}
     return VerificationReport("witness-y-minus-two", f"n={n}",

@@ -24,13 +24,19 @@ images x = 2^s, z = 2^(s*row) over Z (Harvey, J. Symb. Comput. 2009), with
 s taken from a proven bound on the slice coefficients, and each slice
 trace is decoded once.
 
+2x2 matrices are row-major 4-tuples (a, b, c, d) over any ring: int,
+MultiPoly, Fraction or RationalFunction.  The package has one product,
+mat2_mul, one power, mat2_pow, and one word evaluator, word_matrix, the
+product of the letters' powers.  A negative power is taken of the
+adjugate (d, -b, -c, a), so it is an inverse power only at determinant
+one; a caller that needs inverses checks the determinant itself.
+
 Generators are indexed 0 ("a") and 1 ("b").  The rewrite table is not
-taken on faith.  The exact oracle, trace_matches, evaluates a word at
-random integer pairs (A, B) in SL2(Z), as row-major int 4-tuples
-multiplied by mat2_mul, and compares the integer trace with the trace
-polynomial at (tr A, tr B, tr AB); no tolerance is involved.  The test
-suite checks the table entry by entry against integer matrix products at
-such pairs.
+taken on faith.  The exact oracle, trace_matches, evaluates a word by
+word_matrix at random integer pairs (A, B) in SL2(Z) and compares the
+integer trace with the trace polynomial at (tr A, tr B, tr AB); no
+tolerance is involved.  The test suite checks the table entry by entry
+against integer matrix products at such pairs.
 """
 
 from __future__ import annotations
@@ -38,9 +44,9 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Sequence
+from typing import Iterable
 
-from .exactpoly import Matrix2, MultiPoly, from_kronecker, slot_bytes
+from .exactpoly import MultiPoly, from_kronecker, slot_bytes
 
 VARS_XYZ = ("x", "y", "z")
 VARS_XZ = ("x", "z")
@@ -328,18 +334,7 @@ def chebyshev_t(k: int, var: str = "y") -> MultiPoly:
     return chebyshev_s(k, var) - chebyshev_s(k - 2, var)
 
 
-# -- symbolic word evaluation in a matrix group ---------------------------
-
-
-def matrix_of_word(word: FreeWord, mats: Sequence[Matrix2]) -> Matrix2:
-    """Product of assigned matrices over the word letters."""
-    result = mats[0].identity_like()
-    for gen, exp in word.letters:
-        result = result * (mats[gen] ** exp)
-    return result
-
-
-# -- exact oracle ---------------------------------------------------------
+# -- 2x2 matrices ----------------------------------------------------------
 
 
 def mat2_mul(m, n) -> tuple:
@@ -347,6 +342,36 @@ def mat2_mul(m, n) -> tuple:
     a, b, c, d = m
     e, f, g, h = n
     return a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h
+
+
+def mat2_pow(m, k: int) -> tuple:
+    """m^k by repeated squaring.  A negative k powers the adjugate
+    (d, -b, -c, a), which is the inverse only at determinant one; k = 0
+    gives the int identity, and k = +-1 costs no product."""
+    if k < 0:
+        a, b, c, d = m
+        m, k = (d, -b, -c, a), -k
+    result = None
+    while k:
+        if k & 1:
+            result = m if result is None else mat2_mul(result, m)
+        k >>= 1
+        if k:
+            m = mat2_mul(m, m)
+    return (1, 0, 0, 1) if result is None else result
+
+
+def word_matrix(letters, mats) -> tuple:
+    """The product of mat2_pow(mats[gen], exp) over the letters (gen, exp);
+    the int identity for no letters."""
+    result = None
+    for gen, exp in letters:
+        m = mat2_pow(mats[gen], exp)
+        result = m if result is None else mat2_mul(result, m)
+    return (1, 0, 0, 1) if result is None else result
+
+
+# -- exact oracle ---------------------------------------------------------
 
 
 def random_sl2z(rng: random.Random) -> tuple:
@@ -360,19 +385,6 @@ def random_sl2z(rng: random.Random) -> tuple:
     return m
 
 
-def _word_matrix(letters, mats) -> tuple:
-    """The product of the letters at det-1 int matrices mats (4-tuples),
-    a letter's inverse being its adjugate."""
-    m = (1, 0, 0, 1)
-    for gen, exp in letters:
-        a, b, c, d = g = mats[gen]
-        if exp < 0:
-            g = d, -b, -c, a
-        for _ in range(abs(exp)):
-            m = mat2_mul(m, g)
-    return m
-
-
 def trace_matches(word: FreeWord, trials: int, rng: random.Random) -> bool:
     """Whether tr(word) equals trace_poly(word)(tr A, tr B, tr AB) at random
     SL2(Z) pairs (A, B), drawn A then B per trial; stops at the first
@@ -383,7 +395,7 @@ def trace_matches(word: FreeWord, trials: int, rng: random.Random) -> bool:
         mb = random_sl2z(rng)
         ab = mat2_mul(ma, mb)
         point = {"x": ma[0] + ma[3], "y": mb[0] + mb[3], "z": ab[0] + ab[3]}
-        m = _word_matrix(word.letters, (ma, mb))
+        m = word_matrix(word.letters, (ma, mb))
         if m[0] + m[3] != poly.evaluate(point):
             return False
     return True

@@ -24,7 +24,7 @@ from .exactpoly import MultiPoly, exact_div, newton_polygon
 from .report import (InternalInconsistencyError, STATUS_FAIL, STATUS_PASS,
                      VerificationReport, status_of)
 from .sl2trace import (FreeWord, GENERATOR_A, GENERATOR_B, VARS_XZ,
-                       chebyshev_s, mat2_mul, nested_slice_traces)
+                       chebyshev_s, nested_slice_traces, word_matrix)
 
 MERIDIAN_CACHE_SIZE = 4
 
@@ -212,21 +212,18 @@ def riley_check(knot: TwoBridgeKnot, gamma: MultiPoly) -> None:
     With A = [[s, 1], [0, 1/s]], B = [[s, 0], [-u, 1/s]] and W the bridge
     word's matrix, phi(s + 1/s, s^2 + s^-2 - u) = W11 + (1/s - s)*W12, the
     (1,2) entry of WA - BW (R. Riley, Quart. J. Math. Oxford 35, 1984).
-    The letters s*A, s*A^-1, s*B, s*B^-1 are integer matrices, and their
-    product is M = s^(2d) W; so with X' = (s^2 + 1)^2, z' = s^4 + 1 - u s^2
+    The letters s*A = [[s^2, s], [0, 1]] and s*B = [[s^2, 0], [-u s, 1]]
+    are integer matrices of determinant s^2, and their adjugates, which
+    word_matrix takes for an inverse letter, are s*A^-1 and s*B^-1; so the
+    product is M = s^(2d) W.  With X' = (s^2 + 1)^2, z' = s^4 + 1 - u s^2
     and gamma = sum c_ij X^i z^j of total degree d, the identity times
     s^(2d+1) is s * sum c_ij X'^i z'^j s^(2(d-i-j)) = s*M11 + (1 - s^2)*M12,
     all in integers.  The point s = p, u = m depends on the knot alone.
     """
     s, u, d = knot.p, knot.m, knot.d
     s2 = s * s
-    letter = {(GENERATOR_A, 1): (s2, s, 0, 1),
-              (GENERATOR_A, -1): (1, -s, 0, s2),
-              (GENERATOR_B, 1): (s2, 0, -u * s, 1),
-              (GENERATOR_B, -1): (1, 0, u * s, s2)}
-    m = (1, 0, 0, 1)
-    for key in bridge_word(knot).letters:
-        m = mat2_mul(m, letter[key])
+    m = word_matrix(bridge_word(knot).letters,
+                    ((s2, s, 0, 1), (s2, 0, -u * s, 1)))
     cap_x, z = (s2 + 1) ** 2, s2 * s2 + 1 - u * s2
     ix = gamma.vars.index("X")
     value = 0

@@ -13,8 +13,7 @@ from hypothesis import given, settings, strategies as st
 from knotpoly import cli, exactpoly
 from knotpoly.exactpoly import (AlignmentError, EvaluationError,
                                 InexactDivisionError, LaurentInputError,
-                                Matrix2, MultiPoly,
-                                RationalFunction, exact_div,
+                                MultiPoly, RationalFunction, exact_div,
                                 is_squarefree_in, newton_polygon, poly_gcd,
                                 UndefinedResultantError, rational_normalize,
                                 resultant_in, squarefree_part_in)
@@ -886,44 +885,7 @@ def test_newton_polygon_degenerate_segment():
     assert set(hull) == {(0, 0), (3, 0)}
 
 
-# -- 2x2 matrices and rational functions ----------------------------------
-
-def test_matrix_identity_and_inverse():
-    x = var("x", ("x",))
-    m = Matrix2(x, x ** 0, x - 1, x ** 0)
-    assert m.det() == x - x + 1  # det = x - (x - 1)
-    inv = m.inverse()
-    prod = m * inv
-    ident = m.identity_like()
-    assert prod == ident
-    assert m ** -1 == inv
-    assert m ** 0 == ident
-
-
-def test_matrix_inverse_needs_determinant_one():
-    x = var("x", ("x",))
-    m = Matrix2(2 * x ** 0, x, x * 0, x ** 0)
-    assert m.det() == 2
-    with pytest.raises(InexactDivisionError):
-        m.inverse()
-    with pytest.raises(InexactDivisionError):
-        m ** -1
-
-
-def test_matrix_equality_is_entrywise():
-    m = Matrix2(1, 2, 3, 4)
-    assert m == Matrix2(1, 2, 3, 4)
-    assert m != Matrix2(1, 2, 3, 5)
-    assert m != (1, 2, 3, 4)
-    assert m.trace() == 5
-    assert repr(m) == "Matrix2(1, 2, 3, 4)"
-
-
-def test_matrix_power_matches_repeated_product():
-    x = var("x", ("x",))
-    m = Matrix2(x, x ** 0, x * 0, x ** 0)
-    assert m ** 3 == m * m * m
-
+# -- rational functions ----------------------------------------------------
 
 def test_rational_function_reduces():
     x, y = var("x"), var("y")

@@ -3,11 +3,13 @@
 
 import random
 from fractions import Fraction
+from operator import sub
 
 import pytest
 
-from knotpoly.exactpoly import (Matrix2, MultiPoly, RationalFunction,
-                                exact_div, is_squarefree_in)
+from knotpoly import pretzel
+from knotpoly.exactpoly import (MultiPoly, RationalFunction, exact_div,
+                                is_squarefree_in)
 from knotpoly.pretzel import (PretzelKnot, a_poly, b_poly,
                               closed_form_report, defining_p, defining_q,
                               membership_certificate, pq_resultant,
@@ -21,7 +23,7 @@ from knotpoly.pretzel import (PretzelKnot, a_poly, b_poly,
                               _relation_difference, _relation_parts)
 from knotpoly.report import InternalInconsistencyError
 from knotpoly.sl2trace import (FreeWord, GENERATOR_A, GENERATOR_B,
-                               matrix_of_word, reduce_word)
+                               mat2_mul, reduce_word, word_matrix)
 from knotpoly.verify import check_closed_forms, check_witnesses
 
 VARS_XYZ = ("x", "y", "z")
@@ -323,13 +325,13 @@ def _witness_generator_pairs():
     s, u, v = (MultiPoly.variable(name, suv, laurent) for name in suv)
     one, zero = s ** 0, s * 0
     z = MultiPoly.variable("z", ("z",), (True,))
-    ident = Matrix2(1, 0, 0, 1)
-    return [(Matrix2(u, one, u * v - 1, v), Matrix2(s, zero, zero, s ** -1)),
-            (Matrix2(z, z * 0, -(z ** -1), z ** -1),
-             Matrix2(z ** 0, z ** 0, z * 0, z ** 0)),
+    ident, minus = (1, 0, 0, 1), (-1, 0, 0, -1)
+    return [((u, one, u * v - 1, v), (s, zero, zero, s ** -1)),
+            ((z, z * 0, -(z ** -1), z ** -1),
+             (z ** 0, z ** 0, z * 0, z ** 0)),
             y_minus_two_generators(),
-            (ident, ident), (-ident, ident),
-            (Matrix2(0, 1, -1, 0), -ident)]
+            (ident, ident), (minus, ident),
+            ((0, 1, -1, 0), minus)]
 
 
 @pytest.mark.parametrize("pair", range(6))
@@ -338,14 +340,15 @@ def test_relation_parts_match_the_spelled_words(pair):
     # r(w^n E) - r(F w^n) however the words reduce
     ra, rw = mats = _witness_generator_pairs()[pair]
     parts = _relation_parts(ra, rw)
-    assert parts[1] == matrix_of_word(word_e(), mats)
-    assert parts[2] == matrix_of_word(word_f(), mats)
+    assert parts[1] == word_matrix(word_e().letters, mats)
+    assert parts[2] == word_matrix(word_f().letters, mats)
     for n in range(-8, 9):
         wn, diff = _relation_difference(parts, n)
         left, right = _spelled_relation_words(n)
-        assert wn == matrix_of_word(reduce_word(((GENERATOR_B, n),)), mats)
-        assert diff == (matrix_of_word(left, mats)
-                        - matrix_of_word(right, mats)), n
+        assert wn == word_matrix(reduce_word(((GENERATOR_B, n),)).letters,
+                                 mats)
+        assert diff == tuple(map(sub, word_matrix(left.letters, mats),
+                                 word_matrix(right.letters, mats))), n
 
 
 def _paper_y_minus_two_generators():
@@ -357,9 +360,8 @@ def _paper_y_minus_two_generators():
     def rf(num, den=1):
         return RationalFunction(num * x ** 0, den * x ** 0)
 
-    return (Matrix2(rf(x, 2), rf(4 - x ** 2, 4 * (x + z)), rf(-(x + z)),
-                    rf(x, 2)),
-            Matrix2(rf(-1), rf(-1), rf(0), rf(-1)))
+    return ((rf(x, 2), rf(4 - x ** 2, 4 * (x + z)), rf(-(x + z)), rf(x, 2)),
+            (rf(-1), rf(-1), rf(0), rf(-1)))
 
 
 @pytest.mark.parametrize("n", [-2, 3])
@@ -374,13 +376,36 @@ def test_y_minus_two_conjugation_matches_the_paper(n):
     def rf(p):
         return RationalFunction.from_poly(p * x ** 0)
 
-    c = Matrix2(rf(2 * (x + z)), rf(x), rf(0), rf(2))
+    c = (rf(2 * (x + z)), rf(x), rf(0), rf(2))
     words = [FreeWord(((GENERATOR_A, 1),)), FreeWord(((GENERATOR_B, 1),)),
              *_spelled_relation_words(n)]
     for word in words:
-        m = matrix_of_word(word, paper)
-        ints = matrix_of_word(word, y_minus_two_generators())
-        assert c * m == Matrix2(*map(rf, ints.entries())) * c
+        m = word_matrix(word.letters, paper)
+        ints = word_matrix(word.letters, y_minus_two_generators())
+        assert mat2_mul(c, m) == mat2_mul(tuple(map(rf, ints)), c)
+
+
+@pytest.fixture
+def fresh_y_minus_two_parts():
+    pretzel._y_minus_two_parts.cache_clear()
+    yield
+    pretzel._y_minus_two_parts.cache_clear()
+
+
+@pytest.mark.parametrize("n", [-3, 0, 4])
+def test_y_minus_two_witness_fails_at_determinant_two(
+        monkeypatch, fresh_y_minus_two_parts, n):
+    # mat2_pow inverts by the adjugate, which is the inverse only at
+    # det 1, so det_ok is the guard: a det-2 pair must fail, not pass
+    # and not raise
+    x = MultiPoly.variable("x", ("x", "z"))
+    z = MultiPoly.variable("z", ("x", "z"))
+    one, zero = x ** 0, x * 0
+    monkeypatch.setattr(pretzel, "y_minus_two_generators", lambda: (
+        (zero, one, -2 * one, x), (-one, -(x + z), zero, -one)))
+    report = pretzel.witness_y_minus_two(n)
+    assert report.status == "fail"
+    assert report.details["det_ok"] is False
 
 
 def test_witnesses_past_the_old_witness_cap():

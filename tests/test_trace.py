@@ -2,20 +2,21 @@
 
 import math
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from knotpoly import sl2trace
-from knotpoly.exactpoly import Matrix2, MultiPoly
+from knotpoly.exactpoly import MultiPoly
 from knotpoly.sl2trace import (DEFAULT_SEED, FreeWord, GENERATOR_A,
                                GENERATOR_B, VARS_XZ, _mul_left,
-                               chebyshev_s, chebyshev_t, mat2_mul,
-                               matrix_of_word,
+                               chebyshev_s, chebyshev_t, mat2_mul, mat2_pow,
                                nested_slice_traces, random_reduced_word,
                                random_sl2z, reduce_word, trace_matches,
                                trace_poly, trace_poly_with, word_from_string,
-                               word_to_string)
+                               word_matrix, word_to_string)
+from knotpoly.twobridge import TwoBridgeKnot, bridge_word
 from knotpoly.verify import check_trace_oracle
 
 X = MultiPoly.variable("x", ("x", "y", "z"))
@@ -186,10 +187,10 @@ def test_nested_slice_traces_reject_asymmetric_words(letters):
 
 
 def _coeff_matrix(coeffs, ma, mb):
-    """alpha*1 + beta*A + gamma*B + delta*AB as a Matrix2."""
+    """alpha*1 + beta*A + gamma*B + delta*AB as a row-major 4-tuple."""
     al, be, ga, de = coeffs
-    return Matrix2(*(al * i + be * a + ga * b + de * ab for i, a, b, ab
-                     in zip((1, 0, 0, 1), ma, mb, mat2_mul(ma, mb))))
+    return tuple(al * i + be * a + ga * b + de * ab for i, a, b, ab
+                 in zip((1, 0, 0, 1), ma, mb, mat2_mul(ma, mb)))
 
 
 def test_multiplication_tables_match_matrix_products():
@@ -207,7 +208,7 @@ def test_multiplication_tables_match_matrix_products():
                 got = _coeff_matrix(
                     _mul_left(gen, exp, coeffs, x.__mul__, y.__mul__,
                               z.__mul__), ma, mb)
-                assert got == (Matrix2(*base) ** exp) * e, (gen, exp)
+                assert got == mat2_mul(mat2_pow(base, exp), e), (gen, exp)
 
 
 # -- chebyshev families ----------------------------------------------------
@@ -316,14 +317,63 @@ def test_random_reduced_word_respects_length_bound():
         assert sum(abs(exp) for _, exp in word.letters) <= 12
 
 
-# -- matrix evaluation -----------------------------------------------------
+# -- 2x2 matrices as 4-tuples ---------------------------------------------
 
-def test_matrix_of_word_matches_trace():
-    # exact dual route on a concrete integer representation
-    ma = Matrix2(1, 1, 0, 1)
-    mb = Matrix2(1, 0, 1, 1)
-    word = w("a b a^-1 b^-1")
-    m = matrix_of_word(word, (ma, mb))
-    prod = ma * mb
-    point = {"x": ma.trace(), "y": mb.trace(), "z": prod.trace()}
-    assert m.trace() == trace_poly(word).evaluate(point)
+def test_letter_product_matches_trace():
+    # exact dual route on a concrete integer representation; no letters
+    # give the int identity, of trace 2
+    ma = (1, 1, 0, 1)
+    mb = (1, 0, 1, 1)
+    prod = mat2_mul(ma, mb)
+    point = {"x": ma[0] + ma[3], "y": mb[0] + mb[3], "z": prod[0] + prod[3]}
+    for text in ("a b a^-1 b^-1", "a^3 b^-2 a^-1", ""):
+        word = w(text)
+        m = word_matrix(word.letters, (ma, mb))
+        assert m[0] + m[3] == trace_poly(word).evaluate(point), text
+    assert word_matrix((), (ma, mb)) == (1, 0, 0, 1)
+
+
+def test_mat2_pow_is_one_product_per_power():
+    # det 1 over Z[x]: a negative power is a power of the adjugate, and
+    # every power equals |k| plain products from the identity
+    x = MultiPoly.variable("x", ("x",))
+    one = x ** 0
+    m = (x, one, x - 1, one)
+    adj = (one, -one, 1 - x, x)
+    for k in range(-9, 10):
+        expect = (1, 0, 0, 1)
+        for _ in range(abs(k)):
+            expect = mat2_mul(expect, m if k > 0 else adj)
+        assert mat2_pow(m, k) == expect, k
+        assert mat2_mul(mat2_pow(m, k), mat2_pow(m, -k)) == (1, 0, 0, 1), k
+    assert mat2_pow(m, 0) == (1, 0, 0, 1)
+    assert all(type(e) is int for e in mat2_pow(m, 0))
+    # a power of +-1 is the factor itself, with no product into the identity
+    assert mat2_pow(m, 1) is m
+    assert mat2_pow(m, -1) == adj
+
+
+def test_mat2_pow_negative_is_the_adjugate_at_any_determinant():
+    # the inverse only at det 1: at det 2 the -1 power is the adjugate,
+    # and a caller that needs an inverse checks the determinant itself
+    m = (2, 1, 0, 1)
+    assert mat2_pow(m, -1) == (1, -1, 0, 2)
+    assert mat2_mul(m, mat2_pow(m, -1)) == (2, 0, 0, 2)
+    assert mat2_pow(m, -2) == mat2_mul((1, -1, 0, 2), (1, -1, 0, 2))
+
+
+@pytest.mark.parametrize("p, m", [(5, 3), (7, 3), (13, 5)])
+def test_riley_letters_scale_the_bridge_matrix(p, m):
+    # riley_check multiplies the integer letters s*A, s*B, whose
+    # adjugates are s*A^-1, s*B^-1; the product is M = s^(2d) W, for W
+    # the bridge word at A = [[s, 1], [0, 1/s]], B = [[s, 0], [-u, 1/s]],
+    # here over Q
+    knot = TwoBridgeKnot(p, m)
+    letters = bridge_word(knot).letters
+    for s, u in ((p, m), (3, -2), (2, 7)):
+        scaled = word_matrix(letters,
+                             ((s * s, s, 0, 1), (s * s, 0, -u * s, 1)))
+        a = (Fraction(s), Fraction(1), Fraction(0), Fraction(1, s))
+        b = (Fraction(s), Fraction(0), Fraction(-u), Fraction(1, s))
+        exact = word_matrix(letters, (a, b))
+        assert scaled == tuple(s ** (2 * knot.d) * e for e in exact), (s, u)
