@@ -79,7 +79,8 @@ def _parser() -> argparse.ArgumentParser:
     vf.add_argument("--p", type=int, default=None,
                     help="two-bridge p cap override")
     vf.add_argument("--seed", type=int, default=None,
-                    help="seed for the random oracles")
+                    help="seed for the trace-oracle words and the "
+                         "quantum-torus ring elements")
     return parser
 
 

@@ -36,11 +36,11 @@ packed elsewhere (the two-bridge slice fold) back into a polynomial,
 through the same unpack helper as the product.
 
 ``MultiPoly.evaluate`` runs Horner's scheme in the arithmetic of the
-point's values: exact at integer or rational values, complex at complex
-ones.  The module also provides rational functions (integer numerator and
-denominator, always reduced, Laurent variables allowed), gcds,
-Bezout-matrix resultants, Newton polygons via monotone chain, and a
-canonical text form.
+point's values: exact at integer, rational or ``MultiPoly`` values (the
+last a substitution), complex at complex ones.  The module also provides
+rational functions (integer numerator and denominator, always reduced,
+Laurent variables allowed), gcds, Bezout-matrix resultants, Newton
+polygons via monotone chain, and a canonical text form.
 
 Exact division, which the gcds lean on, takes leading terms from a heap of
 the remainder's keys and divides over Z: a leading coefficient that
@@ -678,7 +678,8 @@ class MultiPoly:
 
     def evaluate(self, point: Mapping[str, object]):
         """Horner-style evaluation in the arithmetic of the point's values:
-        exact at int or Fraction values, complex at complex ones."""
+        exact at int, Fraction or MultiPoly values, complex at complex
+        ones."""
         for v in self.vars:
             if v not in point:
                 raise EvaluationError(f"no value for {v!r}")

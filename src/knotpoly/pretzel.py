@@ -34,14 +34,13 @@ from .exactpoly import (MultiPoly, is_squarefree_in, poly_gcd, resultant_in,
                         squarefree_part_in)
 from .report import (InternalInconsistencyError, VerificationReport,
                      status_of)
-from .sl2trace import (FreeWord, GENERATOR_A, GENERATOR_B, chebyshev_s,
-                       chebyshev_t, mat2_mul, mat2_pow, power_trace,
-                       reduce_word, trace_poly, word_matrix)
+from .sl2trace import (FreeWord, GENERATOR_A, GENERATOR_B, VARS_XYZ,
+                       VARS_XZ, chebyshev_s, chebyshev_t, mat2_mul,
+                       mat2_pow, power_trace, reduce_word, trace_poly,
+                       word_matrix)
 
-VARS_XYZ = ("x", "y", "z")
 VARS_XY = ("x", "y")
 VARS_YZ = ("y", "z")
-VARS_XZ = ("x", "z")
 
 RESIDUAL_TOL = 1e-9
 

@@ -32,11 +32,14 @@ adjugate (d, -b, -c, a), so it is an inverse power only at determinant
 one; a caller that needs inverses checks the determinant itself.
 
 Generators are indexed 0 ("a") and 1 ("b").  The rewrite table is not
-taken on faith.  The exact oracle, trace_matches, evaluates a word by
-word_matrix at random integer pairs (A, B) in SL2(Z) and compares the
-integer trace with the trace polynomial at (tr A, tr B, tr AB); no
-tolerance is involved.  The test suite checks the table entry by entry
-against integer matrix products at such pairs.
+taken on faith.  The oracle, trace_proved, proves a word's trace
+polynomial rather than sampling it: it evaluates the word by word_matrix
+at the generic pair A = (s, 1, 0, 1/s), B = (t, 0, u, 1/t) over
+Z[s^+-1, t^+-1, u] and compares the trace with the trace polynomial at
+(tr A, tr B, tr AB) = (s + 1/s, t + 1/t, st + 1/(st) + u).  That map
+(s, t, u) -> (x, y, z) is onto C^3, so by Fricke-Vogt the equality is an
+identity in (x, y, z), not a sample.  The test suite proves the table
+entry by entry against matrix products at the same pair.
 """
 
 from __future__ import annotations
@@ -374,31 +377,20 @@ def word_matrix(letters, mats) -> tuple:
 # -- exact oracle ---------------------------------------------------------
 
 
-def random_sl2z(rng: random.Random) -> tuple:
-    """A product of four elementary matrices [[1, k], [0, 1]] and
-    [[1, 0], [k, 1]], k in {-2, -1, 1, 2}: an integer matrix of det 1, as
-    a row-major 4-tuple."""
-    m = (1, 0, 0, 1)
-    for j in range(4):
-        k = rng.choice((-2, -1, 1, 2))
-        m = mat2_mul(m, (1, k, 0, 1) if j % 2 else (1, 0, k, 1))
-    return m
+def trace_proved(word: FreeWord) -> bool:
+    """Whether trace_poly(word) is the trace of the word, as an identity.
 
-
-def trace_matches(word: FreeWord, trials: int, rng: random.Random) -> bool:
-    """Whether tr(word) equals trace_poly(word)(tr A, tr B, tr AB) at random
-    SL2(Z) pairs (A, B), drawn A then B per trial; stops at the first
-    mismatching trial.  Both sides are integers, so equality is exact."""
-    poly = trace_poly(word)
-    for _ in range(trials):
-        ma = random_sl2z(rng)
-        mb = random_sl2z(rng)
-        ab = mat2_mul(ma, mb)
-        point = {"x": ma[0] + ma[3], "y": mb[0] + mb[3], "z": ab[0] + ab[3]}
-        m = word_matrix(word.letters, (ma, mb))
-        if m[0] + m[3] != poly.evaluate(point):
-            return False
-    return True
+    Both sides are taken in Z[s^+-1, t^+-1, u] at the generic pair
+    A = (s, 1, 0, 1/s), B = (t, 0, u, 1/t): the trace of word_matrix, and
+    trace_poly(word) at x = s + 1/s, y = t + 1/t, z = st + 1/(st) + u, the
+    traces of A, B and AB.  The map (s, t, u) -> (x, y, z) is onto C^3, so
+    equal Laurent polynomials mean equal polynomials in (x, y, z)."""
+    vars, laurent = ("s", "t", "u"), (True, True, False)
+    s, t, u = (MultiPoly.variable(v, vars, laurent) for v in vars)
+    m = word_matrix(word.letters, ((s, 1, 0, s ** -1), (t, 0, u, t ** -1)))
+    point = {"x": s + s ** -1, "y": t + t ** -1,
+             "z": s * t + (s * t) ** -1 + u}
+    return trace_poly(word).evaluate(point) == m[0] + m[3]
 
 
 def random_reduced_word(rng: random.Random, max_len: int = 12) -> FreeWord:

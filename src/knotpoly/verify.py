@@ -17,7 +17,7 @@ from .qtorus import (LAURENT_ML, LAURENT_QT, VARS_ML, VARS_QT, alpha_unknot,
                      annihilation_check, epsilon_eval, jones_unknot, qt_mul,
                      qt_sigma, sigma_symmetry_factor)
 from .report import VerificationReport, sort_reports, status_of
-from .sl2trace import (DEFAULT_SEED, random_reduced_word, trace_matches,
+from .sl2trace import (DEFAULT_SEED, random_reduced_word, trace_proved,
                        word_to_string)
 
 CLOSED_RANGE = (-6, 6)
@@ -35,7 +35,6 @@ QT_RANDOM_CASES = 200
 QT_WINDOW = (-20, 20)
 
 ORACLE_WORDS = 500
-ORACLE_TRIALS = 20
 ORACLE_MAX_LEN = 12
 
 
@@ -184,19 +183,18 @@ def check_quantum_torus(seed: int = DEFAULT_SEED) -> list:
 
 
 def check_trace_oracle(seed: int = DEFAULT_SEED) -> list:
-    """Trace polynomials of ORACLE_WORDS random words against exact traces
-    at ORACLE_TRIALS random SL2(Z) pairs each."""
+    """Trace polynomials of ORACLE_WORDS random words, the seed drawing the
+    words, each proved equal to the word's trace by trace_proved."""
     rng = random.Random(seed)
     bad = []
     for _ in range(ORACLE_WORDS):
         word = random_reduced_word(rng, ORACLE_MAX_LEN)
-        if not trace_matches(word, ORACLE_TRIALS, rng):
+        if not trace_proved(word):
             bad.append(word_to_string(word))
     return [VerificationReport(
         "trace-oracle", f"words={ORACLE_WORDS} seed={seed}",
         status_of(not bad),
-        {"words": ORACLE_WORDS, "trials": ORACLE_TRIALS,
-         "failed_words": bad[:5]})]
+        {"words": ORACLE_WORDS, "failed_words": bad[:5]})]
 
 
 def suite_twobridge(p_max: int = TWOBRIDGE_P_MAX) -> list:

@@ -133,8 +133,8 @@ def test_verify_accepts_seed(capsys):
     ("twobridge", "--p", "7", "--m", "3"), ("pretzel", "--n", "3"),
     ("trace", "--word", "a b"), ("qtorus", "demo-unknot")])
 def test_seed_flag_outside_verify_is_a_usage_error(capsys, args):
-    # only verify draws random oracles; elsewhere the flag would change
-    # nothing
+    # only verify draws random words and ring elements; elsewhere the
+    # flag would change nothing
     code, captured = run(capsys, *args, "--seed", "1")
     assert code == 2
     assert "--seed" in captured.err
