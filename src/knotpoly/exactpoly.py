@@ -21,9 +21,9 @@ the sum of their keys less the key of 1; and multiplying by v^k adds k
 times the step of v, the field's unit plus the degree's.  An operation
 whose result leaves a field raises ``OverflowError``, never wraps: the
 constructor checks every exponent, and a product or shift checks the
-guard bits of every key it makes.  ``MultiPoly.exponent_terms`` is the
-one accessor that reads exponent tuples back; code outside this module
-never decodes keys itself.
+guard bits of every key it makes.  ``MultiPoly.exponent_terms`` reads
+exponent tuples back and ``exponent_reader`` one variable's exponent of a
+key; code outside this module decodes keys only through these two.
 
 A product with at least ``_PACK_MIN_PRODUCTS`` term products is computed
 by Kronecker substitution (Harvey, J. Symb. Comput. 2009) when the dense
@@ -146,6 +146,13 @@ def _exponents(key: int, n: int) -> tuple:
     """Exponent tuple of a key over n variables."""
     return tuple([((key >> s) & _FIELD_MASK) - _BIAS
                   for s in _field_shifts(n)])
+
+
+def exponent_reader(vars, var):
+    """The function from a key over vars to the exponent of var in it, for
+    code that walks a term map by keys."""
+    s = _field_shifts(len(vars))[vars.index(var)]
+    return lambda key: ((key >> s) & _FIELD_MASK) - _BIAS
 
 
 def _check_fields(keys, one: int) -> None:
@@ -720,11 +727,14 @@ class MultiPoly:
         """Canonical text form, descending graded-lexicographic order."""
         if not self.terms:
             return "0"
-        n = len(self.vars)
+        fields = list(zip(self.vars, _field_shifts(len(self.vars))))
         parts = []
         for key, c in sorted(self.terms.items(), reverse=True):
-            factors = [f"{v}^{e}" if e != 1 else v
-                       for v, e in zip(self.vars, _exponents(key, n)) if e]
+            factors = []
+            for v, s in fields:
+                e = ((key >> s) & _FIELD_MASK) - _BIAS
+                if e:
+                    factors.append(v if e == 1 else f"{v}^{e}")
             mono = "*".join(factors)
             if not mono:
                 body = str(abs(c))

@@ -14,7 +14,9 @@ the unknot annihilator and the sigma-symmetry factor of a recurrence.
 
 The product, sigma, the specialization and the action are exponent maps,
 not substitutions: the action at n sends t^a M^b L^j to t^(a + 2nb)
-times the shift by j, summing what lands together.
+times the shift by j, summing what lands together.  They run on the
+packed monomial keys: each reads the exponents it needs from a key's
+fields and moves the key by whole steps of t, M and L.
 """
 
 from __future__ import annotations
@@ -23,7 +25,8 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .exactpoly import (EXPONENT_BOUND, AlignmentError, MultiPoly,
-                        RationalFunction, monomial_key)
+                        RationalFunction, _check_fields, exponent_reader,
+                        monomial_key)
 from .report import VerificationReport, status_of
 
 VARS_QT = ("t", "M", "L")
@@ -41,6 +44,8 @@ _T, _M, _L = (monomial_key(e) - _ONE
               for e in ((1, 0, 0), (0, 1, 0), (0, 0, 1)))
 _ONE_ML = monomial_key((0, 0))
 _M_ML, _L_ML = (monomial_key(e) - _ONE_ML for e in ((1, 0), (0, 1)))
+# The exponents of t, M and L in a key over VARS_QT.
+_T_OF, _M_OF, _L_OF = (exponent_reader(VARS_QT, v) for v in VARS_QT)
 
 
 def _check_qt(p: MultiPoly) -> None:
@@ -48,39 +53,48 @@ def _check_qt(p: MultiPoly) -> None:
         raise AlignmentError(f"{p.vars} is not the quantum torus {VARS_QT}")
 
 
-def _qt_key(a: int, b: int, k: int) -> int:
-    """The key of t^a M^b L^k; OverflowError past EXPONENT_BOUND."""
-    bound = EXPONENT_BOUND
-    if not (-bound <= a < bound and -bound <= b < bound
-            and -bound <= k < bound):
-        raise OverflowError(f"t^{a} M^{b} L^{k} is outside the field range "
-                            f"[{-bound}, {bound})")
-    return _ONE + a * _T + b * _M + k * _L
-
-
 def qt_mul(p: MultiPoly, q: MultiPoly) -> MultiPoly:
     """The torus product, via t^a M^b L^k . t^c M^d L^l
-    = t^(a + c + 2kd) M^(b + d) L^(k + l)."""
+    = t^(a + c + 2kd) M^(b + d) L^(k + l): the key of the product of two
+    terms is the sum of their keys less _ONE, plus 2kd steps _T.
+
+    OverflowError when an exponent of the product leaves the field range,
+    found by _check_fields as in MultiPoly products.  The guard bits see
+    every such exponent while each twist 2kd lies inside the range; past
+    that, the t-exponents are checked directly first."""
     _check_qt(p)
     _check_qt(q)
+    ks = [_L_OF(key) for key in p.terms]
+    ds = [_M_OF(key) for key in q.terms]
+    bound = EXPONENT_BOUND
+    if ks and ds and 2 * max(map(abs, ks)) * max(map(abs, ds)) >= bound:
+        cds = [(_T_OF(key), d) for key, d in zip(q.terms, ds)]
+        for key, k in zip(p.terms, ks):
+            a = _T_OF(key)
+            if any(not -bound <= a + c + 2 * k * d < bound for c, d in cds):
+                raise OverflowError(f"a t-exponent of the product is "
+                                    f"outside [{-bound}, {bound})")
     out: dict = {}
     get = out.get
-    right = list(q.exponent_terms().items())
-    for (a, b, k), cp in p.exponent_terms().items():
-        s = 2 * k
-        for (c, d, l), cq in right:
-            e = _qt_key(a + c + s * d, b + d, k + l)
+    right = [(key - _ONE, cq, 2 * d * _T)
+             for (key, cq), d in zip(q.terms.items(), ds)]
+    for (key, cp), k in zip(p.terms.items(), ks):
+        for shift, cq, twist in right:
+            e = key + shift + k * twist
             v = get(e)
             out[e] = cp * cq if v is None else v + cp * cq
+    _check_fields(out, _ONE)
     return MultiPoly._make(VARS_QT, LAURENT_QT, out)
 
 
 def qt_sigma(p: MultiPoly) -> MultiPoly:
-    """The involution t^c M^k L^l -> t^c M^-k L^-l, linear over t."""
+    """The involution t^c M^k L^l -> t^c M^-k L^-l, linear over t: the key
+    of t^c M^k L^l is reflected through that of t^c."""
     _check_qt(p)
-    return MultiPoly._new(VARS_QT, LAURENT_QT,
-                          {_qt_key(a, -b, -k): c for (a, b, k), c
-                           in p.exponent_terms().items()})
+    out = {2 * (_ONE + _T_OF(key) * _T) - key: c
+           for key, c in p.terms.items()}
+    _check_fields(out, _ONE)
+    return MultiPoly._new(VARS_QT, LAURENT_QT, out)
 
 
 def epsilon_eval(p: MultiPoly) -> MultiPoly:
@@ -88,9 +102,9 @@ def epsilon_eval(p: MultiPoly) -> MultiPoly:
     Laurent polynomial in (M, L)."""
     _check_qt(p)
     terms: dict = {}
-    for (a, b, k), c in p.exponent_terms().items():
-        e = _ONE_ML + b * _M_ML + k * _L_ML
-        terms[e] = terms.get(e, 0) + (-c if a % 2 else c)
+    for key, c in p.terms.items():
+        e = _ONE_ML + _M_OF(key) * _M_ML + _L_OF(key) * _L_ML
+        terms[e] = terms.get(e, 0) + (-c if _T_OF(key) % 2 else c)
     return MultiPoly._make(VARS_ML, LAURENT_ML, terms)
 
 
@@ -120,9 +134,9 @@ def act(p: MultiPoly, f: Callable, n: int) -> MultiPoly:
     _check_qt(p)
     s = 2 * n
     by_shift: dict = {}
-    for (a, b, j), c in p.exponent_terms().items():
-        folded = by_shift.setdefault(j, {})
-        e = (a + s * b,)
+    for key, c in p.terms.items():
+        folded = by_shift.setdefault(_L_OF(key), {})
+        e = (_T_OF(key) + s * _M_OF(key),)
         folded[e] = folded.get(e, 0) + c
     total = MultiPoly.zero(VARS_T, LAURENT_T)
     for j, folded in by_shift.items():

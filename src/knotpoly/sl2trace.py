@@ -11,18 +11,20 @@ takes multiplication by x, y and z as callables, so one table serves
 every ring it runs over: MultiPoly products, left shifts of Kronecker
 images, and the coefficient-norm bounds of _Norm.
 
-trace_poly_with folds a whole word over MultiPoly.  nested_slice_traces
-yields the traces of all the nested slices word[j:len-j] in one pass over
+trace_poly_with folds a whole word over MultiPoly.  nested_slice_images
+folds the traces of all the nested slices word[j:len-j] in one pass over
 the letters, for a word fixed by st, where t reverses a word and s swaps
 the generators (an even-length alternating word with palindromic
 exponents, such as a two-bridge word).  Each slice is then
 S_j = g_j * S_(j+1) * s(g_j) and is itself fixed by st, so
 S_j = g_j * st(g_j * S_(j+1)).  On a vector, t sends AB to BA and s sends
 BA back to AB while swapping x and y in the coefficients; with tr(B) bound
-to tr(A), st just swaps beta and gamma.  That fold runs on the Kronecker
-images x = 2^s, z = 2^(s*row) over Z (Harvey, J. Symb. Comput. 2009), with
-s taken from a proven bound on the slice coefficients, and each slice
-trace is decoded once.
+to tr(A), st just swaps beta and gamma.  That fold, nested_slice_images,
+runs on the Kronecker images x = 2^s, z = 2^(s*row) over Z (Harvey,
+J. Symb. Comput. 2009), with s taken from a proven bound on the sum of the
+slices' coefficient norms.  The images stay packed: a caller adds and
+subtracts them as ints and decodes only the sums and slices it reads,
+so nested_slice_traces is that fold followed by one decode per slice.
 
 2x2 matrices are row-major 4-tuples (a, b, c, d) over any ring: int,
 MultiPoly, Fraction or RationalFunction.  The package has one product,
@@ -236,37 +238,46 @@ def _trace_norms(letters) -> list:
                                         _keep, _keep)]
 
 
-def nested_slice_traces(letters) -> tuple:
-    """Traces in VARS_XZ of the nested slices letters[j:len(letters)-j],
-    outermost first, with tr(A) and tr(B) both bound to x.
+def nested_slice_images(letters) -> tuple:
+    """(images, width, row): the Kronecker images over Z of the traces of
+    the nested slices letters[j:len(letters)-j], outermost first, with
+    tr(A) and tr(B) both bound to x, at x = 2^s and z = 2^(s*row),
+    s = 8 * width.
 
     The word must have even length and end in its first half reversed with
     the generators swapped (for an alternating word: palindromic
-    exponents); else ValueError.  One entry per nonempty slice.  Each level
+    exponents); else ValueError.  One image per nonempty slice.  Each level
     multiplies letters[j] on the left, swaps beta and gamma (the map st of
     the module docstring) and multiplies letters[j] on the left again, so
-    the whole list costs one fold step per letter.
+    the whole tuple costs one fold step per letter.
 
-    The fold runs on Kronecker images over Z: x = 2^s and z = 2^(s*row),
-    row even and above the word's length L = sum |exponent|, so
+    row is even and above the word's length L = sum |exponent|, so
     multiplying by x or z is a left shift.  The int arithmetic is exact;
-    only the decoded traces must fit their slots.  A slice trace has
-    x-degree at most L, and only even powers of x, since each slice has
-    even exponent sum and so keeps its trace when A, B become -A, -B.  Its
-    coefficients are bounded by _trace_norms, and s is the slot of that
-    bound plus a sign bit.
+    only a decode must fit its slots.  A slice trace has x-degree at most
+    L, and only even powers of x, since each slice has even exponent sum
+    and so keeps its trace when A, B become -A, -B.  _trace_norms bounds
+    each slice's coefficients, so their sum plus one bounds every
+    coefficient of any signed sum of the slice traces and +-1; s is the
+    slot of that bound plus a sign bit, and from_kronecker(image, VARS_XZ,
+    width, row) reads back any such sum of images.
     """
     norms = _trace_norms(letters)
-    if not norms:
-        return ()
-    width = slot_bytes(max(norms).bit_length() + 1)
+    width = slot_bytes((sum(norms) + 1).bit_length() + 1)
     s = 8 * width
     row = sum(abs(e) for _, e in letters) + 2
     sz = s * row
     images = list(_nested_traces(letters, 1, 0, lambda v: v << s,
                                  lambda v: v << sz))
-    return tuple(from_kronecker(t, VARS_XZ, width, row)
-                 for t in reversed(images))
+    return tuple(reversed(images)), width, row
+
+
+def nested_slice_traces(letters) -> tuple:
+    """Traces in VARS_XZ of the nested slices letters[j:len(letters)-j],
+    outermost first, with tr(A) and tr(B) both bound to x: the decode of
+    nested_slice_images, one from_kronecker per slice.  Same contract as
+    that fold, ValueError included."""
+    images, width, row = nested_slice_images(letters)
+    return tuple(from_kronecker(t, VARS_XZ, width, row) for t in images)
 
 
 @lru_cache(maxsize=None)

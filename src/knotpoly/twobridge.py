@@ -18,13 +18,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
-from math import gcd
+from itertools import accumulate, repeat
+from math import comb, gcd
+from operator import mul
 
-from .exactpoly import MultiPoly, exact_div, newton_polygon
+from .exactpoly import (MultiPoly, exact_div, exponent_reader, from_kronecker,
+                        monomial_key, newton_polygon)
 from .report import (InternalInconsistencyError, STATUS_FAIL, STATUS_PASS,
                      VerificationReport, status_of)
 from .sl2trace import (FreeWord, GENERATOR_A, GENERATOR_B, VARS_XZ,
-                       chebyshev_s, nested_slice_traces, word_matrix)
+                       chebyshev_s, nested_slice_images, word_matrix)
 
 MERIDIAN_CACHE_SIZE = 4
 
@@ -89,32 +92,38 @@ def bridge_word(knot: TwoBridgeKnot) -> FreeWord:
 
 @lru_cache(maxsize=MERIDIAN_CACHE_SIZE)
 def _meridian_trace(letters) -> tuple:
-    """Traces of the nested slices letters[j:len(letters)-j], outermost
-    first, with both generator traces bound to x; entries in (x, z).
+    """The packed fold (images, width, row) of nested_slice_images: the
+    Kronecker images of the traces of the nested slices
+    letters[j:len(letters)-j], outermost first, with both generator traces
+    bound to x.  from_kronecker(image, VARS_XZ, width, row) decodes a
+    slice, or any signed sum of slices and +-1.
 
-    A bridge word alternates a and b with palindromic signs, so
-    nested_slice_traces builds each slice from the next inner one by its
-    reversal symmetry, folding Kronecker images over Z and decoding each
-    slice's trace once.  Binding y to x also makes each trace symmetric
-    under swapping the generators, so a slice's trace does not depend on
-    which generator it starts with.  The cache holds a few bridge words:
-    every report of one knot reads the same entry.
+    A bridge word alternates a and b with palindromic signs, so the fold
+    builds each slice from the next inner one by its reversal symmetry.
+    Binding y to x also makes each trace symmetric under swapping the
+    generators, so a slice's trace does not depend on which generator it
+    starts with.  The images stay packed: character_polynomial decodes
+    only their sum, and leading_term_report the slices it reads.  The
+    cache holds a few bridge words: every report of one knot reads the
+    same entry.
     """
-    return nested_slice_traces(letters)
+    return nested_slice_images(letters)
 
 
 def character_polynomial(knot: TwoBridgeKnot) -> MultiPoly:
     """Alternating sum of end-deleted subword traces, in Z[x^2, z].
 
     The j-th summand deletes j letters from each end of the bridge word;
-    alternating generators cannot cancel, so slices stay reduced.  The
-    result is checked to contain only even x-powers and to carry z-leading
-    term z^d.
+    alternating generators cannot cancel, so slices stay reduced.  The sum
+    is taken over the slices' Kronecker images as ints, with (-1)^d in
+    slot 0, and decoded once: the slot holds the slices' coefficient norms
+    summed plus one, a bound on every coefficient of phi.  The result is
+    checked to contain only even x-powers and to carry z-leading term z^d.
     """
     d = knot.d
-    total = MultiPoly.const(VARS_XZ, (-1) ** d)
-    for j, term in enumerate(_meridian_trace(bridge_word(knot).letters)):
-        total = total + term if j % 2 == 0 else total - term
+    images, width, row = _meridian_trace(bridge_word(knot).letters)
+    total = from_kronecker(sum(images[::2]) - sum(images[1::2]) + (-1) ** d,
+                           VARS_XZ, width, row)
     if any(e % 2 for e in total.as_univariate("x")):
         raise InternalInconsistencyError(
             f"odd x-power in character polynomial of {knot.label()}")
@@ -133,17 +142,26 @@ def character_polynomial_even(knot: TwoBridgeKnot,
     return gamma
 
 
+def _xz_key(vars, i: int, j: int) -> int:
+    """The key of X^i z^j over vars."""
+    return monomial_key(tuple(i if v == "X" else j if v == "z" else 0
+                              for v in vars))
+
+
 def _check_top_part(poly: MultiPoly, degree: int, c: int, label: str):
+    """InternalInconsistencyError unless poly, in X and z, has total degree
+    degree and top part z^(degree-c) (z-X)^c, that is
+    sum_k C(c, k) (-1)^k X^k z^(degree-k)."""
     if poly.total_degree() != degree:
         raise InternalInconsistencyError(
             f"total degree of {label} is {poly.total_degree()}, wanted {degree}")
-    z = MultiPoly.variable("z", poly.vars)
-    cap_x = MultiPoly.variable("X", poly.vars)
-    expected = z ** (degree - c) * (z - cap_x) ** c
-    # expected is homogeneous of the total degree of poly, so it is the
-    # top part of poly exactly when the difference has lower degree
-    rest = poly - expected
-    if not rest.is_zero() and rest.total_degree() >= degree:
+    # keys order by total degree first; over exponents >= 0 the least key of
+    # a total degree is that of the last variable's power
+    floor = monomial_key((0,) * (len(poly.vars) - 1) + (degree,))
+    top = {k: v for k, v in poly.terms.items() if k >= floor}
+    want = {_xz_key(poly.vars, k, degree - k): (-1) ** k * comb(c, k)
+            for k in range(c + 1)}
+    if top != want:
         raise InternalInconsistencyError(
             f"leading part of {label} is not z^{degree - c} (z-X)^{c}")
 
@@ -185,12 +203,12 @@ def leading_term_report(knot: TwoBridgeKnot) -> VerificationReport:
     eps = sign_sequence(knot)
     d = knot.d
     mu = [eps[k] * eps[k + 1] for k in range(d)]  # mu_j for j = 1..d
-    traces = _meridian_trace(bridge_word(knot).letters)
+    images, width, row = _meridian_trace(bridge_word(knot).letters)
     per_j = []
     ok = True
     for j in range(1, d + 1):
         c_j = sum(1 for k in range(j - 1, d) if mu[k] == -1)
-        tr = traces[j - 1]
+        tr = from_kronecker(images[j - 1], VARS_XZ, width, row)
         entry = {"j": j, "c_j": c_j}
         try:
             gamma = tr.substitute_square("x", "X")
@@ -224,15 +242,17 @@ def riley_check(knot: TwoBridgeKnot, gamma: MultiPoly) -> None:
     s2 = s * s
     m = word_matrix(bridge_word(knot).letters,
                     ((s2, s, 0, 1), (s2, 0, -u * s, 1)))
-    cap_x, z = (s2 + 1) ** 2, s2 * s2 + 1 - u * s2
-    ix = gamma.vars.index("X")
+    # X'^i, z'^j and s^(2k) for i, j, k = 0..d
+    cap_xs, zs, s2s = (list(accumulate(repeat(b, d), mul, initial=1))
+                       for b in ((s2 + 1) ** 2, s2 * s2 + 1 - u * s2, s2))
+    read_x, read_z = (exponent_reader(gamma.vars, v) for v in ("X", "z"))
     value = 0
-    for exps, c in gamma.exponent_terms().items():
-        i, j = exps[ix], exps[1 - ix]
+    for key, c in gamma.terms.items():
+        i, j = read_x(key), read_z(key)
         if i + j > d:
             raise InternalInconsistencyError(
                 f"term X^{i}*z^{j} of {knot.label()} is above degree {d}")
-        value += c * cap_x ** i * z ** j * s2 ** (d - i - j)
+        value += c * cap_xs[i] * zs[j] * s2s[d - i - j]
     if s * value != s * m[0] + (1 - s2) * m[1]:
         raise InternalInconsistencyError(
             f"gamma of {knot.label()} disagrees with Riley's representation "

@@ -184,12 +184,18 @@ def check_quantum_torus(seed: int = DEFAULT_SEED) -> list:
 
 def check_trace_oracle(seed: int = DEFAULT_SEED) -> list:
     """Trace polynomials of ORACLE_WORDS random words, the seed drawing the
-    words, each proved equal to the word's trace by trace_proved."""
+    words, each proved equal to the word's trace by trace_proved.  A word
+    drawn again reuses its verdict, and a failing word is listed once per
+    draw."""
     rng = random.Random(seed)
+    proved = {}
     bad = []
     for _ in range(ORACLE_WORDS):
         word = random_reduced_word(rng, ORACLE_MAX_LEN)
-        if not trace_proved(word):
+        ok = proved.get(word)
+        if ok is None:
+            ok = proved[word] = trace_proved(word)
+        if not ok:
             bad.append(word_to_string(word))
     return [VerificationReport(
         "trace-oracle", f"words={ORACLE_WORDS} seed={seed}",

@@ -5,7 +5,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from knotpoly.exactpoly import AlignmentError, MultiPoly, exact_div
+from knotpoly.exactpoly import (EXPONENT_BOUND, AlignmentError, MultiPoly,
+                                exact_div)
 from knotpoly.qtorus import (LAURENT_ML, LAURENT_QT, VARS_ML, VARS_QT, act,
                              alpha_unknot, annihilation_check, epsilon_eval,
                              jones_unknot, qt_mul, qt_sigma, qt_text,
@@ -71,6 +72,45 @@ def test_twist_moves_l_powers_past_m_powers():
         for m in range(-2, 3):
             product = qt_mul(mono(l=k), mono(m=m))
             assert product == mono(t=2 * k * m, m=m, l=k)
+
+
+def test_products_at_the_field_bound():
+    # every exponent lies in [-B, B); a product's keys are sums of keys, and
+    # an exponent that leaves the range raises instead of wrapping into the
+    # next field
+    b = EXPONENT_BOUND
+    assert qt_mul(mono(t=b - 1), mono(t=-b)) == mono(t=-1)
+    assert qt_mul(mono(m=b - 2), M) == mono(m=b - 1)
+    assert qt_mul(mono(l=-b + 1), L_INV) == mono(l=-b)
+    for p, q in ((mono(t=b - 1), mono(t=1)), (mono(m=b - 1), M),
+                 (mono(l=-b), L_INV), (mono(t=-b), mono(t=-b))):
+        with pytest.raises(OverflowError):
+            qt_mul(p, q)
+    # the twist 2kd alone moves t: inside the range up to b - 1, and past
+    # it with t^1 more
+    half = b // 2
+    assert qt_mul(mono(t=1, l=1), mono(m=half - 1)) == \
+        mono(t=b - 1, m=half - 1, l=1)
+    with pytest.raises(OverflowError):
+        qt_mul(mono(t=2, l=1), mono(m=half - 1))
+    # a twist of b or more is checked directly: a t-exponent that cancels
+    # it is kept, and one that does not raises, also at t = 3b and -4b,
+    # where the t field wraps with its guard bit clear
+    assert qt_mul(mono(t=-b, l=1), mono(m=half)) == mono(m=half, l=1)
+    assert qt_mul(mono(t=-b, l=-2), mono(t=-b, m=-half)) == \
+        mono(m=-half, l=-2)
+    for twist in (mono(l=1), mono(l=3), mono(l=-4), mono(t=1 - b, l=3)):
+        with pytest.raises(OverflowError):
+            qt_mul(twist, mono(m=half))
+
+
+def test_sigma_at_the_field_bound():
+    b = EXPONENT_BOUND
+    assert qt_sigma(mono(t=-b, m=b - 1, l=1 - b)) == mono(t=-b, m=1 - b,
+                                                         l=b - 1)
+    for p in (mono(m=-b), mono(l=-b), mono(t=3) + mono(m=1, l=-b)):
+        with pytest.raises(OverflowError):
+            qt_sigma(p)
 
 
 def test_ml_square():

@@ -2,12 +2,13 @@
 
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from knotpoly import sl2trace
+from knotpoly import sl2trace, verify
 from knotpoly.exactpoly import MultiPoly
 from knotpoly.sl2trace import (DEFAULT_SEED, FreeWord, GENERATOR_A,
                                GENERATOR_B, VARS_XYZ, VARS_XZ, _mul_left,
@@ -318,6 +319,24 @@ def test_trace_oracle_catches_a_wrong_table_row(monkeypatch,
     assert report.status == "fail"
     failed = report.details["failed_words"]
     assert failed and all("b^-" in word for word in failed)
+
+
+def test_trace_oracle_proves_each_distinct_word_once(monkeypatch):
+    # the default seed draws some words many times; each is proved once,
+    # and a failing word is still listed once per draw
+    rng = random.Random(DEFAULT_SEED)
+    words = [random_reduced_word(rng, verify.ORACLE_MAX_LEN)
+             for _ in range(verify.ORACLE_WORDS)]
+    (target, draws), = Counter(words).most_common(1)
+    assert draws > 1
+    proved = []
+    monkeypatch.setattr(verify, "trace_proved",
+                        lambda word: proved.append(word) or word != target)
+    report, = check_trace_oracle()
+    assert len(proved) == len(set(proved)) == len(set(words))
+    assert report.status == "fail"
+    assert report.details["failed_words"] == \
+        [word_to_string(target)] * min(draws, 5)
 
 
 def test_random_reduced_word_respects_length_bound():

@@ -9,14 +9,16 @@ from pathlib import Path
 import pytest
 
 from knotpoly import twobridge
-from knotpoly.exactpoly import MultiPoly, newton_polygon, slot_bytes
+from knotpoly.exactpoly import (MultiPoly, from_kronecker, newton_polygon,
+                                slot_bytes)
 from knotpoly.report import InternalInconsistencyError
 from knotpoly.sl2trace import (FreeWord, GENERATOR_A, GENERATOR_B,
                                _nested_traces, _trace_norms,
-                               nested_slice_traces, trace_poly_with)
+                               nested_slice_images, nested_slice_traces,
+                               trace_poly_with)
 from knotpoly.twobridge import (IrreducibilityCertificate, TwoBridgeKnot,
-                                VARS_XZ, _meridian_trace, all_knots,
-                                bridge_word,
+                                VARS_XZ, _check_top_part, _meridian_trace,
+                                all_knots, bridge_word,
                                 character_polynomial,
                                 character_polynomial_even,
                                 chebyshev_difference,
@@ -31,6 +33,12 @@ from knotpoly.twobridge import (IrreducibilityCertificate, TwoBridgeKnot,
 
 def knot(p, m):
     return TwoBridgeKnot(p, m)
+
+
+def decoded_slices(k):
+    """The cached packed slice traces of k, each decoded."""
+    images, width, row = _meridian_trace(bridge_word(k).letters)
+    return [from_kronecker(t, VARS_XZ, width, row) for t in images]
 
 
 # -- normal form -----------------------------------------------------------
@@ -109,14 +117,16 @@ def test_bridge_word_slices_match_per_slice_folds():
             if sliced not in folded:
                 folded[sliced] = trace_poly_with(FreeWord(sliced), x, x, z)
             assert tr == folded[sliced], (k.label(), j)
-        assert _meridian_trace(letters) == traces
+        assert tuple(decoded_slices(k)) == traces
 
 
 def test_trace_norm_bound_covers_every_slice_coefficient():
     # The slot width of the packed fold comes from _trace_norms.  Check
     # each bound against its slice trace folded by the same table over
-    # MultiPoly, with no packing.  b(97,41) and b(151,1) take slots wider
-    # than 8 bytes, which memoryview cannot read.
+    # MultiPoly, with no packing, and the norms summed plus one against
+    # every coefficient of phi, which is decoded from one summed image.
+    # b(97,41) and b(151,1) take slots wider than 8 bytes, which
+    # memoryview cannot read.
     x = MultiPoly.variable("x", VARS_XZ)
     z = MultiPoly.variable("z", VARS_XZ)
     widths = {}
@@ -129,7 +139,10 @@ def test_trace_norm_bound_covers_every_slice_coefficient():
         for j, (bound, tr) in enumerate(zip(norms, traces)):
             assert max(map(abs, tr.exponent_terms().values())) <= bound, \
                 (k.label(), j)
-        widths[k] = slot_bytes(max(norms).bit_length() + 1)
+        phi = character_polynomial(k)
+        assert max(map(abs, phi.terms.values())) <= sum(norms) + 1, k.label()
+        widths[k] = slot_bytes((sum(norms) + 1).bit_length() + 1)
+        assert nested_slice_images(letters)[1] == widths[k]
     assert max(widths[k] for k in all_knots(45)) == 8
     assert widths[knot(97, 41)] > 8 and widths[knot(151, 1)] > 8
 
@@ -141,13 +154,25 @@ def test_leading_term_slices_are_cached_nested_slices():
     z = MultiPoly.variable("z", VARS_XZ)
     for k in all_knots(21):
         eps = sign_sequence(k)
-        traces = _meridian_trace(bridge_word(k).letters)
+        traces = decoded_slices(k)
         for j in range(1, k.d + 1):
             word = FreeWord(tuple(
                 (GENERATOR_A if i % 2 == 0 else GENERATOR_B, e)
                 for i, e in enumerate(eps[j - 1:2 * k.d + 1 - j])))
             assert trace_poly_with(word, x, x, z) == traces[j - 1]
     assert _meridian_trace.cache_info().maxsize is not None
+
+
+def test_packed_phi_matches_the_sum_of_decoded_slices():
+    # phi is decoded once from the alternating sum of the slice images;
+    # the reference decodes every slice and sums the polynomials.  From
+    # p = 63 on, and at b(97,41) and b(151,1), the slots are wider than
+    # 8 bytes.
+    for k in (*all_knots(71), knot(97, 41), knot(151, 1)):
+        total = MultiPoly.const(VARS_XZ, (-1) ** k.d)
+        for j, tr in enumerate(decoded_slices(k)):
+            total = total + tr if j % 2 == 0 else total - tr
+        assert character_polynomial(k) == total, k.label()
 
 
 def test_even_form_substitutes_back():
@@ -224,6 +249,56 @@ def test_structural_reports_reject_a_phi_of_another_knot():
     assert "error" in reports[0].details
 
 
+def _top_part_by_expansion(poly, degree, c):
+    # the reference: z^(degree-c) (z-X)^c expanded with MultiPoly powers
+    # and subtracted from poly, whose top part it is when the difference
+    # has lower total degree
+    if poly.total_degree() != degree:
+        raise InternalInconsistencyError("total degree")
+    z = MultiPoly.variable("z", poly.vars)
+    cap_x = MultiPoly.variable("X", poly.vars)
+    rest = poly - z ** (degree - c) * (z - cap_x) ** c
+    if not rest.is_zero() and rest.total_degree() >= degree:
+        raise InternalInconsistencyError("leading part")
+
+
+def _wrong_tops(poly, degree, c):
+    """poly with a changed binomial coefficient, an extra top-degree term
+    (when c < degree), its z^degree term dropped, and a term above
+    degree."""
+    def mono(i, j):
+        return MultiPoly(poly.vars, {(i, j): 1})
+    yield poly + mono(c // 2, degree - c // 2)
+    if c < degree:
+        yield poly + mono(c + 1, degree - c - 1)
+    yield poly - mono(0, degree)
+    yield poly + mono(0, degree + 1)
+
+
+def test_top_part_check_reads_keys_like_the_expansion():
+    # every gamma with p <= 45 and every slice leading_term_report reads
+    # (p <= 31): the key check passes each, rejects each wrong top, and
+    # agrees with the expansion it replaced
+    cases = []
+    for k in all_knots(45):
+        cases.append((character_polynomial_even(k, character_polynomial(k)),
+                      k.d, k.c))
+        if k.p > 31:
+            continue
+        eps = sign_sequence(k)
+        for j, tr in enumerate(decoded_slices(k), start=1):
+            c_j = sum(1 for i in range(j - 1, k.d) if eps[i] != eps[i + 1])
+            cases.append((tr.substitute_square("x", "X"), k.d + 1 - j, c_j))
+    for poly, degree, c in cases:
+        _check_top_part(poly, degree, c, "case")
+        _top_part_by_expansion(poly, degree, c)
+        for wrong in _wrong_tops(poly, degree, c):
+            with pytest.raises(InternalInconsistencyError):
+                _check_top_part(wrong, degree, c, "case")
+            with pytest.raises(InternalInconsistencyError):
+                _top_part_by_expansion(wrong, degree, c)
+
+
 def test_riley_oracle_catches_a_perturbed_gamma():
     # gamma + X*z differs from gamma at every point with X z != 0, and the
     # oracle's point has X = (p^2 + 1)^2 and z = p^4 + 1 - m p^2 > 0
@@ -239,6 +314,14 @@ def test_riley_oracle_catches_a_perturbed_gamma():
         assert [(r.claim_id, r.status) for r in reports] == [
             ("character-structure", "fail")]
         assert "Riley" in reports[0].details["error"]
+
+
+def test_riley_oracle_rejects_each_changed_coefficient():
+    for k in (knot(7, 3), knot(13, 5), knot(21, 13)):
+        gamma = character_polynomial_even(k, character_polynomial(k))
+        for exps in gamma.exponent_terms():
+            with pytest.raises(InternalInconsistencyError, match="Riley"):
+                riley_check(k, gamma + MultiPoly(gamma.vars, {exps: 1}))
 
 
 def test_riley_oracle_rejects_a_term_above_degree_d():
