@@ -33,7 +33,9 @@ the box, and the two ints are multiplied once.  Other products, small or
 sparse, take the dict double loop.  The packing is private; the term map
 stays the only representation.  ``from_kronecker`` reads a bivariate image
 packed elsewhere (the two-bridge slice fold) back into a polynomial,
-through the same unpack helper as the product.
+through the same unpack helper as the product.  ``kronecker_point`` gives
+the point, for a coefficient bound and degree bounds, at which an
+identity of integer polynomials is proved by comparing two ints.
 
 ``MultiPoly.evaluate`` runs Horner's scheme in the arithmetic of the
 point's values: exact at integer, rational or ``MultiPoly`` values (the
@@ -67,7 +69,7 @@ import sys
 from fractions import Fraction
 from functools import cache, reduce
 from heapq import heapify, heappop, heappush
-from itertools import chain, product, repeat
+from itertools import accumulate, chain, product, repeat
 from math import gcd as _int_gcd, prod
 from operator import mul as _mul, or_ as _or
 from typing import Mapping, Sequence
@@ -263,17 +265,25 @@ def _unpack(value: int, width: int, count: int, keys, stride: int = 1):
     Every digit must lie strictly between -half and half, half = 2^(8 *
     width - 1).  Adding half to every slot then makes each digit
     nonnegative without a carry, and a slot that reads exactly half is a
-    zero coefficient.  Native widths are read through memoryview, wider
-    ones by int.from_bytes.
+    zero coefficient.  A slot skipped by the stride that does not read
+    half raises ValueError; the skipped slots are compared one byte column
+    at a time.  Native widths are read through memoryview, wider ones by
+    int.from_bytes.
     """
     half = 1 << (8 * width - 1)
-    bias = int.from_bytes(half.to_bytes(width, _ORDER) * count, _ORDER)
+    zero = half.to_bytes(width, _ORDER)
+    bias = int.from_bytes(zero * count, _ORDER)
     raw = (value + bias).to_bytes(count * width, _ORDER)
+    step = stride * width
+    for i in range(width, step):
+        col = raw[i::step]
+        if col != zero[i % width:i % width + 1] * len(col):
+            raise ValueError("a slot skipped in a packed int is not zero")
     if width in _SLOT_FORMATS:
         slots = memoryview(raw).cast(_SLOT_FORMATS[width])[::stride]
     else:
         slots = (int.from_bytes(raw[i:i + width], _ORDER)
-                 for i in range(0, len(raw), stride * width))
+                 for i in range(0, len(raw), step))
     return {k: v - half for k, v in zip(keys, slots) if v != half}
 
 
@@ -282,9 +292,9 @@ def from_kronecker(value: int, vars, width: int, row: int) -> "MultiPoly":
     u = 2^s, v = 2^(s * row), s = 8 * width, row even, is value.
 
     Every coefficient must lie strictly between -2^(s - 1) and 2^(s - 1),
-    every exponent must be nonnegative, and every u-exponent must be even
-    and less than row.  Only the slots of even u-exponents are read, so a
-    term with an odd one is never seen.  Reads exactly the rows
+    every exponent must be nonnegative, and every u-exponent must be less
+    than row.  A term with an odd u-exponent raises ValueError, since the
+    slots of odd u-exponents must read zero.  Reads exactly the rows
     v^0 .. v^k, k the highest v-exponent of the image.
     """
     s = 8 * width
@@ -301,6 +311,25 @@ def from_kronecker(value: int, vars, width: int, row: int) -> "MultiPoly":
                                for r in range(one, one + rows * sv, sv))
     return MultiPoly._new(tuple(vars), (False, False),
                           _unpack(value, width, rows * row, keys, 2))
+
+
+def kronecker_point(norm: int, degrees) -> tuple:
+    """The point (2^a, 2^(a*r_0), 2^(a*r_0*r_1), ...), one entry per
+    variable, with a = norm.bit_length() + 1 and r_i = degrees[i] + 1: at
+    it, an identity of integer polynomials is proved by comparing two ints.
+
+    Condition: a nonzero integer polynomial with nonnegative exponents, of
+    degree at most degrees[i] in variable i for every i but the last, and
+    every |coefficient| at most norm (a bound on its 1-norm is one) does
+    not vanish at the point.  The point sends its monomials to distinct
+    powers of 2^a, so its value is congruent, modulo 2^a times the lowest
+    of them, to the lowest term c * 2^(a*e), and 0 < |c| < 2^a.  The last
+    variable's degree enters no entry; a coefficient of 2^a can vanish:
+    2^a - u_0 does.
+    """
+    a = norm.bit_length() + 1
+    shifts = accumulate((d + 1 for d in degrees[:-1]), _mul, initial=a)
+    return tuple(1 << e for e in shifts)
 
 
 class MultiPoly:
@@ -1119,14 +1148,26 @@ def _cross(o, a, b):
 
 def newton_polygon(p: MultiPoly) -> tuple:
     """Vertices of the convex hull of a bivariate support,
-    counterclockwise, by monotone chain; collinear points are dropped."""
+    counterclockwise, by monotone chain; collinear points are dropped.
+
+    A vertex has the least or the greatest second exponent among the
+    points with its first exponent, so the chain runs over those column
+    ends alone: at most two points per first exponent, same hull."""
     if len(p.vars) != 2:
         raise ValueError("Newton polygon requires exactly two variables")
     if any(p.laurent):
         raise LaurentInputError("Newton polygon requires ordinary exponents")
     if p.is_zero():
         raise EmptyPolynomialError("Newton polygon of 0 is undefined")
-    pts = sorted(p.exponent_terms())
+    read_i, read_j = (exponent_reader(p.vars, v) for v in p.vars)
+    lo, hi = {}, {}
+    for key in p.terms:
+        i, j = read_i(key), read_j(key)
+        if j < lo.get(i, j + 1):
+            lo[i] = j
+        if j > hi.get(i, j - 1):
+            hi[i] = j
+    pts = sorted({*lo.items(), *hi.items()})
     if len(pts) == 1:
         return (pts[0],)
     lower = []

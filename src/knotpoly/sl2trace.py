@@ -35,23 +35,31 @@ one; a caller that needs inverses checks the determinant itself.
 
 Generators are indexed 0 ("a") and 1 ("b").  The rewrite table is not
 taken on faith.  The oracle, trace_proved, proves a word's trace
-polynomial rather than sampling it: it evaluates the word by word_matrix
-at the generic pair A = (s, 1, 0, 1/s), B = (t, 0, u, 1/t) over
-Z[s^+-1, t^+-1, u] and compares the trace with the trace polynomial at
-(tr A, tr B, tr AB) = (s + 1/s, t + 1/t, st + 1/(st) + u).  That map
-(s, t, u) -> (x, y, z) is onto C^3, so by Fricke-Vogt the equality is an
-identity in (x, y, z), not a sample.  The test suite proves the table
-entry by entry against matrix products at the same pair.
+polynomial rather than sampling it.  At the generic pair
+A = (s, 1, 0, 1/s), B = (t, 0, u, 1/t) the traces are
+(tr A, tr B, tr AB) = (s + 1/s, t + 1/t, st + 1/(st) + u), and that map
+(s, t, u) -> (x, y, z) is onto C^3, so by Fricke-Vogt an equality of
+Laurent polynomials in (s, t, u) is an identity in (x, y, z), not a
+sample.  Scaled by powers of s and t, both sides are integer polynomials:
+word_matrix at the integer letters s*A and t*B, and the trace polynomial
+at (s^2 + 1, t^2 + 1, s^2 t^2 + 1 + ust) padded term by term.  Their
+1-norms have proven bounds, so the identity is proved by comparing two
+ints at one Kronecker point whose digit width holds the bounds' sum.  The
+test suite proves the table entry by entry against matrix products at
+the generic pair.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
+from itertools import accumulate, repeat
+from operator import mul
 from typing import Iterable
 
-from .exactpoly import MultiPoly, from_kronecker, slot_bytes
+from .exactpoly import (MultiPoly, exponent_reader, from_kronecker,
+                        kronecker_point, slot_bytes)
 
 VARS_XYZ = ("x", "y", "z")
 VARS_XZ = ("x", "z")
@@ -391,17 +399,45 @@ def word_matrix(letters, mats) -> tuple:
 def trace_proved(word: FreeWord) -> bool:
     """Whether trace_poly(word) is the trace of the word, as an identity.
 
-    Both sides are taken in Z[s^+-1, t^+-1, u] at the generic pair
-    A = (s, 1, 0, 1/s), B = (t, 0, u, 1/t): the trace of word_matrix, and
-    trace_poly(word) at x = s + 1/s, y = t + 1/t, z = st + 1/(st) + u, the
-    traces of A, B and AB.  The map (s, t, u) -> (x, y, z) is onto C^3, so
-    equal Laurent polynomials mean equal polynomials in (x, y, z)."""
-    vars, laurent = ("s", "t", "u"), (True, True, False)
-    s, t, u = (MultiPoly.variable(v, vars, laurent) for v in vars)
-    m = word_matrix(word.letters, ((s, 1, 0, s ** -1), (t, 0, u, t ** -1)))
-    point = {"x": s + s ** -1, "y": t + t ** -1,
-             "z": s * t + (s * t) ** -1 + u}
-    return trace_poly(word).evaluate(point) == m[0] + m[3]
+    The generic pair A = (s, 1, 0, 1/s), B = (t, 0, u, 1/t) has traces
+    x = s + 1/s, y = t + 1/t, z = st + 1/(st) + u, and (s, t, u) -> (x, y, z)
+    is onto C^3, so equal Laurent polynomials in (s, t, u) mean equal
+    polynomials in (x, y, z).  Scaled by s^Ds t^Dt both sides lie in
+    Z[s, t, u]: the trace of word_matrix at the integer letters
+    s*A = (s^2, s, 0, 1), t*B = (t^2, 0, tu, 1), whose adjugates are
+    s*A^-1 and t*B^-1, is s^ka t^kb tr(W) for ka, kb the a- and b-letter
+    counts, and each term c x^i y^j z^k becomes
+    c (s^2 + 1)^i (t^2 + 1)^j (s^2 t^2 + 1 + ust)^k s^(Ds-i-k) t^(Dt-j-k).
+    Ds is the largest of ka and every i + k, Dt likewise, so the degrees
+    are at most 2Ds in s, 2Dt in t and Dt in u.  Every scaled letter has
+    entries of 1-norm at most 1, so each entry of a product of L letters has
+    1-norm at most 2^(L-1) and the trace at most 2^L (2 for no letters);
+    the other side has 1-norm at most sum |c| 2^i 2^j 3^k.  Their sum
+    bounds the difference, so the two sides are compared as ints at
+    kronecker_point of that bound and those degrees."""
+    ka = sum(abs(e) for g, e in word.letters if g == GENERATOR_A)
+    kb = sum(abs(e) for g, e in word.letters if g == GENERATOR_B)
+    reads = [exponent_reader(VARS_XYZ, v) for v in VARS_XYZ]
+    terms = [(c, *(read(key) for read in reads))
+             for key, c in trace_poly(word).terms.items()]
+    ds = max([ka, *(i + k for _, i, _, k in terms)])
+    dt = max([kb, *(j + k for _, _, j, k in terms)])
+    norm = 2 ** max(ka + kb, 1) + sum((abs(c) << i + j) * 3 ** k
+                                      for c, i, j, k in terms)
+    s, t, u = kronecker_point(norm, (2 * ds, 2 * dt, dt))
+    m = word_matrix(word.letters, ((s * s, s, 0, 1), (t * t, 0, t * u, 1)))
+    # s = 2^ls and t = 2^lt, so the padding powers are shifts
+    ls, lt = s.bit_length() - 1, t.bit_length() - 1
+    xs, ys = (list(accumulate(repeat(b, d), mul, initial=1))
+              for b, d in ((s * s + 1, ds), (t * t + 1, dt)))
+    # the terms summed by z-power k, then by Horner's scheme in that power
+    by_k = [0] * (dt + 1)
+    for c, i, j, k in terms:
+        pad = ls * (ds - i - k) + lt * (dt - j - k)
+        by_k[k] += c * xs[i] * ys[j] << pad
+    z = s * s * t * t + 1 + u * s * t
+    value = reduce(lambda acc, part: acc * z + part, reversed(by_k))
+    return value == (m[0] + m[3]) << ls * (ds - ka) + lt * (dt - kb)
 
 
 def random_reduced_word(rng: random.Random, max_len: int = 12) -> FreeWord:

@@ -110,6 +110,16 @@ def _meridian_trace(letters) -> tuple:
     return nested_slice_images(letters)
 
 
+def _decode(image: int, width: int, row: int, what: str) -> MultiPoly:
+    """from_kronecker(image, VARS_XZ, width, row); an odd x-power in the
+    image, which no slice trace has, is an InternalInconsistencyError
+    naming what was decoded."""
+    try:
+        return from_kronecker(image, VARS_XZ, width, row)
+    except ValueError:
+        raise InternalInconsistencyError(f"odd x-power in {what}") from None
+
+
 def character_polynomial(knot: TwoBridgeKnot) -> MultiPoly:
     """Alternating sum of end-deleted subword traces, in Z[x^2, z].
 
@@ -117,16 +127,14 @@ def character_polynomial(knot: TwoBridgeKnot) -> MultiPoly:
     alternating generators cannot cancel, so slices stay reduced.  The sum
     is taken over the slices' Kronecker images as ints, with (-1)^d in
     slot 0, and decoded once: the slot holds the slices' coefficient norms
-    summed plus one, a bound on every coefficient of phi.  The result is
-    checked to contain only even x-powers and to carry z-leading term z^d.
+    summed plus one, a bound on every coefficient of phi.  The decode
+    rejects any odd x-power, and the result is checked to carry z-leading
+    term z^d.
     """
     d = knot.d
     images, width, row = _meridian_trace(bridge_word(knot).letters)
-    total = from_kronecker(sum(images[::2]) - sum(images[1::2]) + (-1) ** d,
-                           VARS_XZ, width, row)
-    if any(e % 2 for e in total.as_univariate("x")):
-        raise InternalInconsistencyError(
-            f"odd x-power in character polynomial of {knot.label()}")
+    total = _decode(sum(images[::2]) - sum(images[1::2]) + (-1) ** d,
+                    width, row, f"character polynomial of {knot.label()}")
     if total.degree_in("z") != d or total.coeff_in("z", d) != 1:
         raise InternalInconsistencyError(
             f"z-leading term of {knot.label()} is not z^{d}")
@@ -208,11 +216,12 @@ def leading_term_report(knot: TwoBridgeKnot) -> VerificationReport:
     ok = True
     for j in range(1, d + 1):
         c_j = sum(1 for k in range(j - 1, d) if mu[k] == -1)
-        tr = from_kronecker(images[j - 1], VARS_XZ, width, row)
         entry = {"j": j, "c_j": c_j}
+        label = f"{knot.label()} slice {j}"
         try:
+            tr = _decode(images[j - 1], width, row, label)
             gamma = tr.substitute_square("x", "X")
-            _check_top_part(gamma, d + 1 - j, c_j, f"{knot.label()} slice {j}")
+            _check_top_part(gamma, d + 1 - j, c_j, label)
             entry["ok"] = True
         except (InternalInconsistencyError, ValueError) as err:
             entry["ok"] = False

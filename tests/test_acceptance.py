@@ -59,5 +59,5 @@ def test_quantum_torus():
 
 
 def test_trace_oracle():
-    run_gate("trace polynomials proved at a generic SL2 pair", 20.0,
+    run_gate("trace polynomials proved at a Kronecker point", 20.0,
              verify.check_trace_oracle, verify.DEFAULT_SEED)

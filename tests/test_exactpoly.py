@@ -430,6 +430,63 @@ def test_from_kronecker_reads_back_every_even_term(bits):
         == -got
 
 
+@pytest.mark.parametrize("bits", [8, 64, 65, 150])
+def test_from_kronecker_rejects_an_odd_power(bits):
+    # a term with an odd x-power beside even ones, of either sign, small
+    # or at half a slot, in the first row and past it: the odd slots are
+    # checked, not skipped
+    width = exactpoly.slot_bytes(bits)
+    s, row = 8 * width, 6
+    top = (1 << (s - 1)) - 1
+    even = (top << s * (2 + row)) - 1
+    for i, j in ((1, 0), (5, 0), (3, 2)):
+        for c in (1, -1, top, -top):
+            with pytest.raises(ValueError, match="skipped"):
+                exactpoly.from_kronecker(even + (c << s * (i + row * j)),
+                                         ("x", "z"), width, row)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.integers(0, 4), min_size=1, max_size=3), st.data())
+def test_kronecker_point_separates_polynomials_within_its_bounds(degrees,
+                                                                  data):
+    # a nonzero polynomial of degree at most degrees[i] in each variable
+    # but the last, whose degree is free, and of 1-norm at most the norm
+    # does not vanish at the point.  Some are drawn with a factor
+    # v0 - 2^k, which vanishes at a point of width k.
+    vars = tuple(f"v{i}" for i in range(len(degrees)))
+    k = None
+    if degrees[0] or len(degrees) == 1:
+        k = data.draw(st.none() | st.integers(0, 60))
+    tops = [d - (k is not None) * (i == 0)
+            for i, d in enumerate(degrees[:-1])] + [9]
+    coeffs = st.one_of(st.integers(-3, 3), st.integers(-2 ** 40, 2 ** 40))
+    f = MultiPoly(vars, data.draw(st.dictionaries(
+        st.tuples(*(st.integers(0, top) for top in tops)), coeffs,
+        max_size=8)))
+    if k is not None:
+        f *= MultiPoly.variable("v0", vars) - 2 ** k
+    norm = sum(map(abs, f.terms.values())) + data.draw(st.integers(0, 3))
+    point = exactpoly.kronecker_point(norm, degrees)
+    assert len(point) == len(degrees)
+    assert (f.evaluate(dict(zip(vars, point))) == 0) == f.is_zero()
+
+
+def test_kronecker_point_width_comes_from_the_bound():
+    # s - 2^a has a coefficient of 2^a, one past the largest the width a
+    # separates, and vanishes at the point; so does s^2 - t, of degree 2
+    # in s past its bound 1.  Each is separated once the bounds cover it.
+    for norm in (1, 5, 2 ** 20, 3 ** 50):
+        a = norm.bit_length() + 1
+        s, t = exactpoly.kronecker_point(norm, (1, 0))
+        assert (s, t) == (2 ** a, 2 ** (2 * a))
+        assert s - 2 ** a == 0 and s ** 2 - t == 0
+        s, = exactpoly.kronecker_point(2 ** a + 1, (1,))
+        assert s - 2 ** a != 0
+        s, t = exactpoly.kronecker_point(norm, (2, 0))
+        assert s ** 2 - t != 0
+
+
 def test_sparse_high_degree_product_skips_the_dense_box():
     vars = ("x", "y", "z")
     a = MultiPoly(vars, {(800 * i, 7 * i, 8000 - i): i + 1

@@ -1,5 +1,6 @@
 """Trace calculus on two-generator words and the Chebyshev families."""
 
+import itertools
 import math
 import random
 from collections import Counter
@@ -291,6 +292,45 @@ def test_exact_oracle_catches_a_perturbation_vanishing_at_small_traces(
                         if word == perturbed else real(word))
     assert not trace_proved(perturbed)
     assert trace_proved(w("a b^-1 a^2 b^-1"))
+
+
+def test_every_word_of_at_most_six_letters_is_proved():
+    # the 4 * 3^(n-1) sequences of n = 1..6 single letters with no letter
+    # beside its inverse reduce to 1,456 distinct words
+    singles = [(gen, e) for gen in (GENERATOR_A, GENERATOR_B)
+               for e in (1, -1)]
+    found = {reduce_word(seq) for n in range(1, 7)
+             for seq in itertools.product(singles, repeat=n)
+             if all(a != (b[0], -b[1]) for a, b in zip(seq, seq[1:]))}
+    assert len(found) == 1456
+    assert all(map(trace_proved, found))
+
+
+def _proved_at_the_generic_pair(word, poly):
+    """The reference identity: poly at the traces of the generic pair
+    A = (s, 1, 0, 1/s), B = (t, 0, u, 1/t) against the trace of the
+    word's matrix there, both in Z[s^+-1, t^+-1, u]."""
+    vars, laurent = ("s", "t", "u"), (True, True, False)
+    s, t, u = (MultiPoly.variable(v, vars, laurent) for v in vars)
+    m = word_matrix(word.letters, ((s, 1, 0, s ** -1), (t, 0, u, t ** -1)))
+    point = {"x": s + s ** -1, "y": t + t ** -1,
+             "z": s * t + (s * t) ** -1 + u}
+    return poly.evaluate(point) == m[0] + m[3]
+
+
+def test_kronecker_proof_agrees_with_the_generic_pair(monkeypatch):
+    # the default seed's words, with their trace polynomials and with one
+    # wrong term added: the two proofs give the same verdict on each
+    rng = random.Random(DEFAULT_SEED)
+    sample = {random_reduced_word(rng, verify.ORACLE_MAX_LEN)
+              for _ in range(verify.ORACLE_WORDS)}
+    real = sl2trace.trace_poly
+    for k, word in enumerate(sorted(sample, key=word_to_string)):
+        wrong = real(word) + [X, Y * Z, 2 * X ** 3 - 1][k % 3]
+        for poly, verdict in ((real(word), True), (wrong, False)):
+            monkeypatch.setattr(sl2trace, "trace_poly", lambda _: poly)
+            assert _proved_at_the_generic_pair(word, poly) == verdict, word
+            assert trace_proved(word) == verdict, word
 
 
 @pytest.fixture

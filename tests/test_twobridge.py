@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from knotpoly import twobridge
+from knotpoly import cli, twobridge
 from knotpoly.exactpoly import (MultiPoly, from_kronecker, newton_polygon,
                                 slot_bytes)
 from knotpoly.report import InternalInconsistencyError
@@ -216,6 +216,34 @@ def test_newton_vertices_present():
     assert (0, 3) in hull and (1, 2) in hull
 
 
+def _hull_of_every_term(p):
+    """The reference: the monotone chain over every term of the support."""
+    def cross(o, a, b):
+        return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
+
+    pts = sorted(p.exponent_terms())
+    if len(pts) == 1:
+        return tuple(pts)
+    chains = []
+    for seq in (pts, pts[::-1]):
+        chain = []
+        for pt in seq:
+            while len(chain) >= 2 and cross(chain[-2], chain[-1], pt) <= 0:
+                chain.pop()
+            chain.append(pt)
+        chains.append(chain[:-1])
+    return tuple(chains[0] + chains[1])
+
+
+def test_newton_polygon_of_column_ends_is_the_hull_of_every_term():
+    # newton_polygon chains only the least and greatest z-power of each
+    # X-power; every gamma with p <= 45 gets the same vertices, in the
+    # same order, as the chain over all its terms
+    for k in all_knots(45):
+        gamma = character_polynomial_even(k, character_polynomial(k))
+        assert newton_polygon(gamma) == _hull_of_every_term(gamma), k.label()
+
+
 def test_leading_terms_of_nested_words():
     for k in (knot(7, 3), knot(9, 5), knot(13, 7)):
         rep = leading_term_report(k)
@@ -247,6 +275,35 @@ def test_structural_reports_reject_a_phi_of_another_knot():
     assert [(r.claim_id, r.status) for r in reports] == [
         ("character-structure", "fail")]
     assert "error" in reports[0].details
+
+
+def test_an_odd_x_slot_fails_the_reports(monkeypatch, capsys):
+    # 2^s is the slot of x^1: added to b(7,3)'s first slice image, and so
+    # to the summed image of phi, it decoded to the same phi before the
+    # odd slots were checked.  Now it is the odd x-power inconsistency: a
+    # failed character-structure report and a failed slice entry, so
+    # verify exits 1 and the twobridge query 3, never the bad-input 2.
+    k = knot(7, 3)
+    target = bridge_word(k).letters
+    images, width, row = _meridian_trace(target)
+    bad = (images[0] + (1 << 8 * width),) + images[1:]
+    real = twobridge._meridian_trace
+    monkeypatch.setattr(twobridge, "_meridian_trace",
+                        lambda letters: (bad, width, row)
+                        if letters == target else real(letters))
+    with pytest.raises(InternalInconsistencyError,
+                       match=r"odd x-power in character polynomial of b\("):
+        character_polynomial(k)
+    reports = structural_reports(k)
+    assert [(r.claim_id, r.status) for r in reports] == [
+        ("character-structure", "fail")]
+    assert "odd x-power" in reports[0].details["error"]
+    per_j = leading_term_report(k).details["per_j"]
+    assert [e["ok"] for e in per_j] == [False, True, True]
+    assert per_j[0]["error"] == "odd x-power in b(7,3) slice 1"
+    assert cli.main(["verify", "--suite", "twobridge", "--p", "7"]) == 1
+    assert cli.main(["twobridge", "--p", "7", "--m", "3"]) == 3
+    assert "odd x-power" in capsys.readouterr().err
 
 
 def _top_part_by_expansion(poly, degree, c):
