@@ -39,7 +39,8 @@ identity of integer polynomials is proved by comparing two ints.
 
 ``MultiPoly.evaluate`` runs Horner's scheme in the arithmetic of the
 point's values: exact at integer, rational or ``MultiPoly`` values (the
-last a substitution), complex at complex ones.  The module also provides
+last a substitution), complex at complex ones; it takes no negative
+exponent, so it never divides.  The module also provides
 rational functions (integer numerator and denominator, always reduced,
 Laurent variables allowed), gcds, Bezout-matrix resultants, Newton
 polygons via monotone chain, and a canonical text form.
@@ -66,7 +67,6 @@ from __future__ import annotations
 
 import struct
 import sys
-from fractions import Fraction
 from functools import cache, reduce
 from heapq import heapify, heappop, heappush
 from itertools import accumulate, chain, product, repeat
@@ -364,7 +364,7 @@ class MultiPoly:
                     degree += e
             except TypeError:
                 degree = None
-            # a float, Fraction or str exponent leaves no int sum
+            # a float, rational or str exponent leaves no int sum
             if type(degree) is not int:
                 raise TypeError(f"exponent {exp!r} is not all ints")
             if not c:
@@ -667,21 +667,15 @@ class MultiPoly:
         vars = self.vars[:i] + (new_name,) + self.vars[i + 1:]
         return MultiPoly._new(vars, self.laurent, out)
 
-    def extend_to(self, vars, laurent=None) -> "MultiPoly":
-        """Re-express over a superset (or reordering) of the variables."""
+    def extend_to(self, vars) -> "MultiPoly":
+        """Re-express over a superset (or reordering) of the variables; each
+        keeps its Laurent flag, and a new one has none."""
         vars = tuple(vars)
-        laurent = tuple(laurent) if laurent is not None else \
-            tuple(self.laurent[self.vars.index(v)] if v in self.vars else False
-                  for v in vars)
         for v in self.vars:
             if v not in vars:
                 raise AlignmentError(f"{v!r} missing from target {vars}")
-        for v, old_flag in zip(self.vars, self.laurent):
-            if old_flag and not laurent[vars.index(v)]:
-                if self.min_degree_in(v) is not None and \
-                        self.min_degree_in(v) < 0:
-                    raise LaurentInputError(
-                        f"cannot drop Laurent flag on {v!r}")
+        laurent = tuple(self.laurent[self.vars.index(v)] if v in self.vars
+                        else False for v in vars)
         return MultiPoly._new(vars, laurent, self._relayout(vars))
 
     def restrict(self, vars) -> "MultiPoly":
@@ -714,8 +708,8 @@ class MultiPoly:
 
     def evaluate(self, point: Mapping[str, object]):
         """Horner-style evaluation in the arithmetic of the point's values:
-        exact at int, Fraction or MultiPoly values, complex at complex
-        ones."""
+        exact at integer, rational or MultiPoly values, complex at complex
+        ones.  A negative exponent raises LaurentInputError."""
         for v in self.vars:
             if v not in point:
                 raise EvaluationError(f"no value for {v!r}")
@@ -746,7 +740,10 @@ class MultiPoly:
                 acc += group[0][1] if depth == last else rec(group, depth + 1)
                 prev = f
             low = prev - _BIAS
-            return acc * (z ** low if low >= 0 else Fraction(1) / z ** -low)
+            if low < 0:
+                raise LaurentInputError(
+                    f"cannot evaluate {self.vars[depth]}^{low}")
+            return acc * z ** low
 
         return rec(list(self.terms.items()), 0)
 

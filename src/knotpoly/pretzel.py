@@ -4,7 +4,9 @@ The knot group is <a, w | w^n E = F w^n> with E = a w a^-1 w^-1 a^-1 and
 F = a^-1 w^-1 a w a w^-1.  In the trace coordinates x = tr a, y = tr w,
 z = tr aw the character variety is cut out by two polynomials P and Q_n.
 This module builds both from closed Chebyshev forms and, as a cross check,
-letter by letter through the trace calculus, for every integer n.  It also
+through the trace calculus, for every integer n: P as tr(E) - tr(F), and
+Q_n from two word folds, at n = 0 and 1, stepped to every other n by the
+Cayley-Hamilton recurrence Q_(n+1) = y Q_n - Q_(n-1).  It also
 verifies the z-resultant structure, the radicality certificates on the
 x = 0 slice, and the representation-witness matrices, as row-major
 4-tuples (see sl2trace), for each branch of y, all in exact arithmetic
@@ -36,16 +38,15 @@ from .report import (InternalInconsistencyError, VerificationReport,
                      status_of)
 from .sl2trace import (FreeWord, GENERATOR_A, GENERATOR_B, VARS_XYZ,
                        VARS_XZ, chebyshev_s, chebyshev_t, mat2_mul,
-                       mat2_pow, power_trace, reduce_word, trace_poly,
-                       word_matrix)
+                       mat2_pow, reduce_word, trace_poly, word_matrix)
 
 VARS_XY = ("x", "y")
 VARS_YZ = ("y", "z")
 
 RESIDUAL_TOL = 1e-9
 
-# degree bounds (deg_y, deg_z) tried by the membership solver, in order
-MEMBERSHIP_DEGREE_STEPS = ((4, 4), (6, 6), (9, 9))
+# degree bound (deg_y, deg_z) of the membership solver's cofactors
+MEMBERSHIP_DEGREES = (4, 4)
 
 
 @dataclass(frozen=True)
@@ -95,19 +96,34 @@ def word_f() -> FreeWord:
                      (GENERATOR_B, 1), (GENERATOR_A, 1), (GENERATOR_B, -1)))
 
 
+@lru_cache(maxsize=None)
 def traced_p() -> MultiPoly:
     """P rebuilt from first principles as tr(E) - tr(F)."""
     return trace_poly(word_e()) - trace_poly(word_f())
 
 
+@lru_cache(maxsize=None)
 def traced_q(n: int) -> MultiPoly:
     """Q_n rebuilt as tr(w^n E a) - tr(w^n a F), which is tr(F w^n a) by
-    cyclicity; E a and a F are folded once, and w^n one letter per n."""
-    a = ((GENERATOR_A, 1),)
-    left = reduce_word(word_e().letters + a)
-    right = reduce_word(a + word_f().letters)
-    return (power_trace(GENERATOR_B, n, left)
-            - power_trace(GENERATOR_B, n, right))
+    cyclicity.
+
+    Q_0 and Q_1 are the folds of the reduced words.  By Cayley-Hamilton
+    w^2 = y w - 1 in SL2, so tr(w^(k+1) X) = y tr(w^k X) - tr(w^(k-1) X)
+    for every X, and Q_(k+1) = y Q_k - Q_(k-1); every other n is reached
+    from Q_0 and Q_1 by that step, up or down, in a loop with one
+    multiplication by y per step.
+    """
+    if n in (0, 1):
+        a = ((GENERATOR_A, 1),)
+        w_n = ((GENERATOR_B, n),)
+        return (trace_poly(reduce_word(w_n + word_e().letters + a))
+                - trace_poly(reduce_word(w_n + a + word_f().letters)))
+    y = MultiPoly.variable("y", VARS_XYZ)
+    prev, cur = ((traced_q(0), traced_q(1)) if n > 1
+                 else (traced_q(1), traced_q(0)))
+    for _ in range(n - 1 if n > 1 else -n):
+        prev, cur = cur, y * cur - prev
+    return cur
 
 
 def closed_form_report(n: int) -> VerificationReport:
@@ -396,48 +412,47 @@ def _integer_solve(rows, rhs):
     return sol
 
 
-def membership_certificate(target: MultiPoly, gens,
-                           bounds=MEMBERSHIP_DEGREE_STEPS):
-    """Cofactors u_i with sum u_i g_i = target, found by bounded ansatz.
+def membership_certificate(target: MultiPoly, gens):
+    """Cofactors u_i with sum u_i g_i = target, found by an ansatz with
+    cofactor degrees at most MEMBERSHIP_DEGREES in (y, z).
 
     The linear system is solved over Z; a cofactor that is not integral
-    raises InternalInconsistencyError.  The returned cofactors
-    are re-checked exactly; None means no solution within the tried degree
-    bounds (not a proof of non-membership).
+    raises InternalInconsistencyError.  The returned cofactors are
+    re-checked exactly; None means no solution within the degree bound
+    (not a proof of non-membership).
     """
     vars = target.vars
-    for by, bz in bounds:
-        mons = [(i, j) for i in range(by + 1) for j in range(bz + 1)]
-        cols = []
-        for g in gens:
-            for e in mons:
-                cols.append(g * MultiPoly(vars, {e: 1}))
-        col_terms = [col.exponent_terms() for col in cols]
-        target_terms = target.exponent_terms()
-        support = set(target_terms)
-        for terms in col_terms:
-            support.update(terms)
-        index = {e: i for i, e in enumerate(sorted(support))}
-        rows = [[0] * len(cols) for _ in index]
-        for ci, terms in enumerate(col_terms):
-            for e, c in terms.items():
-                rows[index[e]][ci] = c
-        rhs = [0] * len(index)
-        for e, c in target_terms.items():
-            rhs[index[e]] = c
-        sol = _integer_solve(rows, rhs)
-        if sol is None:
-            continue
-        per = len(mons)
-        out = [MultiPoly(vars, dict(zip(mons, sol[gi * per:(gi + 1) * per])))
-               for gi in range(len(gens))]
-        check = MultiPoly.zero(vars)
-        for cof, g in zip(out, gens):
-            check = check + cof * g
-        if check != target:
-            raise InternalInconsistencyError("membership solver self-check")
-        return out
-    return None
+    by, bz = MEMBERSHIP_DEGREES
+    mons = [(i, j) for i in range(by + 1) for j in range(bz + 1)]
+    cols = []
+    for g in gens:
+        for e in mons:
+            cols.append(g * MultiPoly(vars, {e: 1}))
+    col_terms = [col.exponent_terms() for col in cols]
+    target_terms = target.exponent_terms()
+    support = set(target_terms)
+    for terms in col_terms:
+        support.update(terms)
+    index = {e: i for i, e in enumerate(sorted(support))}
+    rows = [[0] * len(cols) for _ in index]
+    for ci, terms in enumerate(col_terms):
+        for e, c in terms.items():
+            rows[index[e]][ci] = c
+    rhs = [0] * len(index)
+    for e, c in target_terms.items():
+        rhs[index[e]] = c
+    sol = _integer_solve(rows, rhs)
+    if sol is None:
+        return None
+    per = len(mons)
+    out = [MultiPoly(vars, dict(zip(mons, sol[gi * per:(gi + 1) * per])))
+           for gi in range(len(gens))]
+    check = MultiPoly.zero(vars)
+    for cof, g in zip(out, gens):
+        check = check + cof * g
+    if check != target:
+        raise InternalInconsistencyError("membership solver self-check")
+    return out
 
 
 def radical_slice_report(data: X0SliceData) -> VerificationReport:

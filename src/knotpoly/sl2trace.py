@@ -11,23 +11,24 @@ takes multiplication by x, y and z as callables, so one table serves
 every ring it runs over: MultiPoly products, left shifts of Kronecker
 images, and the coefficient-norm bounds of _Norm.
 
-trace_poly_with folds a whole word over MultiPoly.  nested_slice_images
-folds the traces of all the nested slices word[j:len-j] in one pass over
-the letters, for a word fixed by st, where t reverses a word and s swaps
-the generators (an even-length alternating word with palindromic
-exponents, such as a two-bridge word).  Each slice is then
-S_j = g_j * S_(j+1) * s(g_j) and is itself fixed by st, so
+trace_poly_with folds a whole word over MultiPoly, and trace_poly is that
+fold with tr(A), tr(B), tr(AB) bound to x, y, z; neither keeps a cache.
+nested_slice_images folds the traces of all the nested slices
+word[j:len-j] in one pass over the letters, for a word fixed by st, where
+t reverses a word and s swaps the generators (an even-length alternating
+word with palindromic exponents, such as a two-bridge word).  Each slice
+is then S_j = g_j * S_(j+1) * s(g_j) and is itself fixed by st, so
 S_j = g_j * st(g_j * S_(j+1)).  On a vector, t sends AB to BA and s sends
 BA back to AB while swapping x and y in the coefficients; with tr(B) bound
 to tr(A), st just swaps beta and gamma.  That fold, nested_slice_images,
 runs on the Kronecker images x = 2^s, z = 2^(s*row) over Z (Harvey,
 J. Symb. Comput. 2009), with s taken from a proven bound on the sum of the
 slices' coefficient norms.  The images stay packed: a caller adds and
-subtracts them as ints and decodes only the sums and slices it reads,
-so nested_slice_traces is that fold followed by one decode per slice.
+subtracts them as ints and decodes, with from_kronecker, only the sums and
+slices it reads.
 
-2x2 matrices are row-major 4-tuples (a, b, c, d) over any ring: int,
-MultiPoly, Fraction or RationalFunction.  The package has one product,
+2x2 matrices are row-major 4-tuples (a, b, c, d) over any ring, such as
+int, MultiPoly or RationalFunction.  The package has one product,
 mat2_mul, one power, mat2_pow, and one word evaluator, word_matrix, the
 product of the letters' powers.  A negative power is taken of the
 adjugate (d, -b, -c, a), so it is an inverse power only at determinant
@@ -58,8 +59,8 @@ from itertools import accumulate, repeat
 from operator import mul
 from typing import Iterable
 
-from .exactpoly import (MultiPoly, exponent_reader, from_kronecker,
-                        kronecker_point, slot_bytes)
+from .exactpoly import (MultiPoly, exponent_reader, kronecker_point,
+                        slot_bytes)
 
 VARS_XYZ = ("x", "y", "z")
 VARS_XZ = ("x", "z")
@@ -279,56 +280,10 @@ def nested_slice_images(letters) -> tuple:
     return tuple(reversed(images)), width, row
 
 
-def nested_slice_traces(letters) -> tuple:
-    """Traces in VARS_XZ of the nested slices letters[j:len(letters)-j],
-    outermost first, with tr(A) and tr(B) both bound to x: the decode of
-    nested_slice_images, one from_kronecker per slice.  Same contract as
-    that fold, ValueError included."""
-    images, width, row = nested_slice_images(letters)
-    return tuple(from_kronecker(t, VARS_XZ, width, row) for t in images)
-
-
-@lru_cache(maxsize=None)
-def _trace_xyz(letters) -> MultiPoly:
-    x = MultiPoly.variable("x", VARS_XYZ)
-    y = MultiPoly.variable("y", VARS_XYZ)
-    z = MultiPoly.variable("z", VARS_XYZ)
-    return trace_poly_with(FreeWord(letters), x, y, z)
-
-
-def trace_poly(word) -> MultiPoly:
-    """Trace polynomial in (x, y, z) of a FreeWord, which is reduced by
-    construction, or of a raw letter sequence, which is reduced first."""
-    if not isinstance(word, FreeWord):
-        word = reduce_word(word)
-    return _trace_xyz(word.letters)
-
-
-@lru_cache(maxsize=None)
-def _power_vectors(gen: int, letters) -> dict:
-    """Coefficient vectors of g^k * word by k, filled in by power_trace."""
+def trace_poly(word: FreeWord) -> MultiPoly:
+    """Trace polynomial in (x, y, z) of a FreeWord."""
     x, y, z = (MultiPoly.variable(v, VARS_XYZ) for v in VARS_XYZ)
-    return {0: _fold(letters, x, y, z)}
-
-
-def power_trace(gen: int, exp: int, word: FreeWord) -> MultiPoly:
-    """Trace polynomial in (x, y, z) of g^exp * word, g = gen.
-
-    The vectors of g^k * word are kept per (gen, word) for every k between
-    0 and the exponents asked so far; a new exponent is reached from the
-    nearest kept one with one left fold step g^(+-1) per power, so a run
-    over consecutive exponents costs one step each.
-    """
-    vectors = _power_vectors(gen, word.letters)
-    muls = [MultiPoly.variable(v, VARS_XYZ).__mul__ for v in VARS_XYZ]
-    step = 1 if exp > 0 else -1
-    k = exp
-    while k not in vectors:
-        k -= step
-    while k != exp:
-        vectors[k + step] = _mul_left(gen, step, vectors[k], *muls)
-        k += step
-    return _trace_of(vectors[exp], *muls)
+    return trace_poly_with(word, x, y, z)
 
 
 # -- Chebyshev-like polynomials ------------------------------------------

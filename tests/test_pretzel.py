@@ -2,6 +2,7 @@
 (-2, 3, 2n+1) pretzel family."""
 
 import random
+import sys
 from fractions import Fraction
 from operator import sub
 
@@ -23,7 +24,8 @@ from knotpoly.pretzel import (PretzelKnot, a_poly, b_poly,
                               _relation_difference, _relation_parts)
 from knotpoly.report import InternalInconsistencyError
 from knotpoly.sl2trace import (FreeWord, GENERATOR_A, GENERATOR_B,
-                               mat2_mul, reduce_word, word_matrix)
+                               mat2_mul, reduce_word, trace_poly,
+                               word_matrix)
 from knotpoly.verify import check_closed_forms, check_witnesses
 
 VARS_XYZ = ("x", "y", "z")
@@ -46,6 +48,38 @@ def test_closed_forms_match_traced_rebuild():
     assert traced_p() == defining_p()
     for n in range(-100, 101):
         assert traced_q(n) == defining_q(n), n
+
+
+def test_traced_q_matches_a_fold_of_the_whole_word():
+    # the recurrence against tr(w^n E a) - tr(w^n a F) folded letter by
+    # letter, w^n included
+    a = ((GENERATOR_A, 1),)
+    for n in range(-12, 13):
+        w_n = ((GENERATOR_B, n),)
+        whole = (trace_poly(reduce_word(w_n + word_e().letters + a))
+                 - trace_poly(reduce_word(w_n + a + word_f().letters)))
+        assert traced_q(n) == whole, n
+
+
+def _stack_depth():
+    frame, depth = sys._getframe(), 0
+    while frame is not None:
+        frame, depth = frame.f_back, depth + 1
+    return depth
+
+
+@pytest.mark.parametrize("n", [300, -300])
+def test_cold_traced_q_steps_in_a_loop(n):
+    # a recursive step per n would need about |n| frames
+    traced_q.cache_clear()
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(_stack_depth() + 100)
+    try:
+        q = traced_q(n)
+    finally:
+        sys.setrecursionlimit(limit)
+        traced_q.cache_clear()
+    assert q == defining_q(n)
 
 
 def test_closed_form_report_passes():
@@ -208,7 +242,7 @@ def test_membership_certificate_rejects_a_non_integral_cofactor():
     # z = (1/2) * 2z has only a rational cofactor
     z = MultiPoly.variable("z", ("y", "z"))
     with pytest.raises(InternalInconsistencyError, match="non-integral"):
-        membership_certificate(z, (2 * z,), bounds=((1, 1),))
+        membership_certificate(z, (2 * z,))
 
 
 def _fraction_solve(rows, rhs):
@@ -292,7 +326,7 @@ def test_membership_certificate_returns_none_when_unreachable():
     p0 = slice_p()
     one = MultiPoly.const(("y", "z"), 1)
     # 1 is not in the ideal generated by a single non-unit
-    assert membership_certificate(one, (p0,), bounds=((2, 2),)) is None
+    assert membership_certificate(one, (p0,)) is None
 
 
 # -- representation witnesses ----------------------------------------------

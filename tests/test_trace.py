@@ -9,12 +9,12 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from knotpoly import sl2trace, verify
-from knotpoly.exactpoly import MultiPoly
+from knotpoly import pretzel, sl2trace, verify
+from knotpoly.exactpoly import MultiPoly, from_kronecker
 from knotpoly.sl2trace import (DEFAULT_SEED, FreeWord, GENERATOR_A,
                                GENERATOR_B, VARS_XYZ, VARS_XZ, _mul_left,
                                chebyshev_s, chebyshev_t, mat2_mul, mat2_pow,
-                               nested_slice_traces, random_reduced_word,
+                               nested_slice_images, random_reduced_word,
                                reduce_word, trace_poly, trace_poly_with,
                                trace_proved, word_from_string, word_matrix,
                                word_to_string)
@@ -90,10 +90,10 @@ def test_generator_traces():
     assert trace_poly(w("b")) == X
 
 
-def test_trace_poly_reduces_a_raw_letter_sequence():
+def test_trace_of_a_reduced_raw_letter_sequence():
     raw = [(GENERATOR_A, 1), (GENERATOR_A, 1), (GENERATOR_B, -1),
            (GENERATOR_B, 1), (GENERATOR_B, 0)]
-    assert trace_poly(raw) == trace_poly(w("a^2")) == X ** 2 - 2
+    assert trace_poly(reduce_word(raw)) == trace_poly(w("a^2")) == X ** 2 - 2
 
 
 def test_inverse_pair_trace():
@@ -163,13 +163,19 @@ def symmetric_words(draw, max_half=7):
     return FreeWord(tuple(half) + tuple((1 - g, e) for g, e in half[::-1]))
 
 
+def decode_slices(letters):
+    """The packed nested slice traces of letters, each decoded."""
+    images, width, row = nested_slice_images(letters)
+    return [from_kronecker(t, VARS_XZ, width, row) for t in images]
+
+
 @settings(max_examples=60, deadline=None)
 @given(symmetric_words())
 def test_nested_slice_traces_match_per_slice_folds(word):
     letters = word.letters
     x = MultiPoly.variable("x", VARS_XZ)
     z = MultiPoly.variable("z", VARS_XZ)
-    traces = nested_slice_traces(letters)
+    traces = decode_slices(letters)
     assert len(traces) == len(letters) // 2
     for j, tr in enumerate(traces):
         sliced = FreeWord(letters[j:len(letters) - j])
@@ -185,7 +191,7 @@ def test_nested_slice_traces_match_per_slice_folds(word):
 ])
 def test_nested_slice_traces_reject_asymmetric_words(letters):
     with pytest.raises(ValueError):
-        nested_slice_traces(letters)
+        nested_slice_images(letters)
 
 
 def _coeff_matrix(coeffs, ma, mb):
@@ -333,32 +339,45 @@ def test_kronecker_proof_agrees_with_the_generic_pair(monkeypatch):
             assert trace_proved(word) == verdict, word
 
 
-@pytest.fixture
-def fresh_trace_cache():
-    sl2trace._trace_xyz.cache_clear()
-    yield
-    sl2trace._trace_xyz.cache_clear()
+def wrong_mul_left(gen, exp, coeffs, mx, my, mz):
+    """_mul_left with one wrong entry in the b^-1 row."""
+    if gen == GENERATOR_A or exp > 0:
+        return _mul_left(gen, exp, coeffs, mx, my, mz)
+    al, be, ga, de = coeffs
+    for _ in range(-exp):
+        # the b^-1 row with the sign of mz(de) flipped
+        al, be, ga, de = (my(al) - mz(be) + mx(my(be)) + ga + mx(de),
+                          -de,
+                          -al - mx(be) + mz(de),
+                          my(de) + be)
+    return al, be, ga, de
 
 
-def test_trace_oracle_catches_a_wrong_table_row(monkeypatch,
-                                                fresh_trace_cache):
-    def wrong_mul_left(gen, exp, coeffs, mx, my, mz):
-        if gen == GENERATOR_A or exp > 0:
-            return _mul_left(gen, exp, coeffs, mx, my, mz)
-        al, be, ga, de = coeffs
-        for _ in range(-exp):
-            # the b^-1 row with the sign of mz(de) flipped
-            al, be, ga, de = (my(al) - mz(be) + mx(my(be)) + ga + mx(de),
-                              -de,
-                              -al - mx(be) + mz(de),
-                              my(de) + be)
-        return al, be, ga, de
-
+def test_trace_oracle_catches_a_wrong_table_row(monkeypatch):
     monkeypatch.setattr(sl2trace, "_mul_left", wrong_mul_left)
     report, = check_trace_oracle()
     assert report.status == "fail"
     failed = report.details["failed_words"]
     assert failed and all("b^-" in word for word in failed)
+
+
+@pytest.fixture
+def fresh_pretzel_traces():
+    pretzel.traced_p.cache_clear()
+    pretzel.traced_q.cache_clear()
+    yield
+    pretzel.traced_p.cache_clear()
+    pretzel.traced_q.cache_clear()
+
+
+def test_traced_q_steps_a_wrong_table_row_forward(monkeypatch,
+                                                  fresh_pretzel_traces):
+    # Q_7 is stepped from the folds of Q_0 and Q_1 by the recurrence, so
+    # an error in the table reaches it through them and is not hidden
+    monkeypatch.setattr(sl2trace, "_mul_left", wrong_mul_left)
+    report = pretzel.closed_form_report(7)
+    assert report.status == "fail"
+    assert report.details["q_ok"] is False
 
 
 def test_trace_oracle_proves_each_distinct_word_once(monkeypatch):
