@@ -25,8 +25,8 @@ from .report import InternalInconsistencyError, all_passed, sort_reports
 from .sl2trace import (DEFAULT_SEED, trace_poly, word_from_string,
                        word_to_string)
 from .twobridge import (TwoBridgeKnot, character_polynomial,
-                        character_polynomial_even, irreducibility_certificate,
-                        leading_term_report, structural_reports)
+                        irreducibility_certificate, leading_term_report,
+                        structural_reports)
 from . import verify
 
 # Input size caps: past them a query runs for minutes, so it is refused.
@@ -90,7 +90,7 @@ def _run_twobridge(args):
                          f"{TWOBRIDGE_P_MAX}")
     knot = TwoBridgeKnot(args.p, args.m)
     phi = character_polynomial(knot)
-    gamma = character_polynomial_even(knot, phi)
+    gamma = phi.substitute_square("x", "X")
     payload = {
         "phi": phi.to_text(),
         "gamma": gamma.to_text(),

@@ -33,9 +33,11 @@ the box, and the two ints are multiplied once.  Other products, small or
 sparse, take the dict double loop.  The packing is private; the term map
 stays the only representation.  ``from_kronecker`` reads a bivariate image
 packed elsewhere (the two-bridge slice fold) back into a polynomial,
-through the same unpack helper as the product.  ``kronecker_point`` gives
-the point, for a coefficient bound and degree bounds, at which an
-identity of integer polynomials is proved by comparing two ints.
+through the same unpack helper as the product, and
+``top_part_from_kronecker`` reads only its top-degree slots, with no
+decode.  ``kronecker_point`` gives the point, for a coefficient bound and
+degree bounds, at which an identity of integer polynomials is proved by
+comparing two ints.
 
 ``MultiPoly.evaluate`` runs Horner's scheme in the arithmetic of the
 point's values: exact at integer, rational or ``MultiPoly`` values (the
@@ -257,21 +259,17 @@ def slot_bytes(bits: int) -> int:
                 (bits + 7) // 8)
 
 
-def _unpack(value: int, width: int, count: int, keys, stride: int = 1):
-    """Term map of a packed int: its first count balanced digits in base
-    2^(8 * width), every stride-th one read and paired with the next of
-    keys; zero digits are dropped.
+def _biased_slots(value: int, width: int, count: int, stride: int) -> bytes:
+    """The first count balanced digits of a packed int in base 2^(8 *
+    width), each plus half = 2^(8 * width - 1), as count slots of bytes.
 
-    Every digit must lie strictly between -half and half, half = 2^(8 *
-    width - 1).  Adding half to every slot then makes each digit
-    nonnegative without a carry, and a slot that reads exactly half is a
-    zero coefficient.  A slot skipped by the stride that does not read
-    half raises ValueError; the skipped slots are compared one byte column
-    at a time.  Native widths are read through memoryview, wider ones by
-    int.from_bytes.
+    Every digit must lie strictly between -half and half.  Adding half to
+    every slot then makes each digit nonnegative without a carry, and a
+    slot that reads exactly half is a zero coefficient.  A slot skipped by
+    the stride that does not read half raises ValueError; the skipped
+    slots are compared one byte column at a time.
     """
-    half = 1 << (8 * width - 1)
-    zero = half.to_bytes(width, _ORDER)
+    zero = (1 << (8 * width - 1)).to_bytes(width, _ORDER)
     bias = int.from_bytes(zero * count, _ORDER)
     raw = (value + bias).to_bytes(count * width, _ORDER)
     step = stride * width
@@ -279,6 +277,18 @@ def _unpack(value: int, width: int, count: int, keys, stride: int = 1):
         col = raw[i::step]
         if col != zero[i % width:i % width + 1] * len(col):
             raise ValueError("a slot skipped in a packed int is not zero")
+    return raw
+
+
+def _unpack(value: int, width: int, count: int, keys, stride: int = 1):
+    """Term map of a packed int: its first count balanced digits in base
+    2^(8 * width), every stride-th one read from _biased_slots and paired
+    with the next of keys; zero digits are dropped.  Native widths are
+    read through memoryview, wider ones by int.from_bytes.
+    """
+    half = 1 << (8 * width - 1)
+    raw = _biased_slots(value, width, count, stride)
+    step = stride * width
     if width in _SLOT_FORMATS:
         slots = memoryview(raw).cast(_SLOT_FORMATS[width])[::stride]
     else:
@@ -311,6 +321,37 @@ def from_kronecker(value: int, vars, width: int, row: int) -> "MultiPoly":
                                for r in range(one, one + rows * sv, sv))
     return MultiPoly._new(tuple(vars), (False, False),
                           _unpack(value, width, rows * row, keys, 2))
+
+
+def top_part_from_kronecker(value: int, width: int, row: int,
+                            degree: int) -> list:
+    """[c_0, ..., c_D], c_k the coefficient of X^k z^(D - k), X = x^2 and
+    D = degree, of the polynomial in (x, z), even in x, whose image
+    from_kronecker reads; only those D + 1 slots are decoded.  ValueError
+    when a slot of an odd x-power (_biased_slots' byte columns) or of a
+    term of total degree above D (one bytes compare per row) is not zero.
+    """
+    s = 8 * width
+    # the top digit sits in slot bit_length // s (see from_kronecker)
+    rows = max((value.bit_length() // s) // row, degree) + 1
+    try:
+        raw = _biased_slots(value, width, rows * row, 2)
+    except ValueError:
+        raise ValueError("odd x-power") from None
+    if rows > degree + 1:
+        raise ValueError(f"term above total degree {degree}")
+    half = 1 << (s - 1)
+    zero = half.to_bytes(width, _ORDER)
+    top = [0] * (degree + 1)
+    # the row of z^j holds x^0 .. x^(row - 1): X^(D - j) z^j has a slot,
+    # and the row slots past it, when 2 * (D - j) < row
+    for j in range(max(degree + 1 - row // 2, 0), degree + 1):
+        e = 2 * (degree - j)
+        i = (j * row + e) * width
+        if raw[i + width:(j + 1) * row * width] != zero * (row - e - 1):
+            raise ValueError(f"term above total degree {degree}")
+        top[degree - j] = int.from_bytes(raw[i:i + width], _ORDER) - half
+    return top
 
 
 def kronecker_point(norm: int, degrees) -> tuple:

@@ -24,8 +24,9 @@ to tr(A), st just swaps beta and gamma.  That fold, nested_slice_images,
 runs on the Kronecker images x = 2^s, z = 2^(s*row) over Z (Harvey,
 J. Symb. Comput. 2009), with s taken from a proven bound on the sum of the
 slices' coefficient norms.  The images stay packed: a caller adds and
-subtracts them as ints and decodes, with from_kronecker, only the sums and
-slices it reads.
+subtracts them as ints, decodes with from_kronecker only the sums it
+reads, and reads a slice's top part, undecoded, with
+top_part_from_kronecker.
 
 2x2 matrices are row-major 4-tuples (a, b, c, d) over any ring, such as
 int, MultiPoly or RationalFunction.  The package has one product,

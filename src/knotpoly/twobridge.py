@@ -23,7 +23,7 @@ from math import comb, gcd
 from operator import mul
 
 from .exactpoly import (MultiPoly, exact_div, exponent_reader, from_kronecker,
-                        monomial_key, newton_polygon)
+                        newton_polygon, top_part_from_kronecker)
 from .report import (InternalInconsistencyError, STATUS_FAIL, STATUS_PASS,
                      VerificationReport, status_of)
 from .sl2trace import (FreeWord, GENERATOR_A, GENERATOR_B, VARS_XZ,
@@ -103,21 +103,26 @@ def _meridian_trace(letters) -> tuple:
     Binding y to x also makes each trace symmetric under swapping the
     generators, so a slice's trace does not depend on which generator it
     starts with.  The images stay packed: character_polynomial decodes
-    only their sum, and leading_term_report the slices it reads.  The
-    cache holds a few bridge words: every report of one knot reads the
-    same entry.
+    only their sum, and leading_term_report reads just each slice's top
+    part, with top_part_from_kronecker.  The cache holds a few bridge
+    words: every report of one knot reads the same entry.
     """
     return nested_slice_images(letters)
 
 
-def _decode(image: int, width: int, row: int, what: str) -> MultiPoly:
-    """from_kronecker(image, VARS_XZ, width, row); an odd x-power in the
-    image, which no slice trace has, is an InternalInconsistencyError
-    naming what was decoded."""
+def _check_packed_top(image: int, width: int, row: int, degree: int,
+                      c: int, what: str) -> None:
+    """InternalInconsistencyError unless image packs a polynomial even in
+    x whose top part in X = x^2 and z, at total degree degree, is
+    z^(degree-c) (z-X)^c = sum_k C(c, k) (-1)^k X^k z^(degree-k)."""
     try:
-        return from_kronecker(image, VARS_XZ, width, row)
-    except ValueError:
-        raise InternalInconsistencyError(f"odd x-power in {what}") from None
+        top = top_part_from_kronecker(image, width, row, degree)
+    except ValueError as err:
+        raise InternalInconsistencyError(f"{err} in {what}") from None
+    if top != [(-1) ** k * comb(c, k) for k in range(c + 1)] \
+            + [0] * (degree - c):
+        raise InternalInconsistencyError(
+            f"leading part of {what} is not z^{degree - c} (z-X)^{c}")
 
 
 def character_polynomial(knot: TwoBridgeKnot) -> MultiPoly:
@@ -126,52 +131,16 @@ def character_polynomial(knot: TwoBridgeKnot) -> MultiPoly:
     The j-th summand deletes j letters from each end of the bridge word;
     alternating generators cannot cancel, so slices stay reduced.  The sum
     is taken over the slices' Kronecker images as ints, with (-1)^d in
-    slot 0, and decoded once: the slot holds the slices' coefficient norms
-    summed plus one, a bound on every coefficient of phi.  The decode
-    rejects any odd x-power, and the result is checked to carry z-leading
-    term z^d.
+    slot 0: the slot holds the slices' coefficient norms summed plus one,
+    a bound on every coefficient of phi.  The packed sum is checked to be
+    even in x with top part z^(d-c) (z-X)^c, X = x^2, and then decoded
+    once.
     """
-    d = knot.d
     images, width, row = _meridian_trace(bridge_word(knot).letters)
-    total = _decode(sum(images[::2]) - sum(images[1::2]) + (-1) ** d,
-                    width, row, f"character polynomial of {knot.label()}")
-    if total.degree_in("z") != d or total.coeff_in("z", d) != 1:
-        raise InternalInconsistencyError(
-            f"z-leading term of {knot.label()} is not z^{d}")
-    return total
-
-
-def character_polynomial_even(knot: TwoBridgeKnot,
-                              phi: MultiPoly) -> MultiPoly:
-    """The knot's character polynomial phi with x^2 collapsed to X; top
-    part is checked to factor as z^(d-c) (z - X)^c."""
-    gamma = phi.substitute_square("x", "X")
-    _check_top_part(gamma, knot.d, knot.c, knot.label())
-    return gamma
-
-
-def _xz_key(vars, i: int, j: int) -> int:
-    """The key of X^i z^j over vars."""
-    return monomial_key(tuple(i if v == "X" else j if v == "z" else 0
-                              for v in vars))
-
-
-def _check_top_part(poly: MultiPoly, degree: int, c: int, label: str):
-    """InternalInconsistencyError unless poly, in X and z, has total degree
-    degree and top part z^(degree-c) (z-X)^c, that is
-    sum_k C(c, k) (-1)^k X^k z^(degree-k)."""
-    if poly.total_degree() != degree:
-        raise InternalInconsistencyError(
-            f"total degree of {label} is {poly.total_degree()}, wanted {degree}")
-    # keys order by total degree first; over exponents >= 0 the least key of
-    # a total degree is that of the last variable's power
-    floor = monomial_key((0,) * (len(poly.vars) - 1) + (degree,))
-    top = {k: v for k, v in poly.terms.items() if k >= floor}
-    want = {_xz_key(poly.vars, k, degree - k): (-1) ** k * comb(c, k)
-            for k in range(c + 1)}
-    if top != want:
-        raise InternalInconsistencyError(
-            f"leading part of {label} is not z^{degree - c} (z-X)^{c}")
+    total = sum(images[::2]) - sum(images[1::2]) + (-1) ** knot.d
+    _check_packed_top(total, width, row, knot.d, knot.c,
+                      f"character polynomial of {knot.label()}")
+    return from_kronecker(total, VARS_XZ, width, row)
 
 
 def x_zero_profile(knot: TwoBridgeKnot, phi: MultiPoly) -> VerificationReport:
@@ -206,30 +175,25 @@ def leading_term_report(knot: TwoBridgeKnot) -> VerificationReport:
     with x^2 collapsed to X, must have total degree d+1-j and leading
     part z^(d+1-j-c_j) (z - X)^(c_j) where c_j counts sign changes
     mu_k = nu_k nu_(k+1) = -1 over k in [j, d].  That word is the j-th
-    nested slice of the bridge word, up to swapping the generators.
+    nested slice of the bridge word, up to swapping the generators; its
+    top part is read from the packed slice image, which is not decoded.
     """
     eps = sign_sequence(knot)
     d = knot.d
     mu = [eps[k] * eps[k + 1] for k in range(d)]  # mu_j for j = 1..d
     images, width, row = _meridian_trace(bridge_word(knot).letters)
-    per_j = []
-    ok = True
-    for j in range(1, d + 1):
-        c_j = sum(1 for k in range(j - 1, d) if mu[k] == -1)
-        entry = {"j": j, "c_j": c_j}
-        label = f"{knot.label()} slice {j}"
+    c_js = [sum(1 for k in range(j - 1, d) if mu[k] == -1)
+            for j in range(1, d + 1)]
+    failed = []
+    for j, c_j in enumerate(c_js, start=1):
         try:
-            tr = _decode(images[j - 1], width, row, label)
-            gamma = tr.substitute_square("x", "X")
-            _check_top_part(gamma, d + 1 - j, c_j, label)
-            entry["ok"] = True
-        except (InternalInconsistencyError, ValueError) as err:
-            entry["ok"] = False
-            entry["error"] = str(err)
-            ok = False
-        per_j.append(entry)
+            _check_packed_top(images[j - 1], width, row, d + 1 - j, c_j,
+                              f"{knot.label()} slice {j}")
+        except InternalInconsistencyError as err:
+            failed.append({"j": j, "error": str(err)})
     return VerificationReport("leading-terms", knot.label(),
-                              status_of(ok), {"per_j": per_j})
+                              status_of(not failed),
+                              {"c_j": c_js, "failed": failed})
 
 
 def riley_check(knot: TwoBridgeKnot, gamma: MultiPoly) -> None:
@@ -288,10 +252,9 @@ def is_prime(n: int) -> bool:
 
 
 def irreducibility_certificate(knot: TwoBridgeKnot) -> IrreducibilityCertificate:
-    """Guaranteed C-irreducibility needs p prime and gcd(d, c) = 1,
-    reading gcd(d, 0) as d."""
-    g = gcd(knot.d, knot.c) if knot.c != 0 else knot.d
-    if is_prime(knot.p) and g == 1:
+    """Guaranteed C-irreducibility needs p prime and gcd(d, c) = 1, where
+    gcd(d, 0) = d."""
+    if is_prime(knot.p) and gcd(knot.d, knot.c) == 1:
         return IrreducibilityCertificate.GUARANTEED_IRREDUCIBLE_OVER_C
     return IrreducibilityCertificate.UNKNOWN
 
@@ -349,7 +312,7 @@ def structural_reports(knot: TwoBridgeKnot, phi: MultiPoly = None,
         if phi is None:
             phi = character_polynomial(knot)
         if gamma is None:
-            gamma = character_polynomial_even(knot, phi)
+            gamma = phi.substitute_square("x", "X")
         riley_check(knot, gamma)
         reports.append(VerificationReport(
             "character-structure", knot.label(), STATUS_PASS,

@@ -28,8 +28,6 @@ RADICAL_DIRECT_NS = (0, 1, 2)
 WITNESS_RANGE = (-4, 4)
 
 TWOBRIDGE_P_MAX = 45
-LEADING_P_MAX = 31
-IRREDUCIBILITY_P_MAX = 23
 
 QT_RANDOM_CASES = 200
 QT_WINDOW = (-20, 20)
@@ -93,17 +91,16 @@ def check_witnesses(n_range=None) -> list:
 
 
 def check_two_bridge(p_max: int = TWOBRIDGE_P_MAX) -> list:
-    """Structural suite for every valid (p, m), with the per-slice leading
-    term checks up to LEADING_P_MAX."""
+    """Structural suite and per-slice leading terms for every valid (p, m)
+    with p <= p_max: phi is decoded once per knot, and no slice at all."""
     reports = []
     for knot in twobridge.all_knots(p_max):
         reports.extend(twobridge.structural_reports(knot))
-        if knot.p <= LEADING_P_MAX:
-            reports.append(twobridge.leading_term_report(knot))
+        reports.append(twobridge.leading_term_report(knot))
     return reports
 
 
-def check_irreducibility(p_max: int = IRREDUCIBILITY_P_MAX) -> list:
+def check_irreducibility(p_max: int = TWOBRIDGE_P_MAX) -> list:
     """Primality verdict for S_d - S_(d-1) against its exact factorization
     into the Psi_q(-z), q | p; one factor exactly when p is prime."""
     reports = []
@@ -204,9 +201,7 @@ def check_trace_oracle(seed: int = DEFAULT_SEED) -> list:
 
 
 def suite_twobridge(p_max: int = TWOBRIDGE_P_MAX) -> list:
-    return sort_reports(check_two_bridge(p_max)
-                        + check_irreducibility(min(p_max,
-                                                   IRREDUCIBILITY_P_MAX)))
+    return sort_reports(check_two_bridge(p_max) + check_irreducibility(p_max))
 
 
 def suite_pretzel(n_range=None) -> list:

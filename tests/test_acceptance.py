@@ -44,13 +44,13 @@ def test_witness_lemmas():
 
 
 def test_two_bridge_suite():
-    run_gate("two-bridge structure to p = 45, leading terms to p = 31", 120.0,
+    run_gate("two-bridge structure to p = 45, leading terms to p = 45", 120.0,
              verify.check_two_bridge, verify.TWOBRIDGE_P_MAX)
 
 
 def test_irreducibility_crosscheck():
-    run_gate("irreducibility certificates vs factorization, odd p to 23", 30.0,
-             verify.check_irreducibility, verify.IRREDUCIBILITY_P_MAX)
+    run_gate("irreducibility certificates vs factorization, odd p to 45", 30.0,
+             verify.check_irreducibility, verify.TWOBRIDGE_P_MAX)
 
 
 def test_quantum_torus():

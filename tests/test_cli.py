@@ -9,6 +9,7 @@ from knotpoly.cli import (QTORUS_N_MAX, TRACE_MAX_LETTERS, TWOBRIDGE_P_MAX,
                           VERIFY_P_MAX, main)
 from knotpoly.exactpoly import EXPONENT_BOUND, InexactDivisionError, MultiPoly
 from knotpoly.report import InternalInconsistencyError
+from knotpoly.twobridge import all_knots
 
 
 def run(capsys, *args):
@@ -176,6 +177,22 @@ def test_verify_rejects_p_over_the_cap(capsys):
     assert "error:" in captured.err
     assert str(VERIFY_P_MAX) in captured.err
     assert captured.out == ""
+
+
+def test_verify_twobridge_checks_leading_terms_and_irreducibility_to_p(
+        capsys):
+    # both claims follow --p: one leading-terms report per knot and one
+    # irreducibility cross-check per odd p, with no cap of their own
+    code, doc, _ = run_json(capsys, "verify", "--suite", "twobridge",
+                            "--p", "15")
+    assert code == 0
+    subjects = {}
+    for r in doc["reports"]:
+        subjects.setdefault(r["claim_id"], []).append(r["subject"])
+    assert sorted(subjects["leading-terms"]) == \
+        sorted(k.label() for k in all_knots(15))
+    assert sorted(subjects["irreducibility-crosscheck"]) == \
+        sorted(f"p={p}" for p in range(3, 16, 2))
 
 
 @pytest.mark.parametrize("args", [

@@ -435,6 +435,40 @@ def test_from_kronecker_reads_back_every_even_term(bits):
         == -got
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from([8, 64, 65, 150]), st.integers(1, 4),
+       st.integers(0, 6), st.data())
+def test_top_part_from_kronecker_reads_the_anti_diagonal(bits, half_row,
+                                                         degree, data):
+    # even terms of total degree at most D in X = x^2 and z, coefficients
+    # up to one below half a slot, of both signs, at the memoryview widths
+    # and past them; then at most one planted term, at an odd x-power or
+    # above degree D, which must raise
+    width = exactpoly.slot_bytes(bits)
+    s, row = 8 * width, 2 * half_row
+    top = (1 << (s - 1)) - 1
+    coeffs = st.integers(-top, top).filter(bool)
+    slots = [(2 * i, j) for i in range(half_row) for j in range(degree + 1)
+             if i + j <= degree]
+    terms = data.draw(st.dictionaries(st.sampled_from(slots), coeffs))
+    fault = data.draw(st.sampled_from([None, "odd x-power",
+                                       "above total degree"]))
+    i = data.draw(st.integers(0, half_row - 1))
+    if fault == "odd x-power":
+        terms[(2 * i + 1, data.draw(st.integers(0, degree + 2)))] = \
+            data.draw(coeffs)
+    elif fault:
+        j = data.draw(st.integers(degree + 1 - i, degree + 2))
+        terms[(2 * i, j)] = data.draw(coeffs)
+    value = sum(c << (s * (i + row * j)) for (i, j), c in terms.items())
+    if fault:
+        with pytest.raises(ValueError, match=fault):
+            exactpoly.top_part_from_kronecker(value, width, row, degree)
+    else:
+        assert exactpoly.top_part_from_kronecker(value, width, row, degree) \
+            == [terms.get((2 * k, degree - k), 0) for k in range(degree + 1)]
+
+
 @pytest.mark.parametrize("bits", [8, 64, 65, 150])
 def test_from_kronecker_rejects_an_odd_power(bits):
     # a term with an odd x-power beside even ones, of either sign, small

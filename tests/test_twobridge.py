@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from knotpoly import cli, twobridge
+from knotpoly import cli, twobridge, verify
 from knotpoly.exactpoly import (MultiPoly, from_kronecker, newton_polygon,
                                 slot_bytes)
 from knotpoly.report import InternalInconsistencyError
@@ -16,10 +16,9 @@ from knotpoly.sl2trace import (FreeWord, GENERATOR_A, GENERATOR_B,
                                _nested_traces, _trace_norms,
                                nested_slice_images, trace_poly_with)
 from knotpoly.twobridge import (IrreducibilityCertificate, TwoBridgeKnot,
-                                VARS_XZ, _check_top_part, _meridian_trace,
+                                VARS_XZ, _check_packed_top, _meridian_trace,
                                 all_knots, bridge_word,
                                 character_polynomial,
-                                character_polynomial_even,
                                 chebyshev_difference,
                                 chebyshev_difference_factors,
                                 irreducibility_certificate,
@@ -38,6 +37,11 @@ def decoded_slices(k):
     """The cached packed slice traces of k, each decoded."""
     images, width, row = _meridian_trace(bridge_word(k).letters)
     return [from_kronecker(t, VARS_XZ, width, row) for t in images]
+
+
+def even_form(phi):
+    """phi with x^2 collapsed to X."""
+    return phi.substitute_square("x", "X")
 
 
 # -- normal form -----------------------------------------------------------
@@ -95,7 +99,7 @@ def test_seven_three_character_polynomial():
     phi = character_polynomial(k)
     assert phi.to_text() == \
         "-x^2*z^2 + 3*x^2*z + z^3 - 2*x^2 - z^2 - 2*z + 1"
-    assert character_polynomial_even(k, phi).to_text() == \
+    assert even_form(phi).to_text() == \
         "-X*z^2 + z^3 + 3*X*z - z^2 - 2*X - 2*z + 1"
 
 
@@ -176,7 +180,7 @@ def test_packed_phi_matches_the_sum_of_decoded_slices():
 def test_even_form_substitutes_back():
     for k in (knot(5, 3), knot(9, 5), knot(11, 7)):
         phi = character_polynomial(k)
-        gamma = character_polynomial_even(k, phi)
+        gamma = even_form(phi)
         i = gamma.vars.index("X")
         assert gamma.vars[:i] + ("x",) + gamma.vars[i + 1:] == phi.vars
         lifted = MultiPoly(phi.vars,
@@ -207,10 +211,9 @@ def test_x_zero_slice_is_chebyshev_difference():
 def test_newton_vertices_present():
     for k in all_knots(13):
         phi = character_polynomial(k)
-        rep = newton_vertex_report(k, character_polynomial_even(k, phi))
+        rep = newton_vertex_report(k, even_form(phi))
         assert rep.status == "pass", rep.details
-    phi = character_polynomial(knot(7, 3))
-    hull = newton_polygon(character_polynomial_even(knot(7, 3), phi))
+    hull = newton_polygon(even_form(character_polynomial(knot(7, 3))))
     assert (0, 3) in hull and (1, 2) in hull
 
 
@@ -238,7 +241,7 @@ def test_newton_polygon_of_column_ends_is_the_hull_of_every_term():
     # X-power; every gamma with p <= 45 gets the same vertices, in the
     # same order, as the chain over all its terms
     for k in all_knots(45):
-        gamma = character_polynomial_even(k, character_polynomial(k))
+        gamma = even_form(character_polynomial(k))
         assert newton_polygon(gamma) == _hull_of_every_term(gamma), k.label()
 
 
@@ -259,28 +262,29 @@ def test_structural_reports_bundle(monkeypatch):
     assert all(r.status == "pass" for r in reports)
     assert built == [knot(7, 3)]
     phi = build(knot(7, 3))
-    gamma = character_polynomial_even(knot(7, 3), phi)
+    gamma = even_form(phi)
     assert structural_reports(knot(7, 3), phi, gamma) == reports
     assert structural_reports(knot(7, 3), phi) == reports
     assert built == [knot(7, 3)]
 
 
 def test_structural_reports_reject_a_phi_of_another_knot():
-    # gamma is built from the given phi inside the check, so a phi whose
-    # top part does not fit the knot becomes a failing report
+    # gamma is built from the given phi inside the check, and Riley's
+    # identity for the knot rejects it, so a phi of another knot becomes
+    # a failing report
     phi = character_polynomial(knot(5, 1))
     reports = structural_reports(knot(7, 3), phi)
     assert [(r.claim_id, r.status) for r in reports] == [
         ("character-structure", "fail")]
-    assert "error" in reports[0].details
+    assert "Riley" in reports[0].details["error"]
 
 
 def test_an_odd_x_slot_fails_the_reports(monkeypatch, capsys):
     # 2^s is the slot of x^1: added to b(7,3)'s first slice image, and so
     # to the summed image of phi, it decoded to the same phi before the
     # odd slots were checked.  Now it is the odd x-power inconsistency: a
-    # failed character-structure report and a failed slice entry, so
-    # verify exits 1 and the twobridge query 3, never the bad-input 2.
+    # failed character-structure report and a failed slice, so verify
+    # exits 1 and the twobridge query 3, never the bad-input 2.
     k = knot(7, 3)
     target = bridge_word(k).letters
     images, width, row = _meridian_trace(target)
@@ -296,9 +300,9 @@ def test_an_odd_x_slot_fails_the_reports(monkeypatch, capsys):
     assert [(r.claim_id, r.status) for r in reports] == [
         ("character-structure", "fail")]
     assert "odd x-power" in reports[0].details["error"]
-    per_j = leading_term_report(k).details["per_j"]
-    assert [e["ok"] for e in per_j] == [False, True, True]
-    assert per_j[0]["error"] == "odd x-power in b(7,3) slice 1"
+    assert leading_term_report(k).details == {
+        "c_j": [1, 1, 0],
+        "failed": [{"j": 1, "error": "odd x-power in b(7,3) slice 1"}]}
     assert cli.main(["verify", "--suite", "twobridge", "--p", "7"]) == 1
     assert cli.main(["twobridge", "--p", "7", "--m", "3"]) == 3
     assert "odd x-power" in capsys.readouterr().err
@@ -317,41 +321,71 @@ def _top_part_by_expansion(poly, degree, c):
         raise InternalInconsistencyError("leading part")
 
 
-def _wrong_tops(poly, degree, c):
-    """poly with a changed binomial coefficient, an extra top-degree term
+def _wrong_tops(width, row, degree, c):
+    """Slot perturbations of an image whose top part is z^(degree-c)
+    (z-X)^c: a changed binomial coefficient, an extra top-degree term
     (when c < degree), its z^degree term dropped, and a term above
     degree."""
-    def mono(i, j):
-        return MultiPoly(poly.vars, {(i, j): 1})
-    yield poly + mono(c // 2, degree - c // 2)
+    def slot(i, j):  # the slot of X^i z^j, that is of x^(2i) z^j
+        return 1 << (8 * width * (2 * i + row * j))
+    yield slot(c // 2, degree - c // 2)
     if c < degree:
-        yield poly + mono(c + 1, degree - c - 1)
-    yield poly - mono(0, degree)
-    yield poly + mono(0, degree + 1)
+        yield slot(c + 1, degree - c - 1)
+    yield -slot(0, degree)
+    yield slot(0, degree + 1)
 
 
-def test_top_part_check_reads_keys_like_the_expansion():
-    # every gamma with p <= 45 and every slice leading_term_report reads
-    # (p <= 31): the key check passes each, rejects each wrong top, and
-    # agrees with the expansion it replaced
-    cases = []
+def test_top_part_check_reads_slots_like_the_expansion():
+    # every phi sum and every slice with p <= 45: the packed check passes
+    # each image, rejects each wrong top planted in its slots, and agrees
+    # with the expansion of the decoded polynomial
     for k in all_knots(45):
-        cases.append((character_polynomial_even(k, character_polynomial(k)),
-                      k.d, k.c))
-        if k.p > 31:
-            continue
+        images, width, row = _meridian_trace(bridge_word(k).letters)
         eps = sign_sequence(k)
-        for j, tr in enumerate(decoded_slices(k), start=1):
-            c_j = sum(1 for i in range(j - 1, k.d) if eps[i] != eps[i + 1])
-            cases.append((tr.substitute_square("x", "X"), k.d + 1 - j, c_j))
-    for poly, degree, c in cases:
-        _check_top_part(poly, degree, c, "case")
-        _top_part_by_expansion(poly, degree, c)
-        for wrong in _wrong_tops(poly, degree, c):
-            with pytest.raises(InternalInconsistencyError):
-                _check_top_part(wrong, degree, c, "case")
-            with pytest.raises(InternalInconsistencyError):
-                _top_part_by_expansion(wrong, degree, c)
+        cases = [(sum(images[::2]) - sum(images[1::2]) + (-1) ** k.d,
+                  k.d, k.c)]
+        cases += [(image, k.d + 1 - j,
+                   sum(1 for i in range(j - 1, k.d) if eps[i] != eps[i + 1]))
+                  for j, image in enumerate(images, start=1)]
+        for image, degree, c in cases:
+            _check_packed_top(image, width, row, degree, c, "case")
+            _top_part_by_expansion(
+                even_form(from_kronecker(image, VARS_XZ, width, row)),
+                degree, c)
+            for delta in _wrong_tops(width, row, degree, c):
+                wrong = image + delta
+                with pytest.raises(InternalInconsistencyError):
+                    _check_packed_top(wrong, width, row, degree, c, "case")
+                with pytest.raises(InternalInconsistencyError):
+                    _top_part_by_expansion(
+                        even_form(from_kronecker(wrong, VARS_XZ, width, row)),
+                        degree, c)
+
+
+def test_leading_terms_catch_an_anti_diagonal_slot_past_p_31(monkeypatch):
+    # +-1 in the slot of X z^(D-1), D = d + 1 - j, of slice j of b(45,7):
+    # the slice's top part is read from its image, and leading terms run
+    # at every p, so the suite fails that knot's report and names j alone
+    k, j = knot(45, 7), 5
+    target = bridge_word(k).letters
+    images, width, row = _meridian_trace(target)
+    degree = k.d + 1 - j
+    for sign in (1, -1):
+        bad = list(images)
+        bad[j - 1] += sign << (8 * width * (2 + row * (degree - 1)))
+        monkeypatch.setattr(twobridge, "_meridian_trace",
+                            lambda letters, bad=tuple(bad):
+                            (bad, width, row) if letters == target
+                            else _meridian_trace(letters))
+        reports = {(r.claim_id, r.subject): r
+                   for r in verify.check_two_bridge(45)}
+        rep = reports[("leading-terms", "b(45,7)")]
+        assert rep.status == "fail"
+        assert [e["j"] for e in rep.details["failed"]] == [j]
+        assert rep.details["failed"][0]["error"].startswith(
+            f"leading part of b(45,7) slice {j} ")
+        assert all(r.passed for key, r in reports.items()
+                   if key[1] != "b(45,7)")
 
 
 def test_riley_oracle_catches_a_perturbed_gamma():
@@ -359,7 +393,7 @@ def test_riley_oracle_catches_a_perturbed_gamma():
     # oracle's point has X = (p^2 + 1)^2 and z = p^4 + 1 - m p^2 > 0
     for k in (knot(5, 3), knot(7, 3), knot(13, 5), knot(45, 7)):
         phi = character_polynomial(k)
-        gamma = character_polynomial_even(k, phi)
+        gamma = even_form(phi)
         riley_check(k, gamma)
         cap_x = MultiPoly.variable("X", gamma.vars)
         z = MultiPoly.variable("z", gamma.vars)
@@ -373,7 +407,7 @@ def test_riley_oracle_catches_a_perturbed_gamma():
 
 def test_riley_oracle_rejects_each_changed_coefficient():
     for k in (knot(7, 3), knot(13, 5), knot(21, 13)):
-        gamma = character_polynomial_even(k, character_polynomial(k))
+        gamma = even_form(character_polynomial(k))
         for exps in gamma.exponent_terms():
             with pytest.raises(InternalInconsistencyError, match="Riley"):
                 riley_check(k, gamma + MultiPoly(gamma.vars, {exps: 1}))
@@ -381,7 +415,7 @@ def test_riley_oracle_rejects_each_changed_coefficient():
 
 def test_riley_oracle_rejects_a_term_above_degree_d():
     k = knot(7, 3)
-    gamma = character_polynomial_even(k, character_polynomial(k))
+    gamma = even_form(character_polynomial(k))
     z = MultiPoly.variable("z", gamma.vars)
     with pytest.raises(InternalInconsistencyError, match="above degree"):
         riley_check(k, gamma + z ** (k.d + 1))
