@@ -147,30 +147,32 @@ def pq_resultant(n: int) -> MultiPoly:
 
 
 def resultant_closed_rhs(n: int) -> MultiPoly:
-    """Closed bracket E_n with (y^2 - 4)(y + 2) Res = (y + 2 - x^2) E_n."""
-    x = MultiPoly.variable("x", VARS_XY)
+    """Closed bracket E_n with (y^2 - 4)(y + 2) Res = (y + 2 - x^2) E_n.
 
-    def t(k: int) -> MultiPoly:
-        return chebyshev_t(k).extend_to(VARS_XY)
+    E_n = e_0 + x^2 e_2 + x^4 e_4, each e_i a sum of Chebyshev T_k(y)
+    taken in y alone and moved to (x, y) once.
+    """
+    t = chebyshev_t
+    e_0 = (t(3 * n) + 3 * t(3 * n - 1) + 3 * t(3 * n - 2) + t(3 * n - 3)
+           + t(n + 5) + 3 * t(n + 4) + 3 * t(n + 3) + t(n + 2)
+           - 2 * t(n - 1) - 6 * t(n - 2) - 6 * t(n - 3) - 2 * t(n - 4))
+    e_2 = (-t(3 * n - 1) - t(3 * n - 2) - 2 * t(n + 3) - 3 * t(n + 2)
+           - t(n + 1) - 5 * t(n) - 2 * t(n - 1) + 8 * t(n - 2)
+           + 6 * t(n - 3) + t(n - 4))
+    e_4 = t(n + 1) + 2 * t(n) - 2 * t(n - 2) - t(n - 3)
+    return (e_0.extend_to(VARS_XY)
+            + e_2.extend_to(VARS_XY).mul_var_power("x", 2)
+            + e_4.extend_to(VARS_XY).mul_var_power("x", 4))
 
-    const_part = (t(3 * n) + 3 * t(3 * n - 1) + 3 * t(3 * n - 2)
-                  + t(3 * n - 3) + t(n + 5) + 3 * t(n + 4) + 3 * t(n + 3)
-                  + t(n + 2) - 2 * t(n - 1) - 6 * t(n - 2) - 6 * t(n - 3)
-                  - 2 * t(n - 4))
-    x2_part = (-t(3 * n - 1) - t(3 * n - 2) - 2 * t(n + 3) - 3 * t(n + 2)
-               - t(n + 1) - 5 * t(n) - 2 * t(n - 1) + 8 * t(n - 2)
-               + 6 * t(n - 3) + t(n - 4))
-    x4_part = t(n + 1) + 2 * t(n) - 2 * t(n - 2) - t(n - 3)
-    return const_part + x ** 2 * x2_part + x ** 4 * x4_part
 
-
-def resultant_report(n: int, check_identity: bool = True,
-                     res: MultiPoly = None) -> VerificationReport:
+def resultant_report(n: int, res: MultiPoly = None) -> VerificationReport:
     """Leading coefficient, degree, and closed-form identity of Res_z(P, Q_n).
 
-    The degree claims are stated only for n >= 4 and n <= -5; in between the
-    report records the observed degree without judging it.  res is
-    pq_resultant(n), built here unless the caller has built it already.
+    The identity (y^2 - 4)(y + 2) Res = (y + 2 - x^2) E_n is checked at
+    every n, and its verdict is the identity_ok detail.  The degree claims
+    are stated only for n >= 4 and n <= -5; in between the report records
+    the observed degree without judging it.  res is pq_resultant(n), built
+    here unless the caller has built it already.
     """
     if res is None:
         res = pq_resultant(n)
@@ -184,21 +186,21 @@ def resultant_report(n: int, check_identity: bool = True,
     else:
         expected_deg = None
     degree_ok = expected_deg is None or deg == expected_deg
+    # both factors applied as shifts, at about half the cost of packed
+    # products: (y^2 - 4)(y + 2) = y^3 + 2y^2 - 4y - 8
+    e_n = resultant_closed_rhs(n)
+    lhs = (res.mul_var_power("y", 3) + 2 * res.mul_var_power("y", 2)
+           - 4 * res.mul_var_power("y", 1) - 8 * res)
+    rhs = e_n.mul_var_power("y", 1) + 2 * e_n - e_n.mul_var_power("x", 2)
+    identity_ok = lhs == rhs
     details = {"deg_y": deg, "expected_deg_y": expected_deg,
-               "leading_coeff": lead.to_text(), "monic_ok": monic_ok}
-    ok = monic_ok and degree_ok
-    if check_identity:
-        x = MultiPoly.variable("x", VARS_XY)
-        y = MultiPoly.variable("y", VARS_XY)
-        lhs = (y ** 2 - 4) * (y + 2) * res
-        rhs = (y + 2 - x ** 2) * resultant_closed_rhs(n)
-        identity_ok = lhs == rhs
-        details["identity_ok"] = identity_ok
-        if not identity_ok:
-            details["identity_residual"] = (lhs - rhs).to_text()
-        ok = ok and identity_ok
-    return VerificationReport("resultant-structure", f"n={n}",
-                              status_of(ok), details)
+               "leading_coeff": lead.to_text(), "monic_ok": monic_ok,
+               "identity_ok": identity_ok}
+    if not identity_ok:
+        details["identity_residual"] = (lhs - rhs).to_text()
+    return VerificationReport(
+        "resultant-structure", f"n={n}",
+        status_of(monic_ok and degree_ok and identity_ok), details)
 
 
 # -- the x = 0 slice -------------------------------------------------------

@@ -57,6 +57,7 @@ import random
 from dataclasses import dataclass
 from functools import lru_cache, reduce
 from itertools import accumulate, repeat
+from math import comb
 from operator import mul
 from typing import Iterable
 
@@ -292,19 +293,17 @@ def trace_poly(word: FreeWord) -> MultiPoly:
 
 @lru_cache(maxsize=None)
 def chebyshev_s(k: int, var: str = "y") -> MultiPoly:
-    """S_k: S_0 = 1, S_1 = y, S_(k+1) = y*S_k - S_(k-1), both directions."""
-    vars = (var,)
+    """S_k: S_0 = 1, S_1 = y, S_(k+1) = y*S_k - S_(k-1), both directions.
+
+    Built from its closed coefficients, S_k = sum_j (-1)^j C(k-j, j)
+    y^(k-2j) for k >= -1 (the sum is empty at k = -1, so S_(-1) = 0), and
+    S_(-k-2) = -S_k below that; S_k(2 cos t) = sin((k+1)t) / sin t (J. C.
+    Mason and D. C. Handscomb, Chebyshev Polynomials, 2003).
+    """
     if k < -1:
         return -chebyshev_s(-k - 2, var)
-    if k == -1:
-        return MultiPoly.zero(vars)
-    y = MultiPoly.variable(var, vars)
-    prev, cur = MultiPoly.const(vars, 1), y
-    if k == 0:
-        return prev
-    for _ in range(k - 1):
-        prev, cur = cur, y * cur - prev
-    return cur
+    return MultiPoly((var,), {(k - 2 * j,): (-1) ** j * comb(k - j, j)
+                              for j in range(k // 2 + 1)})
 
 
 def chebyshev_t(k: int, var: str = "y") -> MultiPoly:

@@ -22,7 +22,6 @@ from .sl2trace import (DEFAULT_SEED, random_reduced_word, trace_proved,
 
 CLOSED_RANGE = (-6, 6)
 RESULTANT_RANGE = (-8, 8)
-RESULTANT_IDENTITY_RANGE = (-5, 8)
 X0_RANGE = (-6, 12)
 RADICAL_DIRECT_NS = (0, 1, 2)
 WITNESS_RANGE = (-4, 4)
@@ -48,10 +47,9 @@ def check_closed_forms(n_range=None) -> list:
 
 
 def check_resultants(n_range=None) -> list:
-    """Leading coefficient and degree of Res_z(P, Q_n), plus the closed
-    bracket identity on its stated range."""
-    lo, hi = RESULTANT_IDENTITY_RANGE
-    return [pretzel.resultant_report(n, check_identity=lo <= n <= hi)
+    """Leading coefficient and degree of Res_z(P, Q_n), and the closed
+    bracket identity, at every n of the range."""
+    return [pretzel.resultant_report(n)
             for n in _span(n_range, RESULTANT_RANGE)]
 
 

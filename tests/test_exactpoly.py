@@ -458,7 +458,7 @@ def test_top_part_from_kronecker_reads_the_anti_diagonal(bits, half_row,
         terms[(2 * i + 1, data.draw(st.integers(0, degree + 2)))] = \
             data.draw(coeffs)
     elif fault:
-        j = data.draw(st.integers(degree + 1 - i, degree + 2))
+        j = data.draw(st.integers(max(0, degree + 1 - i), degree + 2))
         terms[(2 * i, j)] = data.draw(coeffs)
     value = sum(c << (s * (i + row * j)) for (i, j), c in terms.items())
     if fault:

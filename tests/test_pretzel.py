@@ -26,7 +26,8 @@ from knotpoly.report import InternalInconsistencyError
 from knotpoly.sl2trace import (FreeWord, GENERATOR_A, GENERATOR_B,
                                mat2_mul, reduce_word, trace_poly,
                                word_matrix)
-from knotpoly.verify import check_closed_forms, check_witnesses
+from knotpoly.verify import (check_closed_forms, check_resultants,
+                             check_witnesses)
 
 VARS_XYZ = ("x", "y", "z")
 VARS_XY = ("x", "y")
@@ -129,6 +130,22 @@ def test_resultant_report_shape():
     assert rep.details["monic_ok"] and rep.details["identity_ok"]
     assert rep.details["deg_y"] == rep.details["expected_deg_y"] == 13
     assert rep.details["leading_coeff"] == "1"
+
+
+def test_resultant_identity_catches_a_low_order_term_at_every_n(
+        monkeypatch):
+    # degree and monicity cannot see 7x^2y; the closed identity can, and
+    # verify checks it at every n of the range, not only near 0
+    build = pretzel.pq_resultant
+    fault = MultiPoly(VARS_XY, {(2, 1): 7})
+    monkeypatch.setattr(pretzel, "pq_resultant", lambda n: build(n) + fault)
+    reports = {r.subject: r for r in check_resultants((-20, 20))}
+    for n in (-20, 20):
+        rep = reports[f"n={n}"]
+        assert rep.claim_id == "resultant-structure"
+        assert rep.status == "fail", n
+        assert rep.details["identity_ok"] is False, n
+        assert rep.details["monic_ok"], n
 
 
 def test_resultant_frozen_small_case():
