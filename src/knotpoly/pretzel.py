@@ -165,17 +165,14 @@ def resultant_closed_rhs(n: int) -> MultiPoly:
             + e_4.extend_to(VARS_XY).mul_var_power("x", 4))
 
 
-def resultant_report(n: int, res: MultiPoly = None) -> VerificationReport:
+def resultant_report(n: int, res: MultiPoly) -> VerificationReport:
     """Leading coefficient, degree, and closed-form identity of Res_z(P, Q_n).
 
     The identity (y^2 - 4)(y + 2) Res = (y + 2 - x^2) E_n is checked at
     every n, and its verdict is the identity_ok detail.  The degree claims
     are stated only for n >= 4 and n <= -5; in between the report records
-    the observed degree without judging it.  res is pq_resultant(n), built
-    here unless the caller has built it already.
+    the observed degree without judging it.  res is pq_resultant(n).
     """
-    if res is None:
-        res = pq_resultant(n)
     lead = res.leading_coeff_in("y")
     monic_ok = lead == 1
     deg = res.degree_in("y")
@@ -220,22 +217,16 @@ def b_poly(n: int) -> MultiPoly:
     return -(chebyshev_s(n - 2) + chebyshev_s(n - 3))
 
 
-@lru_cache(maxsize=None)
-def slice_p() -> MultiPoly:
-    return defining_p().coeff_in("x", 0).restrict(VARS_YZ)
-
-
-@lru_cache(maxsize=None)
-def slice_q(n: int) -> MultiPoly:
-    return defining_q(n).coeff_in("x", 0).restrict(VARS_YZ)
-
-
 @dataclass(frozen=True)
 class X0SliceData:
-    """Slice coefficients at x = 0, the product a_n U_n, and the two
-    exact checks."""
+    """The x = 0 slice at n, built once: p0 = P and q0 = Q_n at x = 0 in
+    (y, z), the coefficients a_n, b_n, U_n in y with q0 = a_n + b_n z^2,
+    the product a_n U_n, and the two exact checks.  Every slice report
+    reads its slice and verdicts from here."""
 
     n: int
+    p0: MultiPoly
+    q0: MultiPoly
     a_n: MultiPoly
     b_n: MultiPoly
     u_n: MultiPoly
@@ -248,7 +239,8 @@ def x0_slice(n: int) -> X0SliceData:
     """Check b_n^2 z P = (Q_n - a_n)(Q_n - U_n) at x = 0 and the
     square-freeness of a_n U_n, both exactly."""
     a_n, b_n, u_n = a_poly(n), b_poly(n), u_poly(n)
-    p0, q0 = slice_p(), slice_q(n)
+    p0 = defining_p().coeff_in("x", 0).restrict(VARS_YZ)
+    q0 = defining_q(n).coeff_in("x", 0).restrict(VARS_YZ)
     z = MultiPoly.variable("z", VARS_YZ)
     a_l = a_n.extend_to(VARS_YZ)
     b_l = b_n.extend_to(VARS_YZ)
@@ -259,7 +251,8 @@ def x0_slice(n: int) -> X0SliceData:
     identity_ok = b_l ** 2 * z * p0 == (q0 - a_l) * (q0 - u_l)
     au = a_n * u_n
     squarefree_ok = (not au.is_zero()) and is_squarefree_in(au, "y")
-    return X0SliceData(n, a_n, b_n, u_n, au, identity_ok, squarefree_ok)
+    return X0SliceData(n, p0, q0, a_n, b_n, u_n, au, identity_ok,
+                       squarefree_ok)
 
 
 def x0_report(data: X0SliceData) -> VerificationReport:
@@ -322,21 +315,16 @@ def shared_square_factor(n: int):
 def seidenberg_report(data: X0SliceData) -> VerificationReport:
     """Two slice-ideal certificates in the sense of Seidenberg's lemma.
 
-    The y-side certificate is exact: a_n U_n lies in the slice ideal by an
-    explicit rearrangement of the slice identity and is square-free.  The
-    z-side polynomial z * prod(z^2 + 4 cos^2(theta) - 3) has irrational
-    coefficients, so its square-freeness is checked as pairwise root
-    separation in floating point; the whole report is flagged numeric.
+    The y-side certificate is exact: a_n U_n = a_n q0 - q0^2 + q0 U_n
+    + b_n^2 z p0 puts a_n U_n in the slice ideal, and that equation is the
+    slice identity of x0_slice multiplied out, so membership_ok is its
+    identity_ok; a_n U_n is square-free.  The z-side polynomial
+    z * prod(z^2 + 4 cos^2(theta) - 3) has irrational coefficients, so its
+    square-freeness is checked as pairwise root separation in floating
+    point; the whole report is flagged numeric.
     """
     n = data.n
-    p0, q0 = slice_p(), slice_q(n)
-    z = MultiPoly.variable("z", VARS_YZ)
-    a_l = data.a_n.extend_to(VARS_YZ)
-    b_l = data.b_n.extend_to(VARS_YZ)
-    u_l = data.u_n.extend_to(VARS_YZ)
-    au = data.au.extend_to(VARS_YZ)
-    membership_ok = au == (a_l * q0 - q0 ** 2 + q0 * u_l
-                           + b_l ** 2 * z * p0)
+    membership_ok = data.identity_ok
     roots = [0j]
     for theta in _slice_root_angles(n):
         w = cmath.sqrt(3.0 - 4.0 * math.cos(theta) ** 2)
@@ -362,7 +350,10 @@ def seidenberg_report(data: X0SliceData) -> VerificationReport:
         "x0-seidenberg", f"n={n}", status_of(ok, numeric=True), details)
 
 
-# -- direct radical check for n in {0, 1, 2} ------------------------------
+# -- direct radical check for the n of RADICAL_DIRECT_NS -------------------
+
+
+RADICAL_DIRECT_NS = (0, 1, 2)
 
 
 def _integer_solve(rows, rhs):
@@ -465,18 +456,19 @@ def radical_slice_report(data: X0SliceData) -> VerificationReport:
     with explicit cofactors witnessing membership.
     """
     n = data.n
-    if n not in (0, 1, 2):
-        raise ValueError("direct slice check is reserved for n in {0, 1, 2}")
-    p0, q0 = slice_p(), slice_q(n)
+    if n not in RADICAL_DIRECT_NS:
+        raise ValueError("direct slice check is reserved for n in "
+                         f"{RADICAL_DIRECT_NS}")
     y_ok = data.identity_ok and data.squarefree_ok
     details = {"y_generator": data.au.to_text(),
                "identity_ok": data.identity_ok,
                "squarefree_y_ok": data.squarefree_ok}
     z_ok = False
-    res = resultant_in(p0, q0, "y").restrict(("z",))
+    res = resultant_in(data.p0, data.q0, "y").restrict(("z",))
     if not res.is_zero():
         sf = squarefree_part_in(res, "z")
-        cert = membership_certificate(sf.extend_to(VARS_YZ), (p0, q0))
+        cert = membership_certificate(sf.extend_to(VARS_YZ),
+                                      (data.p0, data.q0))
         if cert is not None and is_squarefree_in(sf, "z"):
             z_ok = True
             details["z_generator"] = sf.to_text()

@@ -16,7 +16,7 @@ from knotpoly.pretzel import (PretzelKnot, a_poly, b_poly,
                               membership_certificate, pq_resultant,
                               radical_slice_report, resultant_closed_rhs,
                               resultant_report, seidenberg_report,
-                              shared_square_factor, slice_p, slice_q,
+                              shared_square_factor,
                               traced_p, traced_q, u_poly, witness_reports,
                               x0_report, x0_slice, a_root_residuals,
                               u_root_residuals, word_e, word_f,
@@ -27,7 +27,7 @@ from knotpoly.sl2trace import (FreeWord, GENERATOR_A, GENERATOR_B,
                                mat2_mul, reduce_word, trace_poly,
                                word_matrix)
 from knotpoly.verify import (check_closed_forms, check_resultants,
-                             check_witnesses)
+                             check_witnesses, check_x0_slices)
 
 VARS_XYZ = ("x", "y", "z")
 VARS_XY = ("x", "y")
@@ -125,7 +125,7 @@ def test_resultant_closed_identity():
 
 
 def test_resultant_report_shape():
-    rep = resultant_report(5)
+    rep = resultant_report(5, pq_resultant(5))
     assert rep.status == "pass"
     assert rep.details["monic_ok"] and rep.details["identity_ok"]
     assert rep.details["deg_y"] == rep.details["expected_deg_y"] == 13
@@ -159,10 +159,11 @@ def test_resultant_frozen_small_case():
 def test_slice_polynomials():
     y = MultiPoly.variable("y", ("y", "z"))
     z = MultiPoly.variable("z", ("y", "z"))
-    assert slice_p() == z * (y ** 2 + z ** 2 - 3)
+    data = x0_slice(2)
+    assert data.p0 == z * (y ** 2 + z ** 2 - 3)
     a = a_poly(2).extend_to(("y", "z"))
     b = b_poly(2).extend_to(("y", "z"))
-    assert slice_q(2) == a + b * z ** 2
+    assert data.q0 == a + b * z ** 2
 
 
 def test_slice_coefficient_values():
@@ -245,8 +246,26 @@ def test_radical_slice_certificate_values():
     assert len(cof_texts) == 2
 
 
+def test_slice_fault_in_p_reaches_every_slice_check(monkeypatch):
+    # y*z is free of x, so it lands in p0; every slice check reads p0 from
+    # the one X0SliceData that x0_slice builds, so each must see it
+    build = pretzel.defining_p
+    fault = MultiPoly(VARS_XYZ, {(0, 1, 1): 1})
+    monkeypatch.setattr(pretzel, "defining_p", lambda: build() + fault)
+    slices = [r for r in check_x0_slices((-6, 12))
+              if r.claim_id == "x0-slice"]
+    assert sorted(r.subject for r in slices) == sorted(
+        f"n={n}" for n in range(-6, 13))
+    for rep in slices:
+        assert rep.status == "fail", rep.subject
+        assert rep.details["identity_ok"] is False, rep.subject
+    assert seidenberg_report(x0_slice(3)).details["membership_ok"] is False
+    assert radical_slice_report(x0_slice(1)).status == "fail"
+
+
 def test_membership_certificate_round_trip():
-    p0, q0 = slice_p(), slice_q(1)
+    data = x0_slice(1)
+    p0, q0 = data.p0, data.q0
     z = MultiPoly.variable("z", ("y", "z"))
     target = (z ** 3 - 2 * z).extend_to(("y", "z"))
     cof = membership_certificate(target, (p0, q0))
@@ -340,7 +359,7 @@ def test_integer_solver_matches_the_fraction_reference(kind):
 
 
 def test_membership_certificate_returns_none_when_unreachable():
-    p0 = slice_p()
+    p0 = x0_slice(0).p0
     one = MultiPoly.const(("y", "z"), 1)
     # 1 is not in the ideal generated by a single non-unit
     assert membership_certificate(one, (p0,)) is None
@@ -479,7 +498,7 @@ def test_au_squarefree_on_the_stated_range():
 
 def test_resultant_between_the_degree_ranges():
     # small |n| sits outside the stated degree formulas but stays monic
-    rep = resultant_report(1)
+    rep = resultant_report(1, pq_resultant(1))
     assert rep.status == "pass"
     assert rep.details["deg_y"] == 4
     assert rep.details["expected_deg_y"] is None
