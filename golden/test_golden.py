@@ -90,7 +90,7 @@ CLI_COLD_SEED_1 = [
 CORPUS = ([["verify", "--suite", "all"],
            ["verify", "--suite", "all", "--seed", "1"],
            ["verify", "--suite", "pretzel", "--n-range", "-30", "40"]]
-          + [["pretzel", "--n", str(n)] for n in range(-20, 21)]
+          + [["pretzel", "--n", str(n)] for n in (*range(-20, 21), -100, 100)]
           + CLI_COLD_SEED_1)
 
 

@@ -37,7 +37,9 @@ through the same unpack helper as the product, and
 ``top_part_from_kronecker`` reads only its top-degree slots, with no
 decode.  ``kronecker_point`` gives the point, for a coefficient bound and
 degree bounds, at which an identity of integer polynomials is proved by
-comparing two ints.
+comparing two ints.  ``resultant_in`` takes its Bezout determinant over
+the images of the coefficients at y = 2^s, y one variable, and reads
+each term of the result's image back once through the same unpack helper.
 
 ``MultiPoly.evaluate`` runs Horner's scheme in the arithmetic of the
 point's values: exact at integer, rational or ``MultiPoly`` values (the
@@ -1111,7 +1113,8 @@ def squarefree_part_in(p: MultiPoly, var) -> MultiPoly:
 
 
 def resultant_in(p: MultiPoly, q: MultiPoly, var) -> MultiPoly:
-    """Resultant in var from the Bezout matrix, with at most one division.
+    """Resultant in var from the Bezout matrix, with at most one division,
+    its determinant taken in the Kronecker image of one more variable.
 
     With m = deg p, n = deg q, N = max(m, n), and u, v the coefficients of
     p, q in ascending powers of var padded with zeros to length N + 1, the
@@ -1122,6 +1125,26 @@ def resultant_in(p: MultiPoly, q: MultiPoly, var) -> MultiPoly:
     padding also multiplies it by lc^(N - min(m, n)), lc the leading
     coefficient of the operand of higher degree, which one exact division
     takes out unless it is 1 (a monic operand).
+
+    The determinant is taken in the Kronecker image of one variable y,
+    the last of p.vars other than var (var itself, which the split into
+    u, v has cleared, when no other is left).  p and q are first shifted
+    by y^-a and y^-b, a and b their least y-exponents, so that no
+    y-exponent is negative.  That multiplies every entry of B by
+    y^-(a + b), so the determinant by y^-(N(a + b)): it is homogeneous of
+    degree N in the entries, as Res(y^-a p, y^-b q) = y^-(an + bm) Res(p,
+    q) is in the coefficients.  Each shifted u[k], v[k] is mapped to its
+    image at y = 2^s, a polynomial in the other variables with int
+    coefficients; the Bezout loop and _minor_det run on those, and each
+    term of the image determinant is read back once, as the balanced
+    base-2^s digits of its coefficient, one per power of y, shifted back
+    by y^(N(a + b)).  y -> 2^s is a ring homomorphism, so the image is
+    exact, and the digits are det B's coefficients because s = 8 *
+    slot_bytes(bound.bit_length() + 1) holds _bezout_bound, a proven
+    bound on each of them, and a sign bit.  Only the last variable is
+    packed: the others keep the sparsity of the entries (each B[a][b] of
+    the pretzel P and Q_n has x-parity a + b), which the products skip
+    and a slot for every monomial of the dense box would multiply.
     """
     if p.vars != q.vars:
         raise AlignmentError(f"variable mismatch: {p.vars} vs {q.vars}")
@@ -1135,17 +1158,52 @@ def resultant_in(p: MultiPoly, q: MultiPoly, var) -> MultiPoly:
     if m == 0 and n == 0:
         raise UndefinedResultantError("both inputs constant in " + str(var))
     size = max(m, n)
-    zero = MultiPoly.zero(p.vars, p.laurent)
     pu, qu = p.as_univariate(var), q.as_univariate(var)
-    u = [pu.get(k, zero) for k in range(size + 1)]
-    v = [qu.get(k, zero) for k in range(size + 1)]
+    rest = [w for w in p.vars if w != var]
+    field, step = p._field(rest[-1] if rest else var)
+    lo_p, lo_q = (min((k >> field) & _FIELD_MASK
+                      for c in split.values() for k in c.terms)
+                  for split in (pu, qu))
+
+    def norms(split):
+        return [sum(map(abs, split[k].terms.values())) if k in split else 0
+                for k in range(size + 1)]
+
+    width = slot_bytes(_bezout_bound(norms(pu), norms(qu)).bit_length() + 1)
+    s = 8 * width
+
+    def image(coeff, lo):
+        # coeff shifted by y^-lo (lo a field value) and taken at y = 2^s
+        out: dict = {}
+        for k, c in coeff.terms.items():
+            e = ((k >> field) & _FIELD_MASK) - lo
+            key = k - (e + lo - _BIAS) * step
+            out[key] = out.get(key, 0) + (c << (s * e))
+        return MultiPoly._make(p.vars, p.laurent, out)
+
+    zero = MultiPoly.zero(p.vars, p.laurent)
+    u = [image(pu[k], lo_p) if k in pu else zero for k in range(size + 1)]
+    v = [image(qu[k], lo_q) if k in qu else zero for k in range(size + 1)]
     bez = [[zero] * size for _ in range(size)]
     for a in range(size):
         for b in range(a, size):
             bez[a][b] = bez[b][a] = sum(
                 (u[b + k + 1] * v[a - k] - u[a - k] * v[b + k + 1]
                  for k in range(min(a, size - 1 - b) + 1)), zero)
-    det = _minor_det(bez, zero + 1)
+    # det B has a y-exponent of at least low, one per digit upwards; the
+    # top digit of a coefficient c sits in digit c.bit_length() // s (see
+    # from_kronecker)
+    low = size * (lo_p + lo_q - 2 * _BIAS)
+    terms: dict = {}
+    for k, c in _minor_det(bez, zero + 1).terms.items():
+        count = c.bit_length() // s + 1
+        if low < -_BIAS or low + count > _BIAS:
+            raise OverflowError(
+                f"an exponent left the field range [{-_BIAS}, {_BIAS})")
+        first = k + low * step
+        terms.update(_unpack(c, width, count,
+                             range(first, first + count * step, step)))
+    det = MultiPoly._new(p.vars, p.laurent, terms)
     flips = size * (size - 1) // 2 + (m + 1) * (n - m) * (n > m)
     if flips % 2:
         det = -det
@@ -1154,6 +1212,22 @@ def resultant_in(p: MultiPoly, q: MultiPoly, var) -> MultiPoly:
         if pad != 1:
             det = exact_div(det, pad)
     return det
+
+
+def _bezout_bound(u_norms, v_norms) -> int:
+    """A bound on every |coefficient| of det B, B the Bezout matrix of
+    resultant_in, from the 1-norms of the coefficients u[k], v[k]: the
+    1-norm of B[a][b] is at most the sum over its k of |u[b+k+1]|_1
+    |v[a-k]|_1 + |u[a-k]|_1 |v[b+k+1]|_1, and the 1-norm of a determinant
+    at most the product over its rows of their summed entry norms."""
+    size = len(u_norms) - 1
+    bound = 1
+    for a in range(size):
+        bound *= sum(u_norms[b + k + 1] * v_norms[a - k]
+                     + u_norms[a - k] * v_norms[b + k + 1]
+                     for b in range(size)
+                     for k in range(min(a, size - 1 - b) + 1))
+    return bound
 
 
 def _minor_det(mat, one) -> MultiPoly:

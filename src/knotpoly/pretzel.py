@@ -102,38 +102,56 @@ def traced_p() -> MultiPoly:
     return trace_poly(word_e()) - trace_poly(word_f())
 
 
-@lru_cache(maxsize=None)
-def traced_q(n: int) -> MultiPoly:
-    """Q_n rebuilt as tr(w^n E a) - tr(w^n a F), which is tr(F w^n a) by
-    cyclicity.
+def traced_qs(lo: int, hi: int) -> dict:
+    """{n: Q_n} for every n in lo..hi, Q_n rebuilt as tr(w^n E a) -
+    tr(w^n a F), which is tr(F w^n a) by cyclicity.
 
     Q_0 and Q_1 are the folds of the reduced words.  By Cayley-Hamilton
     w^2 = y w - 1 in SL2, so tr(w^(k+1) X) = y tr(w^k X) - tr(w^(k-1) X)
-    for every X, and Q_(k+1) = y Q_k - Q_(k-1); every other n is reached
-    from Q_0 and Q_1 by that step, up or down, in a loop with one
-    multiplication by y per step.
+    for every X, and Q_(k+1) = y Q_k - Q_(k-1).  One loop steps up from
+    Q_0 and Q_1 to hi and one down to lo, with one multiplication by y
+    per step, so each Q_n between them is stepped once.
     """
-    if n in (0, 1):
-        a = ((GENERATOR_A, 1),)
-        w_n = ((GENERATOR_B, n),)
-        return (trace_poly(reduce_word(w_n + word_e().letters + a))
-                - trace_poly(reduce_word(w_n + a + word_f().letters)))
+    a = ((GENERATOR_A, 1),)
+
+    def fold(k):
+        w_k = ((GENERATOR_B, k),)
+        return (trace_poly(reduce_word(w_k + word_e().letters + a))
+                - trace_poly(reduce_word(w_k + a + word_f().letters)))
+
     y = MultiPoly.variable("y", VARS_XYZ)
-    prev, cur = ((traced_q(0), traced_q(1)) if n > 1
-                 else (traced_q(1), traced_q(0)))
-    for _ in range(n - 1 if n > 1 else -n):
-        prev, cur = cur, y * cur - prev
-    return cur
+    q_0, q_1 = fold(0), fold(1)
+    out = {}
+    for prev, cur, k, end, step in ((q_1, q_0, 0, min(lo, 0), -1),
+                                    (q_0, q_1, 1, max(hi, 1), 1)):
+        while True:
+            if lo <= k <= hi:
+                out[k] = cur
+            if k == end:
+                break
+            prev, cur = cur, y * cur - prev
+            k += step
+    return out
 
 
-def closed_form_report(n: int) -> VerificationReport:
-    """Closed forms of P and Q_n against the trace-engine rebuilds."""
+@lru_cache(maxsize=None)
+def traced_q(n: int) -> MultiPoly:
+    """Q_n of traced_qs, for one n."""
+    return traced_qs(n, n)[n]
+
+
+def closed_form_report(n: int, q_traced: MultiPoly | None = None
+                       ) -> VerificationReport:
+    """Closed forms of P and Q_n against the trace-engine rebuilds;
+    q_traced is traced_q(n), which a sweep passes in."""
+    if q_traced is None:
+        q_traced = traced_q(n)
     p_ok = defining_p() == traced_p()
-    q_ok = defining_q(n) == traced_q(n)
+    q_ok = defining_q(n) == q_traced
     details = {"p_ok": p_ok, "q_ok": q_ok}
     if not q_ok:
         details["q_closed"] = defining_q(n).to_text()
-        details["q_traced"] = traced_q(n).to_text()
+        details["q_traced"] = q_traced.to_text()
     return VerificationReport("closed-vs-traced", f"n={n}",
                               status_of(p_ok and q_ok), details)
 

@@ -40,9 +40,11 @@ def _span(n_range, default):
 
 
 def check_closed_forms(n_range=None) -> list:
-    """Closed P, Q_n against the trace-engine rebuilds."""
-    return [pretzel.closed_form_report(n)
-            for n in _span(n_range, CLOSED_RANGE)]
+    """Closed P, Q_n against the trace-engine rebuilds, every traced Q_n
+    stepped once in one sweep over the range."""
+    span = _span(n_range, CLOSED_RANGE)
+    traced = pretzel.traced_qs(span.start, span.stop - 1)
+    return [pretzel.closed_form_report(n, traced[n]) for n in span]
 
 
 def check_resultants(n_range=None) -> list:

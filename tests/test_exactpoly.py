@@ -916,20 +916,27 @@ XT = ("x", "t")
 
 @st.composite
 def resultant_operands(draw):
-    """p and q in x over coefficients in t, t Laurent or not; degrees in x
-    from 0 to 4, not both 0, and lower coefficients often zero."""
-    laurent = (False, draw(st.booleans()))
-    low = -2 if laurent[1] else 0
-    coeff = st.dictionaries(st.integers(low, 2),
-                            st.integers(-6, 6).filter(bool), max_size=2)
+    """p and q in x over coefficients in up to two more variables, s and
+    t, each Laurent or not: t is the one resultant_in packs, s stays in
+    the terms, and with neither no variable is left to pack.  Degrees in x
+    from 0 to 4, not both 0, lower coefficients often zero, and
+    coefficients either small or up to 2^70, wide enough that a
+    determinant needs slots of more than 8 bytes."""
+    vars = ("x", "s", "t")[:draw(st.integers(1, 3))]
+    laurent = (False,) + tuple(draw(st.booleans()) for _ in vars[1:])
+    exps = st.tuples(*(st.integers(-2 if flag else 0, 2)
+                       for flag in laurent[1:]))
+    top = 2 ** draw(st.sampled_from((3, 70)))
+    coeff = st.dictionaries(exps, st.integers(-top, top).filter(bool),
+                            max_size=2)
 
     def operand(deg):
         terms = {}
         for k in range(deg + 1):
             for e, c in draw(coeff).items():
-                terms[(k, e)] = c
-        terms.setdefault((deg, 0), 1)
-        return MultiPoly(XT, terms, laurent)
+                terms[(k, *e)] = c
+        terms.setdefault((deg,) + (0,) * (len(vars) - 1), 1)
+        return MultiPoly(vars, terms, laurent)
 
     degrees = draw(st.tuples(st.integers(0, 4), st.integers(0, 4))
                    .filter(any))

@@ -8,7 +8,7 @@ from operator import sub
 
 import pytest
 
-from knotpoly import pretzel
+from knotpoly import exactpoly, pretzel
 from knotpoly.exactpoly import (MultiPoly, RationalFunction, exact_div,
                                 is_squarefree_in)
 from knotpoly.pretzel import (PretzelKnot, a_poly, b_poly,
@@ -146,6 +146,22 @@ def test_resultant_identity_catches_a_low_order_term_at_every_n(
         assert rep.status == "fail", n
         assert rep.details["identity_ok"] is False, n
         assert rep.details["monic_ok"], n
+
+
+def test_resultant_identity_catches_a_decode_past_its_slots(monkeypatch):
+    # a bound of 1 gives resultant_in one-byte slots, far narrower than
+    # the coefficients of Res_z(P, Q_n) at |n| = 20, so its decode reads
+    # digits that have carried into each other; the closed identity,
+    # which does not go through resultant_in, must see that
+    monkeypatch.setattr(exactpoly, "_bezout_bound", lambda u, v: 1)
+    assert exactpoly.slot_bytes(exactpoly._bezout_bound([], []).bit_length()
+                                + 1) == 1
+    reports = {r.subject: r for r in check_resultants((-20, 20))}
+    for n in (-20, 20):
+        rep = reports[f"n={n}"]
+        assert rep.claim_id == "resultant-structure"
+        assert rep.status == "fail", n
+        assert rep.details["identity_ok"] is False, n
 
 
 def test_resultant_frozen_small_case():
