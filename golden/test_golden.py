@@ -5,7 +5,8 @@ code, the SHA-256 of its stdout, and a short digest of each
 ``(claim_id, subject)`` report must equal the record in ``digests.json``,
 so a change that moves any report names the reports it moved.
 
-The corpus takes about 11 s, so it is not part of the tier-1 tests:
+The corpus takes about 3 s on two cores, so it is not part of the tier-1
+tests:
 
     PYTHONPATH=src python -m pytest golden/test_golden.py
 

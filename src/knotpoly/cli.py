@@ -18,8 +18,9 @@ import sys
 from . import __version__
 from .pretzel import (PretzelKnot, closed_form_report, defining_p,
                       defining_q, pq_resultant, radical_slice_report,
-                      resultant_report, seidenberg_report, witness_reports,
-                      x0_report, x0_slice, RADICAL_DIRECT_NS)
+                      resultant_report, seidenberg_report, traced_qs,
+                      witness_reports, x0_report, x0_slice,
+                      RADICAL_DIRECT_NS)
 from .qtorus import alpha_unknot, qt_text
 from .report import InternalInconsistencyError, all_passed, sort_reports
 from .sl2trace import (DEFAULT_SEED, trace_poly, word_from_string,
@@ -115,7 +116,8 @@ def _run_pretzel(args):
     data = x0_slice(n)
     res = pq_resultant(n)
     reports = [x0_report(data), seidenberg_report(data),
-               resultant_report(n, res), closed_form_report(n),
+               resultant_report(n, res),
+               closed_form_report(n, traced_qs(n, n)[n]),
                *witness_reports(n)]
     if n in RADICAL_DIRECT_NS:
         reports.append(radical_slice_report(data))

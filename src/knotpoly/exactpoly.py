@@ -31,15 +31,15 @@ box of its exponents has no more slots than there are term products: each
 operand is packed into one Python int, one slot of bytes per monomial of
 the box, and the two ints are multiplied once.  Other products, small or
 sparse, take the dict double loop.  The packing is private; the term map
-stays the only representation.  ``from_kronecker`` reads a bivariate image
-packed elsewhere (the two-bridge slice fold) back into a polynomial,
-through the same unpack helper as the product, and
-``top_part_from_kronecker`` reads only its top-degree slots, with no
-decode.  ``kronecker_point`` gives the point, for a coefficient bound and
-degree bounds, at which an identity of integer polynomials is proved by
-comparing two ints.  ``resultant_in`` takes its Bezout determinant over
-the images of the coefficients at y = 2^s, y one variable, and reads
-each term of the result's image back once through the same unpack helper.
+stays the only representation.  ``even_slots`` biases a bivariate image
+packed elsewhere (the two-bridge slice fold) to bytes once;
+``from_kronecker`` decodes them through the product's unpack helper, and
+``top_part_from_kronecker`` reads only their top-degree slots.
+``kronecker_point`` gives the point, for a coefficient bound and degree
+bounds, at which an identity of integer polynomials is proved by
+comparing two ints.  ``resultant_in`` and the heuristic gcd take images at
+y = 2^s, y one variable, through one helper, and read the results back
+through the unpack helper.
 
 ``MultiPoly.evaluate`` runs Horner's scheme in the arithmetic of the
 point's values: exact at integer, rational or ``MultiPoly`` values (the
@@ -57,13 +57,16 @@ whenever it divides over Q.
 
 ``poly_gcd`` is the one gcd.  It first tries the heuristic gcd GCDHEU
 (Char, Geddes & Gonnet, J. Symb. Comput. 1989) when the two operands
-together involve one variable.  The primitive parts A, B are evaluated at
-an integer xi >= 2 * min(|A|_inf, |B|_inf) + 2, and the integer gcd of the
-two values, read back in balanced base xi, gives a candidate.  Above that
-bound a candidate whose primitive part divides both A and B is their gcd,
-and exact_div must divide it into both before it is returned, so the
-result is exact (Char, Geddes & Gonnet 1989, Theorem 1).  A rejected
-candidate is retried at a few larger xi; after that, and for every other
+together involve one variable y.  Each operand is divided by its least
+power of y, and the primitive parts A, B of the quotients are taken at
+xi = 2^(8w), w = slot_bytes of the bits of 2 * min(|A|_inf, |B|_inf) + 2;
+the integer gcd of the two images, read back in balanced base xi by the
+unpack helper, gives a candidate.  Above that bound a candidate whose
+primitive part divides both A and B is their gcd, and exact_div must
+divide it into both before it is returned, times the lesser power of y,
+so the result is exact (Char, Geddes & Gonnet 1989, Theorem 1) and a
+digit past its slot only rejects a candidate.  A rejected candidate is
+retried at width w + 1, a few times; after that, and for every other
 input, the primitive PRS computes the gcd.
 """
 
@@ -250,7 +253,7 @@ def _packed_product(a, b, n):
     starts = [corner + sum(t) for t in product(*heads)]
     stops = [h + last.stop for h in starts]
     keys = chain.from_iterable(map(range, starts, stops, repeat(last.step)))
-    return _unpack(packed, width, box, keys)
+    return _unpack(_biased_slots(packed, width, box), width, keys)
 
 
 def slot_bytes(bits: int) -> int:
@@ -261,35 +264,26 @@ def slot_bytes(bits: int) -> int:
                 (bits + 7) // 8)
 
 
-def _biased_slots(value: int, width: int, count: int, stride: int) -> bytes:
+def _biased_slots(value: int, width: int, count: int) -> bytes:
     """The first count balanced digits of a packed int in base 2^(8 *
     width), each plus half = 2^(8 * width - 1), as count slots of bytes.
 
-    Every digit must lie strictly between -half and half.  Adding half to
-    every slot then makes each digit nonnegative without a carry, and a
-    slot that reads exactly half is a zero coefficient.  A slot skipped by
-    the stride that does not read half raises ValueError; the skipped
-    slots are compared one byte column at a time.
+    Every digit must lie in [-half, half).  Adding half to every slot then
+    makes each digit nonnegative without a carry, and a slot that reads
+    exactly half is a zero coefficient.
     """
     zero = (1 << (8 * width - 1)).to_bytes(width, _ORDER)
     bias = int.from_bytes(zero * count, _ORDER)
-    raw = (value + bias).to_bytes(count * width, _ORDER)
-    step = stride * width
-    for i in range(width, step):
-        col = raw[i::step]
-        if col != zero[i % width:i % width + 1] * len(col):
-            raise ValueError("a slot skipped in a packed int is not zero")
-    return raw
+    return (value + bias).to_bytes(count * width, _ORDER)
 
 
-def _unpack(value: int, width: int, count: int, keys, stride: int = 1):
-    """Term map of a packed int: its first count balanced digits in base
-    2^(8 * width), every stride-th one read from _biased_slots and paired
-    with the next of keys; zero digits are dropped.  Native widths are
-    read through memoryview, wider ones by int.from_bytes.
+def _unpack(raw: bytes, width: int, keys, stride: int = 1) -> dict:
+    """Term map of the biased slots raw of _biased_slots: every stride-th
+    slot less half, paired with the next of keys; zero digits are
+    dropped.  Native widths are read through memoryview, wider ones by
+    int.from_bytes.
     """
     half = 1 << (8 * width - 1)
-    raw = _biased_slots(value, width, count, stride)
     step = stride * width
     if width in _SLOT_FORMATS:
         slots = memoryview(raw).cast(_SLOT_FORMATS[width])[::stride]
@@ -299,21 +293,33 @@ def _unpack(value: int, width: int, count: int, keys, stride: int = 1):
     return {k: v - half for k, v in zip(keys, slots) if v != half}
 
 
-def from_kronecker(value: int, vars, width: int, row: int) -> "MultiPoly":
-    """The polynomial in vars = (u, v), even in u, whose Kronecker image at
-    u = 2^s, v = 2^(s * row), s = 8 * width, row even, is value.
+def even_slots(value: int, width: int, row: int) -> bytes:
+    """The _biased_slots of the rows v^0 .. v^k, k the highest v-exponent,
+    of a Kronecker image at u = 2^s, v = 2^(s * row), s = 8 * width, row
+    even, of a polynomial in (u, v) even in u.
 
     Every coefficient must lie strictly between -2^(s - 1) and 2^(s - 1),
     every exponent must be nonnegative, and every u-exponent must be less
-    than row.  A term with an odd u-exponent raises ValueError, since the
-    slots of odd u-exponents must read zero.  Reads exactly the rows
-    v^0 .. v^k, k the highest v-exponent of the image.
+    than row.  ValueError when a slot of an odd u-power is not zero; those
+    slots are compared one byte column at a time.
     """
-    s = 8 * width
     # the top digit sits in slot bit_length // s: the lower digits add up
     # to less than half its unit, so they cannot move the bit length out
     # of that slot
-    rows = (value.bit_length() // s) // row + 1
+    rows = (value.bit_length() // (8 * width)) // row + 1
+    slots = _biased_slots(value, width, rows * row)
+    zero = (1 << (8 * width - 1)).to_bytes(width, _ORDER)
+    for i in range(width):
+        col = slots[width + i::2 * width]
+        if col != zero[i:i + 1] * len(col):
+            raise ValueError("odd x-power")
+    return slots
+
+
+def from_kronecker(slots: bytes, vars, width: int, row: int) -> "MultiPoly":
+    """The polynomial in vars = (u, v) whose image even_slots read into
+    slots, at width bytes per slot and row slots per power of v."""
+    rows = len(slots) // (row * width)
     if row > _BIAS or rows > _BIAS:
         raise OverflowError(
             f"an exponent left the field range [{-_BIAS}, {_BIAS})")
@@ -322,38 +328,47 @@ def from_kronecker(value: int, vars, width: int, row: int) -> "MultiPoly":
     keys = chain.from_iterable(range(r, r + row * su, 2 * su)
                                for r in range(one, one + rows * sv, sv))
     return MultiPoly._new(tuple(vars), (False, False),
-                          _unpack(value, width, rows * row, keys, 2))
+                          _unpack(slots, width, keys, 2))
 
 
-def top_part_from_kronecker(value: int, width: int, row: int,
+def top_part_from_kronecker(slots: bytes, width: int, row: int,
                             degree: int) -> list:
     """[c_0, ..., c_D], c_k the coefficient of X^k z^(D - k), X = x^2 and
-    D = degree, of the polynomial in (x, z), even in x, whose image
-    from_kronecker reads; only those D + 1 slots are decoded.  ValueError
-    when a slot of an odd x-power (_biased_slots' byte columns) or of a
-    term of total degree above D (one bytes compare per row) is not zero.
+    D = degree, of the polynomial in (x, z) whose image even_slots read
+    into slots; only those D + 1 slots are decoded.  ValueError when a
+    slot of a term of total degree above D (a row past z^D, or one bytes
+    compare per row) is not zero.
     """
-    s = 8 * width
-    # the top digit sits in slot bit_length // s (see from_kronecker)
-    rows = max((value.bit_length() // s) // row, degree) + 1
-    try:
-        raw = _biased_slots(value, width, rows * row, 2)
-    except ValueError:
-        raise ValueError("odd x-power") from None
+    rows = len(slots) // (row * width)
     if rows > degree + 1:
         raise ValueError(f"term above total degree {degree}")
-    half = 1 << (s - 1)
+    half = 1 << (8 * width - 1)
     zero = half.to_bytes(width, _ORDER)
     top = [0] * (degree + 1)
     # the row of z^j holds x^0 .. x^(row - 1): X^(D - j) z^j has a slot,
-    # and the row slots past it, when 2 * (D - j) < row
-    for j in range(max(degree + 1 - row // 2, 0), degree + 1):
+    # and the row slots past it, when 2 * (D - j) < row; the rows past
+    # the slots are zero
+    for j in range(max(degree + 1 - row // 2, 0), rows):
         e = 2 * (degree - j)
         i = (j * row + e) * width
-        if raw[i + width:(j + 1) * row * width] != zero * (row - e - 1):
+        if slots[i + width:(j + 1) * row * width] != zero * (row - e - 1):
             raise ValueError(f"term above total degree {degree}")
-        top[degree - j] = int.from_bytes(raw[i:i + width], _ORDER) - half
+        top[degree - j] = int.from_bytes(slots[i:i + width], _ORDER) - half
     return top
+
+
+def _image(p: "MultiPoly", y, lo: int, s: int) -> "MultiPoly":
+    """The Kronecker image of p times y^-lo at y = 2^s, lo at most every
+    y-exponent of p: a polynomial over p.vars free of y, each coefficient
+    the int sum of c * 2^(s * (e - lo)) over p's terms c * y^e * m with
+    one monomial m in the other variables."""
+    field, step = p._field(y)
+    out: dict = {}
+    for k, c in p.terms.items():
+        e = ((k >> field) & _FIELD_MASK) - _BIAS
+        key = k - e * step
+        out[key] = out.get(key, 0) + (c << (s * (e - lo)))
+    return MultiPoly._make(p.vars, p.laurent, out)
 
 
 def kronecker_point(norm: int, degrees) -> tuple:
@@ -510,11 +525,6 @@ class MultiPoly:
             return None
         s = self._field(var)[0]
         return min((k >> s) & _FIELD_MASK for k in self.terms) - _BIAS
-
-    def total_degree(self):
-        if not self.terms:
-            return None
-        return max(self.terms) >> (_FIELD_BITS * len(self.vars))
 
     def coeff_in(self, var, k: int) -> "MultiPoly":
         """Coefficient of var**k, on the same variable list (var zeroed)."""
@@ -1038,15 +1048,15 @@ def _prs_gcd(p: MultiPoly, q: MultiPoly, var) -> MultiPoly:
     return rational_normalize(cont * a)
 
 
-# Evaluation points the heuristic gcd tries before poly_gcd falls back to
-# the primitive PRS.
+# Slot widths the heuristic gcd tries before poly_gcd falls back to the
+# primitive PRS.
 _GCDHEU_TRIES = 6
 
 
 def _heuristic_gcd(p: MultiPoly, q: MultiPoly):
     """GCDHEU (Char, Geddes & Gonnet, J. Symb. Comput. 7, 1989), as
     poly_gcd describes it: the normalized gcd of p and q, or None when the
-    heuristic does not apply or none of _GCDHEU_TRIES points gives a
+    heuristic does not apply or none of _GCDHEU_TRIES slot widths gives a
     candidate that exact_div divides into both primitive parts.
 
     p and q are nonzero with nonnegative exponents, as poly_gcd leaves
@@ -1056,34 +1066,31 @@ def _heuristic_gcd(p: MultiPoly, q: MultiPoly):
     live = _used_vars(p.vars, p.terms, q.terms)
     if len(live) != 1:
         return None
-    one, step = _one_key(len(p.vars)), p._field(live[0])[1]
-    a, b = rational_normalize(p), rational_normalize(q)
-    xi = 2 * min(max(map(abs, a.terms.values())),
-                 max(map(abs, b.terms.values()))) + 2
-    for _ in range(_GCDHEU_TRIES):
-        point = dict.fromkeys(p.vars, xi)
-        gamma = _int_gcd(a.evaluate(point), b.evaluate(point))
-        half = xi // 2
-        digits = {}
-        k = 0
-        while gamma:
-            gamma, d = divmod(gamma, xi)
-            if d > half:
-                d -= xi
-                gamma += 1
-            if d:
-                digits[one + k * step] = d
-            k += 1
-        g = rational_normalize(MultiPoly._new(p.vars, p.laurent, digits))
+    y = live[0]
+    one, step = _one_key(len(p.vars)), p._field(y)[1]
+    # at a power-of-2 point a factor y of one operand meets the powers of
+    # 2 in the other's value at every width, so the powers of y go first
+    kp, kq = p.min_degree_in(y), q.min_degree_in(y)
+    a = rational_normalize(p.mul_var_power(y, -kp))
+    b = rational_normalize(q.mul_var_power(y, -kq))
+    bound = 2 * min(max(map(abs, f.terms.values())) for f in (a, b)) + 2
+    first = slot_bytes(bound.bit_length())
+    for width in range(first, first + _GCDHEU_TRIES):
+        s = 8 * width
+        gamma = _int_gcd(_image(a, y, 0, s).constant_value(),
+                         _image(b, y, 0, s).constant_value())
+        # gamma's digits are not bounded, so its top balanced digit may
+        # carry into the slot above its top bit
+        count = gamma.bit_length() // s + 2
+        g = rational_normalize(MultiPoly._new(p.vars, p.laurent, _unpack(
+            _biased_slots(gamma, width, count), width,
+            range(one, one + count * step, step))))
         try:
             exact_div(a, g)
             exact_div(b, g)
         except InexactDivisionError:
-            # grow by 73794/27011, about 1 + sqrt(3), as GCDHEU does in
-            # Geddes, Czapor & Labahn, Algorithms for Computer Algebra
-            xi = xi * 73794 // 27011
             continue
-        return g
+        return g.mul_var_power(y, min(kp, kq))
     return None
 
 
@@ -1160,9 +1167,10 @@ def resultant_in(p: MultiPoly, q: MultiPoly, var) -> MultiPoly:
     size = max(m, n)
     pu, qu = p.as_univariate(var), q.as_univariate(var)
     rest = [w for w in p.vars if w != var]
-    field, step = p._field(rest[-1] if rest else var)
+    y = rest[-1] if rest else var
+    field, step = p._field(y)
     lo_p, lo_q = (min((k >> field) & _FIELD_MASK
-                      for c in split.values() for k in c.terms)
+                      for c in split.values() for k in c.terms) - _BIAS
                   for split in (pu, qu))
 
     def norms(split):
@@ -1171,19 +1179,9 @@ def resultant_in(p: MultiPoly, q: MultiPoly, var) -> MultiPoly:
 
     width = slot_bytes(_bezout_bound(norms(pu), norms(qu)).bit_length() + 1)
     s = 8 * width
-
-    def image(coeff, lo):
-        # coeff shifted by y^-lo (lo a field value) and taken at y = 2^s
-        out: dict = {}
-        for k, c in coeff.terms.items():
-            e = ((k >> field) & _FIELD_MASK) - lo
-            key = k - (e + lo - _BIAS) * step
-            out[key] = out.get(key, 0) + (c << (s * e))
-        return MultiPoly._make(p.vars, p.laurent, out)
-
     zero = MultiPoly.zero(p.vars, p.laurent)
-    u = [image(pu[k], lo_p) if k in pu else zero for k in range(size + 1)]
-    v = [image(qu[k], lo_q) if k in qu else zero for k in range(size + 1)]
+    u, v = ([_image(f[k], y, lo, s) if k in f else zero
+             for k in range(size + 1)] for f, lo in ((pu, lo_p), (qu, lo_q)))
     bez = [[zero] * size for _ in range(size)]
     for a in range(size):
         for b in range(a, size):
@@ -1192,8 +1190,8 @@ def resultant_in(p: MultiPoly, q: MultiPoly, var) -> MultiPoly:
                  for k in range(min(a, size - 1 - b) + 1)), zero)
     # det B has a y-exponent of at least low, one per digit upwards; the
     # top digit of a coefficient c sits in digit c.bit_length() // s (see
-    # from_kronecker)
-    low = size * (lo_p + lo_q - 2 * _BIAS)
+    # even_slots)
+    low = size * (lo_p + lo_q)
     terms: dict = {}
     for k, c in _minor_det(bez, zero + 1).terms.items():
         count = c.bit_length() // s + 1
@@ -1201,7 +1199,7 @@ def resultant_in(p: MultiPoly, q: MultiPoly, var) -> MultiPoly:
             raise OverflowError(
                 f"an exponent left the field range [{-_BIAS}, {_BIAS})")
         first = k + low * step
-        terms.update(_unpack(c, width, count,
+        terms.update(_unpack(_biased_slots(c, width, count), width,
                              range(first, first + count * step, step)))
     det = MultiPoly._new(p.vars, p.laurent, terms)
     flips = size * (size - 1) // 2 + (m + 1) * (n - m) * (n > m)

@@ -134,18 +134,9 @@ def traced_qs(lo: int, hi: int) -> dict:
     return out
 
 
-@lru_cache(maxsize=None)
-def traced_q(n: int) -> MultiPoly:
-    """Q_n of traced_qs, for one n."""
-    return traced_qs(n, n)[n]
-
-
-def closed_form_report(n: int, q_traced: MultiPoly | None = None
-                       ) -> VerificationReport:
+def closed_form_report(n: int, q_traced: MultiPoly) -> VerificationReport:
     """Closed forms of P and Q_n against the trace-engine rebuilds;
-    q_traced is traced_q(n), which a sweep passes in."""
-    if q_traced is None:
-        q_traced = traced_q(n)
+    q_traced is Q_n of traced_qs."""
     p_ok = defining_p() == traced_p()
     q_ok = defining_q(n) == q_traced
     details = {"p_ok": p_ok, "q_ok": q_ok}

@@ -24,8 +24,8 @@ to tr(A), st just swaps beta and gamma.  That fold, nested_slice_images,
 runs on the Kronecker images x = 2^s, z = 2^(s*row) over Z (Harvey,
 J. Symb. Comput. 2009), with s taken from a proven bound on the sum of the
 slices' coefficient norms.  The images stay packed: a caller adds and
-subtracts them as ints, decodes with from_kronecker only the sums it
-reads, and reads a slice's top part, undecoded, with
+subtracts them as ints, decodes only the sums it reads, with even_slots
+and from_kronecker, and reads a slice's top part, undecoded, with
 top_part_from_kronecker.
 
 2x2 matrices are row-major 4-tuples (a, b, c, d) over any ring, such as
@@ -269,8 +269,8 @@ def nested_slice_images(letters) -> tuple:
     and so keeps its trace when A, B become -A, -B.  _trace_norms bounds
     each slice's coefficients, so their sum plus one bounds every
     coefficient of any signed sum of the slice traces and +-1; s is the
-    slot of that bound plus a sign bit, and from_kronecker(image, VARS_XZ,
-    width, row) reads back any such sum of images.
+    slot of that bound plus a sign bit, so from_kronecker reads back any
+    such sum of images from its even_slots.
     """
     norms = _trace_norms(letters)
     width = slot_bytes((sum(norms) + 1).bit_length() + 1)

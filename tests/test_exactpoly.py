@@ -170,7 +170,6 @@ def test_keys_round_trip_at_the_cli_caps():
         for i, v in enumerate(p.vars):
             assert max(e[i] for e in terms) == p.degree_in(v)
             assert min(e[i] for e in terms) == p.min_degree_in(v)
-        assert max(map(sum, terms)) == p.total_degree()
 
 
 class TupleRef:
@@ -427,12 +426,16 @@ def test_from_kronecker_reads_back_every_even_term(bits):
              (2, 3): top, (4, 3): -top}
     s = 8 * width
     value = sum(c << (s * (i + row * j)) for (i, j), c in terms.items())
-    got = exactpoly.from_kronecker(value, ("x", "z"), width, row)
+
+    def decode(v):
+        return exactpoly.from_kronecker(exactpoly.even_slots(v, width, row),
+                                        ("x", "z"), width, row)
+
+    got = decode(value)
     assert got == MultiPoly(("x", "z"), terms)
-    assert exactpoly.from_kronecker(0, ("x", "z"), width, row) == 0
+    assert decode(0) == 0
     # a negative top digit borrows from the slots below it
-    assert exactpoly.from_kronecker(-value, ("x", "z"), width, row) \
-        == -got
+    assert decode(-value) == -got
 
 
 @settings(max_examples=200, deadline=None)
@@ -461,28 +464,33 @@ def test_top_part_from_kronecker_reads_the_anti_diagonal(bits, half_row,
         j = data.draw(st.integers(max(0, degree + 1 - i), degree + 2))
         terms[(2 * i, j)] = data.draw(coeffs)
     value = sum(c << (s * (i + row * j)) for (i, j), c in terms.items())
+
+    def top_part():
+        return exactpoly.top_part_from_kronecker(
+            exactpoly.even_slots(value, width, row), width, row, degree)
+
     if fault:
         with pytest.raises(ValueError, match=fault):
-            exactpoly.top_part_from_kronecker(value, width, row, degree)
+            top_part()
     else:
-        assert exactpoly.top_part_from_kronecker(value, width, row, degree) \
+        assert top_part() \
             == [terms.get((2 * k, degree - k), 0) for k in range(degree + 1)]
 
 
 @pytest.mark.parametrize("bits", [8, 64, 65, 150])
 def test_from_kronecker_rejects_an_odd_power(bits):
     # a term with an odd x-power beside even ones, of either sign, small
-    # or at half a slot, in the first row and past it: the odd slots are
-    # checked, not skipped
+    # or at half a slot, in the first row and past it: even_slots checks
+    # the odd slots, which from_kronecker then skips
     width = exactpoly.slot_bytes(bits)
     s, row = 8 * width, 6
     top = (1 << (s - 1)) - 1
     even = (top << s * (2 + row)) - 1
     for i, j in ((1, 0), (5, 0), (3, 2)):
         for c in (1, -1, top, -top):
-            with pytest.raises(ValueError, match="skipped"):
-                exactpoly.from_kronecker(even + (c << s * (i + row * j)),
-                                         ("x", "z"), width, row)
+            with pytest.raises(ValueError, match="odd x-power"):
+                exactpoly.even_slots(even + (c << s * (i + row * j)),
+                                     width, row)
 
 
 @settings(max_examples=300, deadline=None)
@@ -776,30 +784,64 @@ def test_heuristic_gcd_without_tries_falls_back(monkeypatch):
     assert len(fallbacks) == 1
 
 
-def test_heuristic_gcd_retries_a_rejected_candidate(monkeypatch):
-    # |y - 2| = |y + 2| = 2, so xi starts at 6; gcd(6 - 2, 6 + 2) = 4 reads
-    # back as y - 2, which does not divide y + 2.
-    y = var("y", ("y",))
-    points, divisors = [], []
-    evaluate, divide = MultiPoly.evaluate, exactpoly.exact_div
+def _spy_heuristic_gcd(monkeypatch):
+    """Record the slot width of each candidate _heuristic_gcd reads and
+    each divisor it tries, in order."""
+    log = []
+    unpack, divide = exactpoly._unpack, exactpoly.exact_div
 
-    def spy_evaluate(self, point):
-        points.append(point["y"])
-        return evaluate(self, point)
+    def spy_unpack(raw, width, keys, stride=1):
+        log.append(("width", width))
+        return unpack(raw, width, keys, stride)
 
     def spy_divide(p, q):
-        divisors.append(q)
+        log.append(("divisor", q))
         return divide(p, q)
 
-    monkeypatch.setattr(MultiPoly, "evaluate", spy_evaluate)
+    monkeypatch.setattr(exactpoly, "_unpack", spy_unpack)
     monkeypatch.setattr(exactpoly, "exact_div", spy_divide)
-    assert exactpoly._heuristic_gcd(y - 2, y + 2) == 1
-    assert points[0] == 6 and divisors[:2] == [y - 2, y - 2]
-    assert points == sorted(points) and len(set(points)) == 2
+    return log
+
+
+def test_heuristic_gcd_retries_a_rejected_candidate(monkeypatch):
+    # |y - 2| = 2, so the point starts at 2^8 (width 1): gcd(254, 508) =
+    # 254 reads back as y - 2, which does not divide y + 252.  At 2^16,
+    # gcd(65534, 65788) = 2 reads back as 1, which divides both.
+    y = var("y", ("y",))
+    log = _spy_heuristic_gcd(monkeypatch)
+    assert exactpoly._heuristic_gcd(y - 2, y + 252) == 1
+    assert log == [("width", 1), ("divisor", y - 2), ("divisor", y - 2),
+                   ("width", 2), ("divisor", 1), ("divisor", 1)]
     monkeypatch.setattr(exactpoly, "_GCDHEU_TRIES", 1)
-    assert exactpoly._heuristic_gcd(y - 2, y + 2) is None
-    assert poly_gcd(y - 2, y + 2) == 1
-    assert poly_gcd((y - 2) * (y + 5), (y + 2) * (y + 5)) == y + 5
+    assert exactpoly._heuristic_gcd(y - 2, y + 252) is None
+    assert poly_gcd(y - 2, y + 252) == 1
+    assert poly_gcd((y - 2) * (y + 5), (y + 252) * (y + 5)) == y + 5
+
+
+def test_heuristic_gcd_reads_a_carry_past_the_top_bit(monkeypatch):
+    # at 2^8, y^2 - 2 and y^2 + 128 y - 3 take 65534 and 98301, whose gcd
+    # 2^15 - 1 has 15 bits but the balanced digits -1, -128, 1: its top
+    # digit sits in the slot above the one of its top bit
+    y = var("y", ("y",))
+    p, q = y ** 2 - 2, y ** 2 + 128 * y - 3
+    assert exactpoly._prs_gcd(p, q, "y") == 1
+    log = _spy_heuristic_gcd(monkeypatch)
+    assert exactpoly._heuristic_gcd(p, q) == 1
+    assert log == [("width", 1), ("divisor", y ** 2 - 128 * y - 1),
+                   ("width", 2), ("divisor", 1), ("divisor", 1)]
+
+
+def test_heuristic_gcd_takes_out_the_powers_of_y(monkeypatch):
+    # at 2^(8w), y^2 takes 2^(16w), and 2^56 + 44768 y^2 - 7783 y takes
+    # a value whose power of 2 is 2^(8w) at each width w = 1 .. 6 tried,
+    # which reads back as y; the gcd of y^2 / y^2 and that operand is
+    # found at the first width
+    y = var("y", ("y",))
+    q = 2 ** 56 + 44768 * y ** 2 - 7783 * y
+    log = _spy_heuristic_gcd(monkeypatch)
+    assert exactpoly._heuristic_gcd(y ** 2, q) == 1
+    assert log == [("width", 1), ("divisor", 1), ("divisor", 1)]
+    assert exactpoly._heuristic_gcd(y ** 3 * q, y * (y + 1) * q) == y * q
 
 
 def test_heuristic_gcd_leaves_other_inputs_to_the_prs():

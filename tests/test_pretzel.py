@@ -17,7 +17,7 @@ from knotpoly.pretzel import (PretzelKnot, a_poly, b_poly,
                               radical_slice_report, resultant_closed_rhs,
                               resultant_report, seidenberg_report,
                               shared_square_factor,
-                              traced_p, traced_q, u_poly, witness_reports,
+                              traced_p, traced_qs, u_poly, witness_reports,
                               x0_report, x0_slice, a_root_residuals,
                               u_root_residuals, word_e, word_f,
                               y_minus_two_generators, _integer_solve,
@@ -47,19 +47,21 @@ def test_defining_q_small_values():
 
 def test_closed_forms_match_traced_rebuild():
     assert traced_p() == defining_p()
+    traced = traced_qs(-100, 100)
     for n in range(-100, 101):
-        assert traced_q(n) == defining_q(n), n
+        assert traced[n] == defining_q(n), n
 
 
 def test_traced_q_matches_a_fold_of_the_whole_word():
     # the recurrence against tr(w^n E a) - tr(w^n a F) folded letter by
     # letter, w^n included
     a = ((GENERATOR_A, 1),)
+    traced = traced_qs(-12, 12)
     for n in range(-12, 13):
         w_n = ((GENERATOR_B, n),)
         whole = (trace_poly(reduce_word(w_n + word_e().letters + a))
                  - trace_poly(reduce_word(w_n + a + word_f().letters)))
-        assert traced_q(n) == whole, n
+        assert traced[n] == whole, n
 
 
 def _stack_depth():
@@ -72,19 +74,17 @@ def _stack_depth():
 @pytest.mark.parametrize("n", [300, -300])
 def test_cold_traced_q_steps_in_a_loop(n):
     # a recursive step per n would need about |n| frames
-    traced_q.cache_clear()
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(_stack_depth() + 100)
     try:
-        q = traced_q(n)
+        q = traced_qs(n, n)[n]
     finally:
         sys.setrecursionlimit(limit)
-        traced_q.cache_clear()
     assert q == defining_q(n)
 
 
 def test_closed_form_report_passes():
-    rep = closed_form_report(3)
+    rep = closed_form_report(3, traced_qs(3, 3)[3])
     assert rep.status == "pass"
     assert rep.details == {"p_ok": True, "q_ok": True}
 
