@@ -27,15 +27,14 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 from operator import sub
 
 from .exactpoly import (MultiPoly, is_squarefree_in, poly_gcd, resultant_in,
                         squarefree_part_in)
-from .report import (InternalInconsistencyError, VerificationReport,
-                     status_of)
+from .report import (FrozenRecord, InternalInconsistencyError,
+                     VerificationReport, status_of)
 from .sl2trace import (FreeWord, GENERATOR_A, GENERATOR_B, VARS_XYZ,
                        VARS_XZ, chebyshev_s, chebyshev_t, mat2_mul,
                        mat2_pow, reduce_word, trace_poly, word_matrix)
@@ -49,11 +48,13 @@ RESIDUAL_TOL = 1e-9
 MEMBERSHIP_DEGREES = (4, 4)
 
 
-@dataclass(frozen=True)
-class PretzelKnot:
+class PretzelKnot(FrozenRecord):
     """The (-2, 3, 2n+1) pretzel knot; every integer n is admitted."""
 
-    n: int
+    __slots__ = ("n",)
+
+    def __init__(self, n: int):
+        self._init(n)
 
     def label(self) -> str:
         return f"pretzel(-2,3,{2 * self.n + 1})"
@@ -226,22 +227,19 @@ def b_poly(n: int) -> MultiPoly:
     return -(chebyshev_s(n - 2) + chebyshev_s(n - 3))
 
 
-@dataclass(frozen=True)
-class X0SliceData:
+class X0SliceData(FrozenRecord):
     """The x = 0 slice at n, built once: p0 = P and q0 = Q_n at x = 0 in
     (y, z), the coefficients a_n, b_n, U_n in y with q0 = a_n + b_n z^2,
     the product a_n U_n, and the two exact checks.  Every slice report
     reads its slice and verdicts from here."""
 
-    n: int
-    p0: MultiPoly
-    q0: MultiPoly
-    a_n: MultiPoly
-    b_n: MultiPoly
-    u_n: MultiPoly
-    au: MultiPoly
-    identity_ok: bool
-    squarefree_ok: bool
+    __slots__ = ("n", "p0", "q0", "a_n", "b_n", "u_n", "au", "identity_ok",
+                 "squarefree_ok")
+
+    def __init__(self, n: int, p0: MultiPoly, q0: MultiPoly, a_n: MultiPoly,
+                 b_n: MultiPoly, u_n: MultiPoly, au: MultiPoly,
+                 identity_ok: bool, squarefree_ok: bool):
+        self._init(n, p0, q0, a_n, b_n, u_n, au, identity_ok, squarefree_ok)
 
 
 def x0_slice(n: int) -> X0SliceData:

@@ -21,13 +21,12 @@ fields and moves the key by whole steps of t, M and L.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable
 
 from .exactpoly import (EXPONENT_BOUND, AlignmentError, MultiPoly,
                         RationalFunction, _check_fields, exponent_reader,
                         monomial_key)
-from .report import VerificationReport, status_of
+from .report import FrozenRecord, VerificationReport, status_of
 
 VARS_QT = ("t", "M", "L")
 LAURENT_QT = (True, True, True)
@@ -177,15 +176,15 @@ def annihilation_check(p: MultiPoly, f: Callable,
 # -- sigma symmetry of a recurrence ---------------------------------------
 
 
-@dataclass(frozen=True)
-class SigmaFactor:
+class SigmaFactor(FrozenRecord):
     """Result of the sigma-symmetry test: p = h * (L^d and sigma(p) in the
     stated ordering), with h in the fraction field of (t, M), kept over
     VARS_QT with L absent."""
 
-    ordering: str
-    h: RationalFunction
-    m_only: bool
+    __slots__ = ("ordering", "h", "m_only")
+
+    def __init__(self, ordering: str, h: RationalFunction, m_only: bool):
+        self._init(ordering, h, m_only)
 
     @property
     def num(self) -> MultiPoly:

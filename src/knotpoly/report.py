@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 STATUS_PASS = "pass"
 STATUS_FAIL = "fail"
 STATUS_NUMERIC = "numeric-pass"
@@ -13,18 +11,61 @@ class InternalInconsistencyError(RuntimeError):
     """A proved structural property failed to hold; the build is broken."""
 
 
-@dataclass
-class VerificationReport:
+class Record:
+    """A plain record whose fields are its class's __slots__: equal only to
+    a record of the same class with equal fields, and unhashable."""
+
+    __slots__ = ()
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__slots__])
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}"
+                           for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+
+class FrozenRecord(Record):
+    """A Record whose fields are set once, by _init, and then only read;
+    it hashes as the tuple of its fields."""
+
+    __slots__ = ()
+
+    def _init(self, *values) -> None:
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __hash__(self):
+        return hash(self._values())
+
+
+class VerificationReport(Record):
     """One checked claim: stable id, status, and free-form details.
 
     Status "numeric-pass" is reserved for checks that are floating-point
     by design; everything else is exact and reports "pass" or "fail".
     """
 
-    claim_id: str
-    subject: str
-    status: str
-    details: dict = field(default_factory=dict)
+    __slots__ = ("claim_id", "subject", "status", "details")
+
+    def __init__(self, claim_id: str, subject: str, status: str,
+                 details: dict | None = None):
+        self.claim_id = claim_id
+        self.subject = subject
+        self.status = status
+        self.details = {} if details is None else details
 
     @property
     def passed(self) -> bool:

@@ -54,7 +54,6 @@ the generic pair.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from functools import lru_cache, reduce
 from itertools import accumulate, repeat
 from math import comb
@@ -63,6 +62,7 @@ from typing import Iterable
 
 from .exactpoly import (MultiPoly, exponent_reader, kronecker_point,
                         slot_bytes)
+from .report import FrozenRecord
 
 VARS_XYZ = ("x", "y", "z")
 VARS_XZ = ("x", "z")
@@ -73,21 +73,21 @@ GENERATOR_A = 0
 GENERATOR_B = 1
 
 
-@dataclass(frozen=True)
-class FreeWord:
+class FreeWord(FrozenRecord):
     """Freely reduced word; letters are (generator, nonzero exponent)."""
 
-    letters: tuple
+    __slots__ = ("letters",)
 
-    def __post_init__(self):
-        for gen, exp in self.letters:
+    def __init__(self, letters: tuple):
+        for gen, exp in letters:
             if gen not in (GENERATOR_A, GENERATOR_B):
                 raise ValueError(f"unknown generator {gen!r}")
             if exp == 0:
                 raise ValueError("zero exponent letter")
-        for (g1, _), (g2, _) in zip(self.letters, self.letters[1:]):
+        for (g1, _), (g2, _) in zip(letters, letters[1:]):
             if g1 == g2:
                 raise ValueError("adjacent letters share a generator")
+        self._init(letters)
 
     def is_empty(self) -> bool:
         return not self.letters
@@ -121,7 +121,10 @@ def word_from_string(text: str) -> tuple[FreeWord, tuple[str, ...]]:
     for token in text.split():
         if "^" in token:
             name, _, raw = token.partition("^")
-            exp = int(raw)
+            try:
+                exp = int(raw)
+            except ValueError:
+                raise ValueError(f"malformed token {token!r}") from None
         else:
             name, exp = token, 1
         if not name:

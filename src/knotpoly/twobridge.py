@@ -15,7 +15,6 @@ the Psi_q(-z), q | p, where Psi_q is the minimal polynomial of
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 from itertools import accumulate, repeat
@@ -25,8 +24,8 @@ from operator import mul
 from .exactpoly import (MultiPoly, even_slots, exact_div, exponent_reader,
                         from_kronecker, newton_polygon,
                         top_part_from_kronecker)
-from .report import (InternalInconsistencyError, STATUS_FAIL, STATUS_PASS,
-                     VerificationReport, status_of)
+from .report import (FrozenRecord, InternalInconsistencyError, STATUS_FAIL,
+                     STATUS_PASS, VerificationReport, status_of)
 from .sl2trace import (FreeWord, GENERATOR_A, GENERATOR_B, VARS_XZ,
                        chebyshev_s, nested_slice_images, word_matrix)
 
@@ -38,20 +37,19 @@ class IrreducibilityCertificate(Enum):
     UNKNOWN = "unknown"
 
 
-@dataclass(frozen=True)
-class TwoBridgeKnot:
+class TwoBridgeKnot(FrozenRecord):
     """Normal form b(p, m): p, m odd, coprime, 0 < m < p."""
 
-    p: int
-    m: int
+    __slots__ = ("p", "m")
 
-    def __post_init__(self):
-        if self.p < 3 or self.p % 2 == 0:
-            raise ValueError(f"p must be odd and >= 3, got {self.p}")
-        if self.m % 2 == 0 or not 0 < self.m < self.p:
-            raise ValueError(f"m must be odd with 0 < m < p, got {self.m}")
-        if gcd(self.p, self.m) != 1:
-            raise ValueError(f"p and m must be coprime, got ({self.p}, {self.m})")
+    def __init__(self, p: int, m: int):
+        if p < 3 or p % 2 == 0:
+            raise ValueError(f"p must be odd and >= 3, got {p}")
+        if m % 2 == 0 or not 0 < m < p:
+            raise ValueError(f"m must be odd with 0 < m < p, got {m}")
+        if gcd(p, m) != 1:
+            raise ValueError(f"p and m must be coprime, got ({p}, {m})")
+        self._init(p, m)
 
     @property
     def d(self) -> int:

@@ -105,6 +105,13 @@ def test_trace_rejects_oversized_word(capsys):
         assert captured.out == ""
 
 
+def test_trace_names_a_malformed_exponent(capsys):
+    code, captured = run(capsys, "trace", "--word", "a^")
+    assert code == 2
+    assert captured.err == "error: malformed token 'a^'\n"
+    assert captured.out == ""
+
+
 def test_pretzel_rejects_oversized_n(capsys):
     code, captured = run(capsys, "pretzel", "--n", "5000")
     assert code == 2

@@ -3,6 +3,7 @@
 import itertools
 import math
 import random
+import re
 from collections import Counter
 from fractions import Fraction
 
@@ -48,12 +49,33 @@ def test_reduce_word_merges_and_cancels():
 
 
 def test_free_word_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^zero exponent letter$"):
         FreeWord(((0, 0),))
-    with pytest.raises(ValueError):
-        FreeWord(((0, 1), (0, 2)))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError,
+                       match="^adjacent letters share a generator$"):
+        FreeWord(letters=((0, 1), (0, 2)))
+    with pytest.raises(ValueError, match="^unknown generator 2$"):
         FreeWord(((2, 1),))
+
+
+def test_free_word_is_a_value():
+    # check_trace_oracle keys a dict on words: a word built twice must
+    # find the same entry, and a word is not the tuple of its letters
+    letters = ((GENERATOR_A, 1), (GENERATOR_B, -2))
+    seen = {FreeWord(letters): "first"}
+    again = reduce_word([(GENERATOR_A, 1), (GENERATOR_B, -1),
+                         (GENERATOR_B, -1)])
+    assert again is not next(iter(seen))
+    assert seen[again] == "first"
+    assert again == FreeWord(letters=letters)
+    assert again != FreeWord(((GENERATOR_A, 1),))
+    assert again != (letters,) and again != letters
+    assert repr(again) == "FreeWord(letters=((0, 1), (1, -2)))"
+    with pytest.raises(AttributeError):
+        again.letters = ()
+    with pytest.raises(AttributeError):
+        del again.letters
+    assert again.letters == letters
 
 
 def test_word_string_round_trip():
@@ -65,6 +87,14 @@ def test_word_string_round_trip():
 def test_word_from_string_rejects_three_generators():
     with pytest.raises(ValueError):
         word_from_string("a b c")
+
+
+@pytest.mark.parametrize("token", ["a^", "a^x", "b^1.5", "^2"])
+def test_word_from_string_names_a_malformed_token(token):
+    # "^2" has no name; the others have an exponent that is not an int
+    with pytest.raises(ValueError,
+                       match=f"^malformed token {re.escape(repr(token))}$"):
+        word_from_string(f"a b {token}")
 
 
 @settings(max_examples=50, deadline=None)

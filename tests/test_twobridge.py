@@ -52,17 +52,33 @@ def even_form(phi):
 # -- normal form -----------------------------------------------------------
 
 def test_parameter_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^p must be odd and >= 3, got 4$"):
         knot(4, 1)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^p must be odd and >= 3, got 1$"):
+        knot(1, 1)
+    with pytest.raises(ValueError,
+                       match=r"^m must be odd with 0 < m < p, got 2$"):
         knot(5, 2)
-    with pytest.raises(ValueError):
-        knot(5, 7)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError,
+                       match=r"^m must be odd with 0 < m < p, got 7$"):
+        TwoBridgeKnot(p=5, m=7)
+    with pytest.raises(ValueError,
+                       match=r"^p and m must be coprime, got \(9, 3\)$"):
         knot(9, 3)
     k = knot(7, 3)
     assert (k.d, k.c) == (3, 1)
     assert k.label() == "b(7,3)"
+
+
+def test_knot_is_a_frozen_value():
+    k = knot(7, 3)
+    assert k == TwoBridgeKnot(p=7, m=3) and k != knot(7, 5)
+    assert k != (7, 3)
+    assert {k: 1}[knot(7, 3)] == 1
+    assert repr(k) == "TwoBridgeKnot(p=7, m=3)"
+    with pytest.raises(AttributeError):
+        k.p = 9
+    assert (k.p, k.m) == (7, 3)
 
 
 def test_all_knots_enumeration():
