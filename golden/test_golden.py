@@ -5,8 +5,8 @@ code, the SHA-256 of its stdout, and a short digest of each
 ``(claim_id, subject)`` report must equal the record in ``digests.json``,
 so a change that moves any report names the reports it moved.
 
-The corpus takes about 3 s on two cores, so it is not part of the tier-1
-tests:
+The corpus takes about 7 s on two cores, half of it in the two-bridge
+commands at p = 71 and p = 151, so it is not part of the tier-1 tests:
 
     PYTHONPATH=src python -m pytest golden/test_golden.py
 
@@ -90,7 +90,10 @@ CLI_COLD_SEED_1 = [
 
 CORPUS = ([["verify", "--suite", "all"],
            ["verify", "--suite", "all", "--seed", "1"],
-           ["verify", "--suite", "pretzel", "--n-range", "-30", "40"]]
+           ["verify", "--suite", "pretzel", "--n-range", "-30", "40"],
+           # the two-bridge fold packs slots wider than 8 bytes from p = 63
+           ["verify", "--suite", "twobridge", "--p", "71"],
+           ["twobridge", "--p", "151", "--m", "75"]]
           + [["pretzel", "--n", str(n)] for n in (*range(-20, 21), -100, 100)]
           + CLI_COLD_SEED_1)
 
