@@ -17,17 +17,15 @@ from __future__ import annotations
 
 from enum import Enum
 from functools import lru_cache
-from itertools import accumulate, repeat
 from math import comb, gcd
-from operator import mul
 
 from .exactpoly import (MultiPoly, even_slots, exact_div, exponent_reader,
-                        from_kronecker, newton_polygon,
+                        from_kronecker, kronecker_point, newton_polygon,
                         top_part_from_kronecker)
 from .report import (FrozenRecord, InternalInconsistencyError, STATUS_FAIL,
                      STATUS_PASS, VerificationReport, status_of)
 from .sl2trace import (FreeWord, GENERATOR_A, GENERATOR_B, VARS_XZ,
-                       chebyshev_s, nested_slice_images, word_matrix)
+                       chebyshev_s, nested_slice_images)
 
 MERIDIAN_CACHE_SIZE = 4
 
@@ -198,40 +196,74 @@ def leading_term_report(knot: TwoBridgeKnot) -> VerificationReport:
                               {"c_j": c_js, "failed": failed})
 
 
+def _riley_row(letters, a: int, b: int) -> tuple:
+    """(M11, M12), the first row of the product M of the letters s*A =
+    [[s^2, s], [0, 1]], s*B = [[s^2, 0], [-u s, 1]] and, for an inverse
+    letter, their adjugates [[1, -s], [0, s^2]], [[1, 0], [u s, s^2]], at
+    s = 2^a and u = 2^b; every product by an entry is a shift."""
+    m1, m2 = 1, 0
+    for gen, exp in letters:
+        if gen == GENERATOR_A:
+            m1, m2 = ((m1 << 2 * a, (m1 << a) + m2) if exp > 0
+                      else (m1, (m2 << 2 * a) - (m1 << a)))
+        elif exp > 0:
+            m1 = (m1 << 2 * a) - (m2 << a + b)
+        else:
+            m1, m2 = m1 + (m2 << a + b), m2 << 2 * a
+    return m1, m2
+
+
 def riley_check(knot: TwoBridgeKnot, gamma: MultiPoly) -> None:
-    """Check gamma against Riley's representation at one integer point;
-    InternalInconsistencyError on a mismatch.
+    """Prove gamma equal to the polynomial Riley's representation gives;
+    InternalInconsistencyError when it is not.
 
     With A = [[s, 1], [0, 1/s]], B = [[s, 0], [-u, 1/s]] and W the bridge
     word's matrix, phi(s + 1/s, s^2 + s^-2 - u) = W11 + (1/s - s)*W12, the
     (1,2) entry of WA - BW (R. Riley, Quart. J. Math. Oxford 35, 1984).
     The letters s*A = [[s^2, s], [0, 1]] and s*B = [[s^2, 0], [-u s, 1]]
-    are integer matrices of determinant s^2, and their adjugates, which
-    word_matrix takes for an inverse letter, are s*A^-1 and s*B^-1; so the
-    product is M = s^(2d) W.  With X' = (s^2 + 1)^2, z' = s^4 + 1 - u s^2
-    and gamma = sum c_ij X^i z^j of total degree d, the identity times
-    s^(2d+1) is s * sum c_ij X'^i z'^j s^(2(d-i-j)) = s*M11 + (1 - s^2)*M12,
-    all in integers.  The point s = p, u = m depends on the knot alone.
+    are integer matrices of determinant s^2, and their adjugates are s*A^-1
+    and s*B^-1; so their product over the bridge word's 2d letters, each of
+    exponent +-1, is M = s^(2d) W.  With X' = (s^2 + 1)^2, z' = s^4 + 1 -
+    u s^2 and gamma = sum c_ij X^i z^j of total degree d, the identity
+    times s^(2d+1) is s * sum c_ij X'^i z'^j s^(2(d-i-j)) = s*M11 + (1 -
+    s^2)*M12 in Z[s, u].
+
+    (s, u) -> (s + 1/s, s^2 + s^-2 - u) is onto C^2, so that identity in
+    Z[s, u] is gamma's identity in (X, z), not a sample.  Both sides have
+    degree at most 4d + 2 in s.  The left side has 1-norm at most sum
+    |c_ij| 4^i 3^j.  Every entry of a letter has 1-norm at most 1, so each
+    entry of M has 1-norm at most 2^(2d-1), and the right side at most
+    3 * 2^(2d-1).  Their sum bounds the difference, so the two sides are
+    compared as ints at kronecker_point of that bound and degrees
+    (4d + 2, d), where s = 2^a and u = 2^b and every product by X', z' or a
+    letter is a shift.  The left side runs Horner's scheme in z' over
+    homogeneous Horner sums in X' and s^2.
     """
-    s, u, d = knot.p, knot.m, knot.d
-    s2 = s * s
-    m = word_matrix(bridge_word(knot).letters,
-                    ((s2, s, 0, 1), (s2, 0, -u * s, 1)))
-    # X'^i, z'^j and s^(2k) for i, j, k = 0..d
-    cap_xs, zs, s2s = (list(accumulate(repeat(b, d), mul, initial=1))
-                       for b in ((s2 + 1) ** 2, s2 * s2 + 1 - u * s2, s2))
+    d = knot.d
     read_x, read_z = (exponent_reader(gamma.vars, v) for v in ("X", "z"))
-    value = 0
+    cols = [[0] * (d + 1 - j) for j in range(d + 1)]  # cols[j][i] = c_ij
+    norm = 3 << 2 * d - 1
     for key, c in gamma.terms.items():
         i, j = read_x(key), read_z(key)
         if i + j > d:
             raise InternalInconsistencyError(
                 f"term X^{i}*z^{j} of {knot.label()} is above degree {d}")
-        value += c * cap_xs[i] * zs[j] * s2s[d - i - j]
-    if s * value != s * m[0] + (1 - s2) * m[1]:
+        cols[j][i] = c
+        norm += (abs(c) << 2 * i) * 3 ** j
+    s, u = kronecker_point(norm, (4 * d + 2, d))
+    a, b = s.bit_length() - 1, u.bit_length() - 1
+    value = 0
+    for j in range(d, -1, -1):
+        # sum_i c_ij X'^i s^(2(d-j-i)), then value * z' plus that sum
+        part = 0
+        for i in range(d - j, -1, -1):
+            part += part << 2 * a
+            part += (part << 2 * a) + (cols[j][i] << 2 * a * (d - j - i))
+        value += (value << 4 * a) - (value << 2 * a + b) + part
+    m1, m2 = _riley_row(bridge_word(knot).letters, a, b)
+    if value << a != (m1 << a) + m2 - (m2 << 2 * a):
         raise InternalInconsistencyError(
-            f"gamma of {knot.label()} disagrees with Riley's representation "
-            f"at s={s}, u={u}")
+            f"gamma of {knot.label()} disagrees with Riley's representation")
 
 
 # -- irreducibility -------------------------------------------------------

@@ -19,7 +19,7 @@ from knotpoly.sl2trace import (DEFAULT_SEED, FreeWord, GENERATOR_A,
                                reduce_word, trace_poly, trace_poly_with,
                                trace_proved, word_from_string, word_matrix,
                                word_to_string)
-from knotpoly.twobridge import TwoBridgeKnot, bridge_word
+from knotpoly.twobridge import TwoBridgeKnot, _riley_row, bridge_word
 from knotpoly.verify import check_trace_oracle
 
 X = MultiPoly.variable("x", ("x", "y", "z"))
@@ -488,15 +488,18 @@ def test_mat2_pow_negative_is_the_adjugate_at_any_determinant():
 @pytest.mark.parametrize("p, m", [(5, 3), (7, 3), (13, 5)])
 def test_riley_letters_scale_the_bridge_matrix(p, m):
     # riley_check multiplies the integer letters s*A, s*B, whose
-    # adjugates are s*A^-1, s*B^-1; the product is M = s^(2d) W, for W
-    # the bridge word at A = [[s, 1], [0, 1/s]], B = [[s, 0], [-u, 1/s]],
-    # here over Q
+    # adjugates are s*A^-1, s*B^-1, by shifts at s = 2^a, u = 2^b: the
+    # first row of the product is that of word_matrix there, and that
+    # product is M = s^(2d) W, for W the bridge word at
+    # A = [[s, 1], [0, 1/s]], B = [[s, 0], [-u, 1/s]], here over Q
     knot = TwoBridgeKnot(p, m)
     letters = bridge_word(knot).letters
-    for s, u in ((p, m), (3, -2), (2, 7)):
+    for a, b in ((1, 3), (2, 1), (5, 11)):
+        s, u = 1 << a, 1 << b
         scaled = word_matrix(letters,
                              ((s * s, s, 0, 1), (s * s, 0, -u * s, 1)))
-        a = (Fraction(s), Fraction(1), Fraction(0), Fraction(1, s))
-        b = (Fraction(s), Fraction(0), Fraction(-u), Fraction(1, s))
-        exact = word_matrix(letters, (a, b))
-        assert scaled == tuple(s ** (2 * knot.d) * e for e in exact), (s, u)
+        assert _riley_row(letters, a, b) == scaled[:2], (a, b)
+        a_q = (Fraction(s), Fraction(1), Fraction(0), Fraction(1, s))
+        b_q = (Fraction(s), Fraction(0), Fraction(-u), Fraction(1, s))
+        exact = word_matrix(letters, (a_q, b_q))
+        assert scaled == tuple(s ** (2 * knot.d) * e for e in exact), (a, b)

@@ -415,8 +415,7 @@ def test_leading_terms_catch_an_anti_diagonal_slot_past_p_31(monkeypatch):
 
 
 def test_riley_oracle_catches_a_perturbed_gamma():
-    # gamma + X*z differs from gamma at every point with X z != 0, and the
-    # oracle's point has X = (p^2 + 1)^2 and z = p^4 + 1 - m p^2 > 0
+    # gamma + X*z is another polynomial, so the proof rejects it
     for k in (knot(5, 3), knot(7, 3), knot(13, 5), knot(45, 7)):
         phi = character_polynomial(k)
         gamma = even_form(phi)
@@ -429,6 +428,28 @@ def test_riley_oracle_catches_a_perturbed_gamma():
         assert [(r.claim_id, r.status) for r in reports] == [
             ("character-structure", "fail")]
         assert "Riley" in reports[0].details["error"]
+
+
+def test_riley_proof_rejects_a_term_that_vanishes_at_s_p_u_m():
+    # X*(p^2 z - z'), z' = p^4 + 1 - m p^2, is zero at the point s = p,
+    # u = m, where X = (p^2 + 1)^2 / p^2 and z = z' / p^2, which a check at
+    # that one point could not see.  Added to gamma, it must fail
+    # character-structure at every knot with d >= 3 and p <= 45.
+    failed = 0
+    for k in all_knots(45):
+        if k.d < 3:
+            continue
+        phi = character_polynomial(k)
+        gamma = even_form(phi)
+        cap_x = MultiPoly.variable("X", gamma.vars)
+        z = MultiPoly.variable("z", gamma.vars)
+        bad = gamma + cap_x * (k.p ** 2 * z - (k.p ** 4 + 1 - k.m * k.p ** 2))
+        reports = structural_reports(k, phi, bad)
+        assert [(r.claim_id, r.status) for r in reports] == [
+            ("character-structure", "fail")], k.label()
+        assert "Riley" in reports[0].details["error"]
+        failed += 1
+    assert failed == 208
 
 
 def test_riley_oracle_rejects_each_changed_coefficient():
