@@ -31,10 +31,10 @@ box of its exponents has no more slots than there are term products: each
 operand is packed into one Python int, one slot of bytes per monomial of
 the box, and the two ints are multiplied once.  Other products, small or
 sparse, take the dict double loop.  The packing is private; the term map
-stays the only representation.  ``even_slots`` biases a bivariate image
-packed elsewhere (the two-bridge slice fold) to bytes once;
-``from_kronecker`` decodes them through the product's unpack helper, and
-``top_part_from_kronecker`` reads only their top-degree slots.
+stays the only representation.  ``from_kronecker`` decodes a bivariate
+image packed elsewhere (the two-bridge slice fold) through the product's
+unpack helper, and ``top_part_from_kronecker`` reads only its top-degree
+slots.
 ``kronecker_point`` gives the point, for a coefficient bound and degree
 bounds, at which an identity of integer polynomials is proved by
 comparing two ints.  ``resultant_in`` and the heuristic gcd take images at
@@ -277,83 +277,76 @@ def _biased_slots(value: int, width: int, count: int) -> bytes:
     return (value + bias).to_bytes(count * width, _ORDER)
 
 
-def _unpack(raw: bytes, width: int, keys, stride: int = 1) -> dict:
-    """Term map of the biased slots raw of _biased_slots: every stride-th
-    slot less half, paired with the next of keys; zero digits are
-    dropped.  Native widths are read through memoryview, wider ones by
-    int.from_bytes.
+def _unpack(raw: bytes, width: int, keys) -> dict:
+    """Term map of the biased slots raw of _biased_slots: each slot less
+    half, paired with the next of keys; zero digits are dropped.  Native
+    widths are read through memoryview, wider ones by int.from_bytes.
     """
     half = 1 << (8 * width - 1)
-    step = stride * width
     if width in _SLOT_FORMATS:
-        slots = memoryview(raw).cast(_SLOT_FORMATS[width])[::stride]
+        slots = memoryview(raw).cast(_SLOT_FORMATS[width])
     else:
         slots = (int.from_bytes(raw[i:i + width], _ORDER)
-                 for i in range(0, len(raw), step))
+                 for i in range(0, len(raw), width))
     return {k: v - half for k, v in zip(keys, slots) if v != half}
 
 
-def even_slots(value: int, width: int, row: int) -> bytes:
-    """The _biased_slots of the rows v^0 .. v^k, k the highest v-exponent,
-    of a Kronecker image at u = 2^s, v = 2^(s * row), s = 8 * width, row
-    even, of a polynomial in (u, v) even in u.
-
-    Every coefficient must lie strictly between -2^(s - 1) and 2^(s - 1),
-    every exponent must be nonnegative, and every u-exponent must be less
-    than row.  ValueError when a slot of an odd u-power is not zero; those
-    slots are compared one byte column at a time.
+def _row_slots(value: int, width: int, row: int) -> bytes:
+    """The _biased_slots of the rows z^0 .. z^k, k the highest z-exponent,
+    of the image value of a polynomial at X = 2^s, z = 2^(s * row), s = 8 *
+    width, with every coefficient strictly between -2^(s - 1) and
+    2^(s - 1), every exponent nonnegative and every X-exponent below row.
     """
     # the top digit sits in slot bit_length // s: the lower digits add up
     # to less than half its unit, so they cannot move the bit length out
     # of that slot
     rows = (value.bit_length() // (8 * width)) // row + 1
-    slots = _biased_slots(value, width, rows * row)
-    zero = (1 << (8 * width - 1)).to_bytes(width, _ORDER)
-    for i in range(width):
-        col = slots[width + i::2 * width]
-        if col != zero[i:i + 1] * len(col):
-            raise ValueError("odd x-power")
-    return slots
+    return _biased_slots(value, width, rows * row)
 
 
-def from_kronecker(slots: bytes, vars, width: int, row: int) -> "MultiPoly":
-    """The polynomial in vars = (u, v) whose image even_slots read into
-    slots, at width bytes per slot and row slots per power of v."""
+def from_kronecker(value: int, vars, width: int, row: int) -> "MultiPoly":
+    """The polynomial in vars = (x, z), even in x, whose image at X = x^2
+    = 2^s, z = 2^(s * row), s = 8 * width, is value, under the conditions
+    of _row_slots: slot k of the row of z^j holds the coefficient of
+    x^(2k) z^j."""
+    slots = _row_slots(value, width, row)
     rows = len(slots) // (row * width)
-    if row > _BIAS or rows > _BIAS:
+    if 2 * row > _BIAS or rows > _BIAS:
         raise OverflowError(
             f"an exponent left the field range [{-_BIAS}, {_BIAS})")
-    su, sv = _step(0, 2), _step(1, 2)
+    sx, sz = _step(0, 2), _step(1, 2)
     one = _one_key(2)
-    keys = chain.from_iterable(range(r, r + row * su, 2 * su)
-                               for r in range(one, one + rows * sv, sv))
+    keys = chain.from_iterable(range(r, r + 2 * row * sx, 2 * sx)
+                               for r in range(one, one + rows * sz, sz))
     return MultiPoly._new(tuple(vars), (False, False),
-                          _unpack(slots, width, keys, 2))
+                          _unpack(slots, width, keys))
 
 
-def top_part_from_kronecker(slots: bytes, width: int, row: int,
+def top_part_from_kronecker(value: int, width: int, row: int,
                             degree: int) -> list:
-    """[c_0, ..., c_D], c_k the coefficient of X^k z^(D - k), X = x^2 and
-    D = degree, of the polynomial in (x, z) whose image even_slots read
-    into slots; only those D + 1 slots are decoded.  ValueError when a
-    slot of a term of total degree above D (a row past z^D, or one bytes
-    compare per row) is not zero.
+    """[c_0, ..., c_D], c_k the coefficient of X^k z^(D - k) and D =
+    degree, of the polynomial in (X, z) whose image at X = 2^s, z = 2^(s *
+    row), s = 8 * width, is value, under the conditions of _row_slots;
+    only those D + 1 slots are decoded.  ValueError when a slot of a term
+    of total degree above D (a row past z^D, or one bytes compare per row)
+    is not zero.
     """
+    slots = _row_slots(value, width, row)
     rows = len(slots) // (row * width)
     if rows > degree + 1:
         raise ValueError(f"term above total degree {degree}")
     half = 1 << (8 * width - 1)
     zero = half.to_bytes(width, _ORDER)
     top = [0] * (degree + 1)
-    # the row of z^j holds x^0 .. x^(row - 1): X^(D - j) z^j has a slot,
-    # and the row slots past it, when 2 * (D - j) < row; the rows past
-    # the slots are zero
-    for j in range(max(degree + 1 - row // 2, 0), rows):
-        e = 2 * (degree - j)
+    # the row of z^j holds X^0 .. X^(row - 1): X^(D - j) z^j has a slot,
+    # and the row slots past it, when D - j < row; the rows past the
+    # slots are zero
+    for j in range(max(degree + 1 - row, 0), rows):
+        e = degree - j
         i = (j * row + e) * width
         if slots[i + width:(j + 1) * row * width] != zero * (row - e - 1):
             raise ValueError(f"term above total degree {degree}")
-        top[degree - j] = int.from_bytes(slots[i:i + width], _ORDER) - half
+        top[e] = int.from_bytes(slots[i:i + width], _ORDER) - half
     return top
 
 
@@ -1210,7 +1203,7 @@ def resultant_in(p: MultiPoly, q: MultiPoly, var) -> MultiPoly:
                  for k in range(min(a, size - 1 - b) + 1)), zero)
     # det B has a y-exponent of at least low, one per digit upwards; the
     # top digit of a coefficient c sits in digit c.bit_length() // s (see
-    # even_slots)
+    # _row_slots)
     low = size * (lo_p + lo_q)
     terms: dict = {}
     for k, c in _minor_det(bez, zero + 1).terms.items():

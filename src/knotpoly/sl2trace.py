@@ -21,11 +21,12 @@ is then S_j = g_j * S_(j+1) * s(g_j) and is itself fixed by st, so
 S_j = g_j * st(g_j * S_(j+1)).  On a vector, t sends AB to BA and s sends
 BA back to AB while swapping x and y in the coefficients; with tr(B) bound
 to tr(A), st just swaps beta and gamma.  That fold, nested_slice_images,
-runs on the Kronecker images x = 2^s, z = 2^(s*row) over Z (Harvey,
+runs on the Kronecker images x = 2^(s/2), z = 2^(s*row) over Z (Harvey,
 J. Symb. Comput. 2009), with s taken from a proven bound on the sum of the
-slices' coefficient norms.  The images stay packed: a caller adds and
-subtracts them as ints, decodes only the sums it reads, with even_slots
-and from_kronecker, and reads a slice's top part, undecoded, with
+slices' coefficient norms, so a slice trace, even in x, takes one s-bit
+slot per power of x^2.  The images stay packed: a caller adds and
+subtracts them as ints, decodes only the sums it reads, with
+from_kronecker, and reads a slice's top part, undecoded, with
 top_part_from_kronecker.
 
 2x2 matrices are row-major 4-tuples (a, b, c, d) over any ring, such as
@@ -255,7 +256,7 @@ def _trace_norms(letters) -> list:
 def nested_slice_images(letters) -> tuple:
     """(images, width, row): the Kronecker images over Z of the traces of
     the nested slices letters[j:len(letters)-j], outermost first, with
-    tr(A) and tr(B) both bound to x, at x = 2^s and z = 2^(s*row),
+    tr(A) and tr(B) both bound to x, at x = 2^(s/2) and z = 2^(s*row),
     s = 8 * width.
 
     The word must have even length and end in its first half reversed with
@@ -265,22 +266,24 @@ def nested_slice_images(letters) -> tuple:
     the module docstring) and multiplies letters[j] on the left again, so
     the whole tuple costs one fold step per letter.
 
-    row is even and above the word's length L = sum |exponent|, so
-    multiplying by x or z is a left shift.  The int arithmetic is exact;
-    only a decode must fit its slots.  A slice trace has x-degree at most
-    L, and only even powers of x, since each slice has even exponent sum
-    and so keeps its trace when A, B become -A, -B.  _trace_norms bounds
-    each slice's coefficients, so their sum plus one bounds every
-    coefficient of any signed sum of the slice traces and +-1; s is the
-    slot of that bound plus a sign bit, so from_kronecker reads back any
-    such sum of images from its even_slots.
+    Multiplying by x or z is a left shift, and the int arithmetic is exact.
+    A slice trace has only even powers of x, since each slice has even
+    exponent sum and so keeps its trace when A, B become -A, -B; so its
+    image is that of its polynomial in X = x^2 and z at X = 2^s, one s-bit
+    slot per X^k z^j.  Coefficients of odd x-power appear only on the way,
+    half a slot up.  The word's length L = sum |exponent| is even and
+    bounds the x-degree, so the X-degree is below row = L/2 + 2.
+    _trace_norms bounds each slice's coefficients, so their sum plus one
+    bounds every coefficient of any signed sum of the slice traces and
+    +-1; s is the slot of that bound plus a sign bit, so from_kronecker
+    reads back any such sum of images.
     """
     norms = _trace_norms(letters)
     width = slot_bytes((sum(norms) + 1).bit_length() + 1)
     s = 8 * width
-    row = sum(abs(e) for _, e in letters) + 2
-    sz = s * row
-    images = list(_nested_traces(letters, 1, 0, lambda v: v << s,
+    row = sum(abs(e) for _, e in letters) // 2 + 2
+    sx, sz = s // 2, s * row
+    images = list(_nested_traces(letters, 1, 0, lambda v: v << sx,
                                  lambda v: v << sz))
     return tuple(reversed(images)), width, row
 

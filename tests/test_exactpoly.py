@@ -418,18 +418,18 @@ def test_packed_product_with_bound_next_to_a_byte_boundary(bits, step, m):
 @pytest.mark.parametrize("bits", [8, 64, 65, 150])
 def test_from_kronecker_reads_back_every_even_term(bits):
     # coefficients up to one below half a slot, of both signs, at the
-    # memoryview widths and past them (int.from_bytes per slot)
+    # memoryview widths and past them (int.from_bytes per slot); slot k of
+    # the row of z^j is X^k z^j, which reads back as x^(2k) z^j
     width = exactpoly.slot_bytes(bits)
     top = (1 << (8 * width - 1)) - 1
-    row = 6
+    row = 3
     terms = {(0, 0): -top, (2, 0): top, (4, 0): 1, (0, 1): -1,
              (2, 3): top, (4, 3): -top}
     s = 8 * width
-    value = sum(c << (s * (i + row * j)) for (i, j), c in terms.items())
+    value = sum(c << (s * (i // 2 + row * j)) for (i, j), c in terms.items())
 
     def decode(v):
-        return exactpoly.from_kronecker(exactpoly.even_slots(v, width, row),
-                                        ("x", "z"), width, row)
+        return exactpoly.from_kronecker(v, ("x", "z"), width, row)
 
     got = decode(value)
     assert got == MultiPoly(("x", "z"), terms)
@@ -441,56 +441,34 @@ def test_from_kronecker_reads_back_every_even_term(bits):
 @settings(max_examples=200, deadline=None)
 @given(st.sampled_from([8, 64, 65, 150]), st.integers(1, 4),
        st.integers(0, 6), st.data())
-def test_top_part_from_kronecker_reads_the_anti_diagonal(bits, half_row,
-                                                         degree, data):
-    # even terms of total degree at most D in X = x^2 and z, coefficients
-    # up to one below half a slot, of both signs, at the memoryview widths
-    # and past them; then at most one planted term, at an odd x-power or
-    # above degree D, which must raise
+def test_top_part_from_kronecker_reads_the_anti_diagonal(bits, row, degree,
+                                                         data):
+    # terms of total degree at most D in X and z, coefficients up to one
+    # below half a slot, of both signs, at the memoryview widths and past
+    # them; then maybe one planted term above degree D, which must raise
     width = exactpoly.slot_bytes(bits)
-    s, row = 8 * width, 2 * half_row
+    s = 8 * width
     top = (1 << (s - 1)) - 1
     coeffs = st.integers(-top, top).filter(bool)
-    slots = [(2 * i, j) for i in range(half_row) for j in range(degree + 1)
+    slots = [(i, j) for i in range(row) for j in range(degree + 1)
              if i + j <= degree]
     terms = data.draw(st.dictionaries(st.sampled_from(slots), coeffs))
-    fault = data.draw(st.sampled_from([None, "odd x-power",
-                                       "above total degree"]))
-    i = data.draw(st.integers(0, half_row - 1))
-    if fault == "odd x-power":
-        terms[(2 * i + 1, data.draw(st.integers(0, degree + 2)))] = \
-            data.draw(coeffs)
-    elif fault:
+    fault = data.draw(st.booleans())
+    if fault:
+        i = data.draw(st.integers(0, row - 1))
         j = data.draw(st.integers(max(0, degree + 1 - i), degree + 2))
-        terms[(2 * i, j)] = data.draw(coeffs)
+        terms[(i, j)] = data.draw(coeffs)
     value = sum(c << (s * (i + row * j)) for (i, j), c in terms.items())
 
     def top_part():
-        return exactpoly.top_part_from_kronecker(
-            exactpoly.even_slots(value, width, row), width, row, degree)
+        return exactpoly.top_part_from_kronecker(value, width, row, degree)
 
     if fault:
-        with pytest.raises(ValueError, match=fault):
+        with pytest.raises(ValueError, match="above total degree"):
             top_part()
     else:
         assert top_part() \
-            == [terms.get((2 * k, degree - k), 0) for k in range(degree + 1)]
-
-
-@pytest.mark.parametrize("bits", [8, 64, 65, 150])
-def test_from_kronecker_rejects_an_odd_power(bits):
-    # a term with an odd x-power beside even ones, of either sign, small
-    # or at half a slot, in the first row and past it: even_slots checks
-    # the odd slots, which from_kronecker then skips
-    width = exactpoly.slot_bytes(bits)
-    s, row = 8 * width, 6
-    top = (1 << (s - 1)) - 1
-    even = (top << s * (2 + row)) - 1
-    for i, j in ((1, 0), (5, 0), (3, 2)):
-        for c in (1, -1, top, -top):
-            with pytest.raises(ValueError, match="odd x-power"):
-                exactpoly.even_slots(even + (c << s * (i + row * j)),
-                                     width, row)
+            == [terms.get((k, degree - k), 0) for k in range(degree + 1)]
 
 
 @settings(max_examples=300, deadline=None)
@@ -790,9 +768,9 @@ def _spy_heuristic_gcd(monkeypatch):
     log = []
     unpack, divide = exactpoly._unpack, exactpoly.exact_div
 
-    def spy_unpack(raw, width, keys, stride=1):
+    def spy_unpack(raw, width, keys):
         log.append(("width", width))
-        return unpack(raw, width, keys, stride)
+        return unpack(raw, width, keys)
 
     def spy_divide(p, q):
         log.append(("divisor", q))

@@ -9,8 +9,8 @@ from pathlib import Path
 import pytest
 
 from knotpoly import cli, twobridge, verify
-from knotpoly.exactpoly import (MultiPoly, even_slots, from_kronecker,
-                                newton_polygon, slot_bytes)
+from knotpoly.exactpoly import (MultiPoly, from_kronecker, newton_polygon,
+                                slot_bytes)
 from knotpoly.report import InternalInconsistencyError
 from knotpoly.sl2trace import (FreeWord, GENERATOR_A, GENERATOR_B,
                                _nested_traces, _trace_norms,
@@ -35,7 +35,7 @@ def knot(p, m):
 
 def decode(image, width, row):
     """The polynomial in (x, z) packed in image."""
-    return from_kronecker(even_slots(image, width, row), VARS_XZ, width, row)
+    return from_kronecker(image, VARS_XZ, width, row)
 
 
 def decoded_slices(k):
@@ -301,32 +301,31 @@ def test_structural_reports_reject_a_phi_of_another_knot():
 
 
 def test_an_odd_x_slot_fails_the_reports(monkeypatch, capsys):
-    # 2^s is the slot of x^1: added to b(7,3)'s first slice image, and so
-    # to the summed image of phi, it decoded to the same phi before the
-    # odd slots were checked.  Now it is the odd x-power inconsistency: a
-    # failed character-structure report and a failed slice, so verify
-    # exits 1 and the twobridge query 3, never the bad-input 2.
+    # x = 2^(s/2), so 2^(s/2) is the image of x^1.  Added to b(7,3)'s
+    # first slice image, and so to the summed image of phi, it lands half
+    # a slot up, inside the slot of X^0 z^0, and phi decodes with its
+    # constant term off by 2^(s/2).  Riley's identity, proved for every
+    # coefficient, rejects it: a failed character-structure report, so
+    # verify and the twobridge query exit 1.  The slice's top part does
+    # not hold that slot, so leading terms pass.
     k = knot(7, 3)
+    good = character_polynomial(k)
     target = bridge_word(k).letters
     images, width, row = _meridian_trace(target)
-    bad = (images[0] + (1 << 8 * width),) + images[1:]
+    bad = (images[0] + (1 << 4 * width),) + images[1:]
     real = twobridge._meridian_trace
     monkeypatch.setattr(twobridge, "_meridian_trace",
                         lambda letters: (bad, width, row)
                         if letters == target else real(letters))
-    with pytest.raises(InternalInconsistencyError,
-                       match=r"odd x-power in character polynomial of b\("):
-        character_polynomial(k)
+    assert character_polynomial(k) == good + (1 << 4 * width)
     reports = structural_reports(k)
     assert [(r.claim_id, r.status) for r in reports] == [
         ("character-structure", "fail")]
-    assert "odd x-power" in reports[0].details["error"]
-    assert leading_term_report(k).details == {
-        "c_j": [1, 1, 0],
-        "failed": [{"j": 1, "error": "odd x-power in b(7,3) slice 1"}]}
+    assert "Riley" in reports[0].details["error"]
+    assert leading_term_report(k).status == "pass"
     assert cli.main(["verify", "--suite", "twobridge", "--p", "7"]) == 1
-    assert cli.main(["twobridge", "--p", "7", "--m", "3"]) == 3
-    assert "odd x-power" in capsys.readouterr().err
+    assert cli.main(["twobridge", "--p", "7", "--m", "3"]) == 1
+    capsys.readouterr()
 
 
 def total_degree(poly):
@@ -353,7 +352,7 @@ def _wrong_tops(width, row, degree, c):
     (when c < degree), its z^degree term dropped, and a term above
     degree."""
     def slot(i, j):  # the slot of X^i z^j, that is of x^(2i) z^j
-        return 1 << (8 * width * (2 * i + row * j))
+        return 1 << (8 * width * (i + row * j))
     yield slot(c // 2, degree - c // 2)
     if c < degree:
         yield slot(c + 1, degree - c - 1)
@@ -398,7 +397,7 @@ def test_leading_terms_catch_an_anti_diagonal_slot_past_p_31(monkeypatch):
     degree = k.d + 1 - j
     for sign in (1, -1):
         bad = list(images)
-        bad[j - 1] += sign << (8 * width * (2 + row * (degree - 1)))
+        bad[j - 1] += sign << (8 * width * (1 + row * (degree - 1)))
         monkeypatch.setattr(twobridge, "_meridian_trace",
                             lambda letters, bad=tuple(bad):
                             (bad, width, row) if letters == target
