@@ -55,11 +55,11 @@ the generic pair.
 from __future__ import annotations
 
 import random
+from collections.abc import Iterable
 from functools import lru_cache, reduce
 from itertools import accumulate, repeat
 from math import comb
 from operator import mul
-from typing import Iterable
 
 from .exactpoly import (MultiPoly, exponent_reader, kronecker_point,
                         slot_bytes)
@@ -112,7 +112,8 @@ def reduce_word(letters: Iterable) -> FreeWord:
 
 
 def word_from_string(text: str) -> tuple[FreeWord, tuple[str, ...]]:
-    """Parse a word like "a b^-1 a" with caller-chosen generator names.
+    """Parse a word like "a b^-1 a" with caller-chosen generator names; an
+    exponent is an optional "-" followed by ASCII digits.
 
     Returns the reduced word and the generator names in order of first
     appearance (at most two distinct names are allowed).
@@ -122,10 +123,12 @@ def word_from_string(text: str) -> tuple[FreeWord, tuple[str, ...]]:
     for token in text.split():
         if "^" in token:
             name, _, raw = token.partition("^")
-            try:
-                exp = int(raw)
-            except ValueError:
-                raise ValueError(f"malformed token {token!r}") from None
+            # an optional "-" and ASCII digits: int() would also take "+",
+            # "_" and non-ASCII digits
+            digits = raw[1:] if raw.startswith("-") else raw
+            if not (digits.isascii() and digits.isdigit()):
+                raise ValueError(f"malformed token {token!r}")
+            exp = int(raw)
         else:
             name, exp = token, 1
         if not name:

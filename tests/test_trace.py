@@ -89,9 +89,11 @@ def test_word_from_string_rejects_three_generators():
         word_from_string("a b c")
 
 
-@pytest.mark.parametrize("token", ["a^", "a^x", "b^1.5", "^2"])
+@pytest.mark.parametrize("token", ["a^", "a^x", "b^1.5", "^2", "a^1_0",
+                                   "b^+2", "a^\u0661"])
 def test_word_from_string_names_a_malformed_token(token):
-    # "^2" has no name; the others have an exponent that is not an int
+    # "^2" has no name; the others have an exponent that is not an
+    # optional "-" and ASCII digits, though int() takes the last three
     with pytest.raises(ValueError,
                        match=f"^malformed token {re.escape(repr(token))}$"):
         word_from_string(f"a b {token}")
