@@ -74,12 +74,12 @@ from __future__ import annotations
 
 import struct
 import sys
+from collections.abc import Mapping, Sequence
 from functools import cache, reduce
 from heapq import heapify, heappop, heappush
 from itertools import accumulate, chain, product, repeat
 from math import gcd as _int_gcd, prod
 from operator import mul as _mul, or_ as _or
-from typing import Mapping, Sequence
 
 class AlignmentError(ValueError):
     """Raised when an operation mixes polynomials over different variables."""

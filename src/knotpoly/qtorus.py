@@ -21,7 +21,7 @@ fields and moves the key by whole steps of t, M and L.
 
 from __future__ import annotations
 
-from typing import Callable
+from collections.abc import Callable
 
 from .exactpoly import (EXPONENT_BOUND, AlignmentError, MultiPoly,
                         RationalFunction, _check_fields, exponent_reader,

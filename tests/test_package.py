@@ -48,11 +48,13 @@ def test_package_imports_only_itself_and_the_standard_library():
 
 def test_cold_import_leaves_out_dataclasses_and_inspect():
     # every knotpoly query starts a fresh interpreter, so what importing
-    # the CLI pulls in is paid on each one.  -S keeps site start-up hooks
-    # (.pth files) from importing modules the package never asked for
+    # the CLI pulls in is paid on each one; typing is out too, since the
+    # annotations take their names from collections.abc.  -S keeps site
+    # start-up hooks (.pth files) from importing modules the package never
+    # asked for
     src = Path(knotpoly.__file__).resolve().parent.parent
-    code = ("import sys, knotpoly.cli; "
-            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    code = ("import sys, knotpoly.cli; print(sorted("
+            "{'dataclasses', 'inspect', 'typing'} & set(sys.modules)))")
     env = dict(os.environ, PYTHONPATH=str(src))
     out = subprocess.run([sys.executable, "-S", "-c", code], env=env,
                          capture_output=True, text=True, check=True)
