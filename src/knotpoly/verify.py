@@ -162,13 +162,13 @@ def check_quantum_torus(seed: int = DEFAULT_SEED) -> list:
                 "qt-epsilon-multiplicative": []}
     for i in range(QT_RANDOM_CASES):
         p, q, r = (_random_qt_elem(rng) for _ in range(3))
-        if qt_mul(qt_mul(p, q), r) != qt_mul(p, qt_mul(q, r)):
+        pq = qt_mul(p, q)
+        if qt_mul(pq, r) != qt_mul(p, qt_mul(q, r)):
             failures["qt-associativity"].append(i)
         if (qt_sigma(qt_sigma(p)) != p
-                or qt_sigma(qt_mul(p, q)) != qt_mul(qt_sigma(p),
-                                                    qt_sigma(q))):
+                or qt_sigma(pq) != qt_mul(qt_sigma(p), qt_sigma(q))):
             failures["qt-sigma-automorphism"].append(i)
-        if epsilon_eval(qt_mul(p, q)) != epsilon_eval(p) * epsilon_eval(q):
+        if epsilon_eval(pq) != epsilon_eval(p) * epsilon_eval(q):
             failures["qt-epsilon-multiplicative"].append(i)
     return [VerificationReport(claim, f"random x{QT_RANDOM_CASES}",
                                status_of(not failed),

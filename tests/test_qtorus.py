@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from knotpoly import verify
 from knotpoly.exactpoly import (EXPONENT_BOUND, AlignmentError, MultiPoly,
                                 exact_div)
 from knotpoly.qtorus import (LAURENT_ML, LAURENT_QT, VARS_ML, VARS_QT, act,
@@ -286,3 +287,15 @@ def test_sigma_factor_preconditions():
         sigma_symmetry_factor(qt({}))
     with pytest.raises(ValueError):
         sigma_symmetry_factor(qt_mul(L, alpha_unknot()))
+
+
+def test_ring_law_check_builds_each_product_once(monkeypatch):
+    # p*q serves the associativity, sigma and epsilon laws alike: five
+    # products per case, (p*q)*r, q*r, p*(q*r) and sigma(p)*sigma(q)
+    calls = []
+    real = verify.qt_mul
+    monkeypatch.setattr(verify, "qt_mul",
+                        lambda p, q: calls.append(1) or real(p, q))
+    reports = verify.check_quantum_torus()
+    assert reports and all(r.passed for r in reports)
+    assert len(calls) == 5 * verify.QT_RANDOM_CASES
