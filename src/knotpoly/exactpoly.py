@@ -31,10 +31,10 @@ box of its exponents has no more slots than there are term products: each
 operand is packed into one Python int, one slot of bytes per monomial of
 the box, and the two ints are multiplied once.  Other products, small or
 sparse, take the dict double loop.  The packing is private; the term map
-stays the only representation.  ``from_kronecker`` decodes a bivariate
-image packed elsewhere (the two-bridge slice fold) through the product's
-unpack helper, and ``top_part_from_kronecker`` reads only its top-degree
-slots.
+stays the only representation.  ``row_slots`` biases a bivariate image
+packed elsewhere (the two-bridge slice fold) to bytes once;
+``from_kronecker`` decodes them through the product's unpack helper, and
+``top_part_from_kronecker`` reads only their top-degree slots.
 ``kronecker_point`` gives the point, for a coefficient bound and degree
 bounds, at which an identity of integer polynomials is proved by
 comparing two ints.  ``resultant_in`` and the heuristic gcd take images at
@@ -291,7 +291,7 @@ def _unpack(raw: bytes, width: int, keys) -> dict:
     return {k: v - half for k, v in zip(keys, slots) if v != half}
 
 
-def _row_slots(value: int, width: int, row: int) -> bytes:
+def row_slots(value: int, width: int, row: int) -> bytes:
     """The _biased_slots of the rows z^0 .. z^k, k the highest z-exponent,
     of the image value of a polynomial at X = 2^s, z = 2^(s * row), s = 8 *
     width, with every coefficient strictly between -2^(s - 1) and
@@ -304,12 +304,10 @@ def _row_slots(value: int, width: int, row: int) -> bytes:
     return _biased_slots(value, width, rows * row)
 
 
-def from_kronecker(value: int, vars, width: int, row: int) -> "MultiPoly":
+def from_kronecker(slots: bytes, vars, width: int, row: int) -> "MultiPoly":
     """The polynomial in vars = (x, z), even in x, whose image at X = x^2
-    = 2^s, z = 2^(s * row), s = 8 * width, is value, under the conditions
-    of _row_slots: slot k of the row of z^j holds the coefficient of
-    x^(2k) z^j."""
-    slots = _row_slots(value, width, row)
+    = 2^s, z = 2^(s * row), s = 8 * width, row_slots read into slots: slot
+    k of the row of z^j holds the coefficient of x^(2k) z^j."""
     rows = len(slots) // (row * width)
     if 2 * row > _BIAS or rows > _BIAS:
         raise OverflowError(
@@ -322,16 +320,14 @@ def from_kronecker(value: int, vars, width: int, row: int) -> "MultiPoly":
                           _unpack(slots, width, keys))
 
 
-def top_part_from_kronecker(value: int, width: int, row: int,
+def top_part_from_kronecker(slots: bytes, width: int, row: int,
                             degree: int) -> list:
     """[c_0, ..., c_D], c_k the coefficient of X^k z^(D - k) and D =
-    degree, of the polynomial in (X, z) whose image at X = 2^s, z = 2^(s *
-    row), s = 8 * width, is value, under the conditions of _row_slots;
-    only those D + 1 slots are decoded.  ValueError when a slot of a term
-    of total degree above D (a row past z^D, or one bytes compare per row)
-    is not zero.
+    degree, of the polynomial in (X, z) whose image row_slots read into
+    slots; only those D + 1 slots are decoded.  ValueError when a slot of
+    a term of total degree above D (a row past z^D, or one bytes compare
+    per row) is not zero.
     """
-    slots = _row_slots(value, width, row)
     rows = len(slots) // (row * width)
     if rows > degree + 1:
         raise ValueError(f"term above total degree {degree}")
@@ -1203,7 +1199,7 @@ def resultant_in(p: MultiPoly, q: MultiPoly, var) -> MultiPoly:
                  for k in range(min(a, size - 1 - b) + 1)), zero)
     # det B has a y-exponent of at least low, one per digit upwards; the
     # top digit of a coefficient c sits in digit c.bit_length() // s (see
-    # _row_slots)
+    # row_slots)
     low = size * (lo_p + lo_q)
     terms: dict = {}
     for k, c in _minor_det(bez, zero + 1).terms.items():

@@ -25,8 +25,8 @@ runs on the Kronecker images x = 2^(s/2), z = 2^(s*row) over Z (Harvey,
 J. Symb. Comput. 2009), with s taken from a proven bound on the sum of the
 slices' coefficient norms, so a slice trace, even in x, takes one s-bit
 slot per power of x^2.  The images stay packed: a caller adds and
-subtracts them as ints, decodes only the sums it reads, with
-from_kronecker, and reads a slice's top part, undecoded, with
+subtracts them as ints, decodes only the sums it reads, with row_slots
+and from_kronecker, and reads a slice's top part, undecoded, with
 top_part_from_kronecker.
 
 2x2 matrices are row-major 4-tuples (a, b, c, d) over any ring, such as
@@ -279,7 +279,7 @@ def nested_slice_images(letters) -> tuple:
     _trace_norms bounds each slice's coefficients, so their sum plus one
     bounds every coefficient of any signed sum of the slice traces and
     +-1; s is the slot of that bound plus a sign bit, so from_kronecker
-    reads back any such sum of images.
+    reads back any such sum of images from its row_slots.
     """
     norms = _trace_norms(letters)
     width = slot_bytes((sum(norms) + 1).bit_length() + 1)

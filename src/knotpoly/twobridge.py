@@ -21,7 +21,7 @@ from math import comb, gcd
 
 from .exactpoly import (MultiPoly, exact_div, exponent_reader,
                         from_kronecker, kronecker_point, newton_polygon,
-                        top_part_from_kronecker)
+                        row_slots, top_part_from_kronecker)
 from .report import (FrozenRecord, InternalInconsistencyError, STATUS_FAIL,
                      STATUS_PASS, VerificationReport, status_of)
 from .sl2trace import (FreeWord, GENERATOR_A, GENERATOR_B, VARS_XZ,
@@ -93,7 +93,8 @@ def _meridian_trace(letters) -> tuple:
     Kronecker images of the traces of the nested slices
     letters[j:len(letters)-j], outermost first, with both generator traces
     bound to x.  Each image holds one slot per X^k z^j, X = x^2, and
-    from_kronecker decodes a slice, or any signed sum of slices and +-1.
+    from_kronecker decodes the row_slots of a slice, or of any signed sum
+    of slices and +-1.
 
     A bridge word alternates a and b with palindromic signs, so the fold
     builds each slice from the next inner one by its reversal symmetry.
@@ -108,18 +109,21 @@ def _meridian_trace(letters) -> tuple:
 
 
 def _check_packed_top(image: int, width: int, row: int, degree: int,
-                      c: int, what: str) -> None:
-    """InternalInconsistencyError unless the top part of the polynomial in
+                      c: int, what: str) -> bytes:
+    """The image's row_slots, which from_kronecker decodes;
+    InternalInconsistencyError unless the top part of the polynomial in
     X = x^2 and z that image packs, at total degree degree, is z^(degree-c)
     (z-X)^c = sum_k C(c, k) (-1)^k X^k z^(degree-k)."""
+    slots = row_slots(image, width, row)
     try:
-        top = top_part_from_kronecker(image, width, row, degree)
+        top = top_part_from_kronecker(slots, width, row, degree)
     except ValueError as err:
         raise InternalInconsistencyError(f"{err} in {what}") from None
     if top != [(-1) ** k * comb(c, k) for k in range(c + 1)] \
             + [0] * (degree - c):
         raise InternalInconsistencyError(
             f"leading part of {what} is not z^{degree - c} (z-X)^{c}")
+    return slots
 
 
 def character_polynomial(knot: TwoBridgeKnot) -> MultiPoly:
@@ -129,16 +133,17 @@ def character_polynomial(knot: TwoBridgeKnot) -> MultiPoly:
     alternating generators cannot cancel, so slices stay reduced.  The sum
     is taken over the slices' Kronecker images as ints, with (-1)^d in
     slot 0: the slot holds the slices' coefficient norms summed plus one,
-    a bound on every coefficient of phi.  The packed sum is checked to
-    have top part z^(d-c) (z-X)^c, X = x^2, and then decoded.  Nothing
+    a bound on every coefficient of phi.  The packed sum is biased to
+    slots once, checked to have top part z^(d-c) (z-X)^c, X = x^2, and
+    then decoded from the same slots.  Nothing
     here can tell an odd x-power from a garbled digit; riley_check, which
     proves every coefficient, is what rejects either.
     """
     images, width, row = _meridian_trace(bridge_word(knot).letters)
     total = sum(images[::2]) - sum(images[1::2]) + (-1) ** knot.d
-    _check_packed_top(total, width, row, knot.d, knot.c,
-                      f"character polynomial of {knot.label()}")
-    return from_kronecker(total, VARS_XZ, width, row)
+    slots = _check_packed_top(total, width, row, knot.d, knot.c,
+                              f"character polynomial of {knot.label()}")
+    return from_kronecker(slots, VARS_XZ, width, row)
 
 
 def x_zero_profile(knot: TwoBridgeKnot, phi: MultiPoly) -> VerificationReport:

@@ -429,7 +429,8 @@ def test_from_kronecker_reads_back_every_even_term(bits):
     value = sum(c << (s * (i // 2 + row * j)) for (i, j), c in terms.items())
 
     def decode(v):
-        return exactpoly.from_kronecker(v, ("x", "z"), width, row)
+        return exactpoly.from_kronecker(exactpoly.row_slots(v, width, row),
+                                        ("x", "z"), width, row)
 
     got = decode(value)
     assert got == MultiPoly(("x", "z"), terms)
@@ -461,7 +462,8 @@ def test_top_part_from_kronecker_reads_the_anti_diagonal(bits, row, degree,
     value = sum(c << (s * (i + row * j)) for (i, j), c in terms.items())
 
     def top_part():
-        return exactpoly.top_part_from_kronecker(value, width, row, degree)
+        return exactpoly.top_part_from_kronecker(
+            exactpoly.row_slots(value, width, row), width, row, degree)
 
     if fault:
         with pytest.raises(ValueError, match="above total degree"):

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from knotpoly import pretzel, sl2trace, verify
-from knotpoly.exactpoly import MultiPoly, from_kronecker
+from knotpoly.exactpoly import MultiPoly, from_kronecker, row_slots
 from knotpoly.sl2trace import (DEFAULT_SEED, FreeWord, GENERATOR_A,
                                GENERATOR_B, VARS_XYZ, VARS_XZ, _mul_left,
                                chebyshev_s, chebyshev_t, mat2_mul, mat2_pow,
@@ -198,7 +198,8 @@ def symmetric_words(draw, max_half=7):
 def decode_slices(letters):
     """The packed nested slice traces of letters, each decoded."""
     images, width, row = nested_slice_images(letters)
-    return [from_kronecker(t, VARS_XZ, width, row) for t in images]
+    return [from_kronecker(row_slots(t, width, row), VARS_XZ, width, row)
+            for t in images]
 
 
 @settings(max_examples=60, deadline=None)

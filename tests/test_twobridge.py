@@ -10,7 +10,7 @@ import pytest
 
 from knotpoly import cli, twobridge, verify
 from knotpoly.exactpoly import (MultiPoly, from_kronecker, newton_polygon,
-                                slot_bytes)
+                                row_slots, slot_bytes)
 from knotpoly.report import InternalInconsistencyError
 from knotpoly.sl2trace import (FreeWord, GENERATOR_A, GENERATOR_B,
                                _nested_traces, _trace_norms,
@@ -35,7 +35,7 @@ def knot(p, m):
 
 def decode(image, width, row):
     """The polynomial in (x, z) packed in image."""
-    return from_kronecker(image, VARS_XZ, width, row)
+    return from_kronecker(row_slots(image, width, row), VARS_XZ, width, row)
 
 
 def decoded_slices(k):
