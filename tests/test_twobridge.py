@@ -300,7 +300,7 @@ def test_structural_reports_reject_a_phi_of_another_knot():
     assert "Riley" in reports[0].details["error"]
 
 
-def test_an_odd_x_slot_fails_the_reports(monkeypatch, capsys):
+def test_an_odd_x_slot_fails_the_reports(monkeypatch):
     # x = 2^(s/2), so 2^(s/2) is the image of x^1.  Added to b(7,3)'s
     # first slice image, and so to the summed image of phi, it lands half
     # a slot up, inside the slot of X^0 z^0, and phi decodes with its
@@ -325,7 +325,6 @@ def test_an_odd_x_slot_fails_the_reports(monkeypatch, capsys):
     assert leading_term_report(k).status == "pass"
     assert cli.main(["verify", "--suite", "twobridge", "--p", "7"]) == 1
     assert cli.main(["twobridge", "--p", "7", "--m", "3"]) == 1
-    capsys.readouterr()
 
 
 def total_degree(poly):
